@@ -13,13 +13,13 @@ properties the parallel engine promises:
   assertion was skipped).
 """
 
-import os
 import time
 
 import numpy as np
 import pytest
 
 from repro.core import SlicParams
+from repro.kernels import usable_cores
 from repro.parallel import ParallelRunner, synthetic_batch
 
 pytestmark = pytest.mark.slow
@@ -28,13 +28,6 @@ BATCH_SIZE = 16
 WORKER_COUNTS = (1, 2, 4)
 SPEEDUP_FLOOR = 2.0
 SPEEDUP_WORKERS = 4
-
-
-def _available_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
 
 
 def test_batch_throughput_scaling(emit, bench_scale):
@@ -78,7 +71,7 @@ def test_batch_throughput_scaling(emit, bench_scale):
             }
         )
 
-    cores = _available_cores()
+    cores = usable_cores()
     by_workers = {r["workers"]: r for r in rows}
     speedup4 = by_workers[SPEEDUP_WORKERS]["speedup"]
     gate = cores >= SPEEDUP_WORKERS

@@ -20,7 +20,7 @@ Since the native-mt PR a fourth configuration rides along:
 ``native-mt-1p`` — one process, the threaded C backend fanning each
 frame over 4 in-process threads ("one process per stream, threads per
 frame"). Its gate: at 1080p on >= 4 cores it must beat both the serial
-native run *and* the 4-worker shm pool, because it parallelizes the
+run *and* the 4-worker shm pool, because it parallelizes the
 same arithmetic with zero transport cost. On smaller machines the rows
 are recorded and the gate reports skipped, like the shm gate.
 
@@ -58,7 +58,6 @@ asserts only on >= 4 cores with a same-core-count baseline.
 """
 
 import json
-import os
 import platform
 import time
 from pathlib import Path
@@ -66,7 +65,7 @@ from pathlib import Path
 import pytest
 
 from repro.core import SlicParams
-from repro.kernels import available_backends
+from repro.kernels import available_backends, usable_cores
 from repro.obs import MemorySink, Tracer
 from repro.obs.regress import BENCH_SCHEMA_VERSION
 from repro.parallel import ParallelRunner, shm_available, synthetic_streams
@@ -117,13 +116,6 @@ CONFIGS = (
     # against the process pools it is meant to beat.
     ("native-mt-1p", 1, "pickle", "native-mt", GATE_WORKERS),
 )
-
-
-def _available_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
 
 
 def _profiling_overhead(params, bench_scale) -> dict:
@@ -202,7 +194,7 @@ def test_e2e_video_throughput(emit, bench_scale, bench_trace_id):
         convergence_threshold=0.0,  # fixed work per frame -> fair timing
     )
 
-    cores = _available_cores()
+    cores = usable_cores()
     backends = available_backends()
     baseline = _committed_baseline()  # before this run overwrites it
     rows = []

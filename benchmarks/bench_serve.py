@@ -48,6 +48,7 @@ from pathlib import Path
 import pytest
 
 from repro.core import SlicParams
+from repro.kernels import usable_cores
 from repro.obs.regress import BENCH_SCHEMA_VERSION
 from repro.serve import BackgroundServer, ServeConfig
 
@@ -227,12 +228,7 @@ def _open_loop_overload(port, offered_rps, duration_s):
 
 
 def test_serve_under_load(emit, bench_scale, bench_trace_id):
-    import os
-
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cores = os.cpu_count() or 1
+    cores = usable_cores()
 
     n_uncontended = 40 if bench_scale == "full" else 15
     overload_s = 10.0 if bench_scale == "full" else 6.0

@@ -131,7 +131,6 @@ def _cmd_segment(args) -> int:
         max_iterations=args.iterations,
         kernel_backend=args.kernel_backend,
         n_threads=args.kernel_threads,
-        fused_color=False if args.no_fused_color else None,
     )
     if args.algorithm == "sslic":
         kwargs["subsample_ratio"] = args.ratio
@@ -211,7 +210,6 @@ def _cmd_batch(args) -> int:
         convergence_threshold=args.threshold,
         kernel_backend=args.kernel_backend,
         n_threads=args.kernel_threads,
-        fused_color=False if args.no_fused_color else None,
     )
     manifest = RunManifest.start(
         "batch",
@@ -389,7 +387,6 @@ def _cmd_serve(args) -> int:
         subsample_ratio=args.ratio,
         kernel_backend=args.kernel_backend,
         n_threads=args.kernel_threads,
-        fused_color=False if args.no_fused_color else None,
     )
     config = ServeConfig(
         host=args.host,
@@ -568,6 +565,18 @@ def _add_telemetry_args(cmd) -> None:
                           "peak RSS, GC collections) to the telemetry")
 
 
+def _add_kernel_args(cmd) -> None:
+    from .kernels import BACKEND_NAMES
+
+    cmd.add_argument("--kernel-backend", default=None, choices=BACKEND_NAMES,
+                     help="kernel backend for the hot loops (default: "
+                          "$REPRO_KERNEL_BACKEND, then auto)")
+    cmd.add_argument("--kernel-threads", type=int, default=None,
+                     help="kernel threads per frame for native-mt; 1 runs "
+                          "the compiled kernels serially (default: "
+                          "$REPRO_KERNEL_THREADS, then usable cores)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -587,18 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
     seg.add_argument("--superpixels", type=int, default=200)
     seg.add_argument("--compactness", type=float, default=10.0)
     seg.add_argument("--iterations", type=int, default=10)
-    seg.add_argument("--kernel-backend", default=None,
-                     choices=("auto", "reference", "vectorized", "native",
-                              "native-mt"),
-                     help="kernel backend for the hot loops (default: "
-                          "$REPRO_KERNEL_BACKEND, then auto)")
-    seg.add_argument("--kernel-threads", type=int, default=None,
-                     help="kernel threads per frame for native-mt "
-                          "(default: $REPRO_KERNEL_THREADS, then cores)")
-    seg.add_argument("--no-fused-color", action="store_true",
-                     help="disable the fused color conversion "
-                          "(convert then decode in two steps; "
-                          "default: $REPRO_FUSED_COLOR, then fused)")
+    _add_kernel_args(seg)
     seg.add_argument("--ratio", type=float, default=0.5,
                      help="S-SLIC subsample ratio (1/n)")
     seg.add_argument("--out", help="boundary-overlay PPM output path")
@@ -628,18 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
     bat.add_argument("--superpixels", type=int, default=200)
     bat.add_argument("--compactness", type=float, default=10.0)
     bat.add_argument("--iterations", type=int, default=10)
-    bat.add_argument("--kernel-backend", default=None,
-                     choices=("auto", "reference", "vectorized", "native",
-                              "native-mt"),
-                     help="kernel backend for the hot loops (default: "
-                          "$REPRO_KERNEL_BACKEND, then auto)")
-    bat.add_argument("--kernel-threads", type=int, default=None,
-                     help="kernel threads per frame for native-mt "
-                          "(default: $REPRO_KERNEL_THREADS, then cores)")
-    bat.add_argument("--no-fused-color", action="store_true",
-                     help="disable the fused color conversion "
-                          "(convert then decode in two steps; "
-                          "default: $REPRO_FUSED_COLOR, then fused)")
+    _add_kernel_args(bat)
     bat.add_argument("--ratio", type=float, default=0.5,
                      help="S-SLIC subsample ratio (1/n)")
     bat.add_argument("--threshold", type=float, default=0.25,
@@ -708,17 +695,7 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--iterations", type=int, default=10)
     srv.add_argument("--ratio", type=float, default=0.5,
                      help="S-SLIC subsample ratio (1/n)")
-    srv.add_argument("--kernel-backend", default=None,
-                     choices=("auto", "reference", "vectorized", "native",
-                              "native-mt"),
-                     help="kernel backend for the hot loops (default: "
-                          "$REPRO_KERNEL_BACKEND, then auto)")
-    srv.add_argument("--kernel-threads", type=int, default=None,
-                     help="kernel threads per frame for native-mt")
-    srv.add_argument("--no-fused-color", action="store_true",
-                     help="disable the fused color conversion "
-                          "(convert then decode in two steps; "
-                          "default: $REPRO_FUSED_COLOR, then fused)")
+    _add_kernel_args(srv)
     srv.add_argument("--exec-mode", choices=("thread", "process"),
                      default="thread",
                      help="frame execution substrate (thread: in-process "

@@ -137,21 +137,19 @@ class HwColorConverter:
         datapath. ``backend`` selects the :mod:`repro.kernels`
         implementation (``None``/"auto" picks the best available); all
         backends are bit-identical to :func:`convert_codes_reference`.
+        The codes come from :meth:`convert_fused`, the one conversion
+        kernel.
         """
-        from ..kernels import get_backend  # local import: kernels ↔ color
-
-        rgb = as_uint8_rgb(rgb)
-        return get_backend(backend).lab_codes(self, rgb)
+        return self.convert_fused(rgb, backend=backend)[1]
 
     def convert_fused(
         self, rgb: np.ndarray, backend: str | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """uint8 RGB image -> ``(lab, codes)`` in one backend traversal.
 
-        The fused form of ``decode(convert_codes(rgb))`` plus the codes
-        themselves; native backends produce both outputs in a single pass
-        over the pixels. Bit-identical to the two-step sequence on every
-        backend.
+        ``decode(codes)`` plus the codes themselves; native backends
+        produce both outputs in a single pass over the pixels. Every
+        backend is bit-identical to :func:`lab_from_codes_reference`.
         """
         from ..kernels import get_backend  # local import: kernels ↔ color
 
@@ -161,12 +159,12 @@ class HwColorConverter:
     def convert(self, rgb: np.ndarray) -> np.ndarray:
         """uint8 RGB image -> real Lab values *as the hardware sees them*.
 
-        Convenience wrapper: convert to codes, decode through the encoding.
+        Convenience wrapper: the decoded half of :meth:`convert_fused`.
         The result differs from the float64 reference by the LUT and
         quantization error — exactly the error the bit-width exploration of
         Section 6.1 studies.
         """
-        return self.encoding.decode(self.convert_codes(rgb))
+        return self.convert_fused(rgb)[0]
 
 
 def convert_codes_reference(converter: HwColorConverter, rgb: np.ndarray) -> np.ndarray:

@@ -167,15 +167,15 @@ def _resolve_runs(
 ):
     """Dense first-appearance component ids per run: ``(dense, n_comps)``.
 
-    The union-find resolve behind the incremental path. The native
-    backends use the C ``ccl_resolve`` entry point; everything else uses
+    The union-find resolve behind the incremental path. The native-mt
+    backend uses the C ``ccl_resolve`` entry point; everything else uses
     :func:`_min_propagate`. Both renumber components ascending by
     minimal run id, so the choice never changes the result.
     """
     from ..errors import ConfigurationError
     from ..kernels import resolve_name  # lazy: kernels imports this module
 
-    if resolve_name(backend) in ("native", "native-mt"):
+    if resolve_name(backend) == "native-mt":
         from ..kernels import native
 
         try:

@@ -23,7 +23,6 @@ the JSONL telemetry alone.
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
@@ -45,26 +44,10 @@ from .profiles import PhaseTimer
 from .result import SegmentationResult
 from .subsampling import center_subsets, make_schedule
 
-__all__ = ["run_segmentation", "expected_cluster_count", "FUSED_COLOR_ENV"]
+__all__ = ["run_segmentation", "expected_cluster_count"]
 
 #: Sentinel for "not yet assigned" in the CPA distance buffer.
 _INF = np.inf
-
-#: Environment opt-out for the fused color conversion (decode folded into
-#: the code-generation traversal). On by default; ``SlicParams.fused_color``
-#: overrides the environment when set.
-FUSED_COLOR_ENV = "REPRO_FUSED_COLOR"
-
-_OFF_VALUES = ("0", "false", "no", "off")
-
-
-def _fused_color_enabled(params) -> bool:
-    if params.fused_color is not None:
-        return bool(params.fused_color)
-    raw = os.environ.get(FUSED_COLOR_ENV)
-    if raw is None:
-        return True
-    return raw.strip().lower() not in _OFF_VALUES
 
 #: Histogram buckets (seconds) for per-sweep latency. Spans 1 ms tile
 #: sweeps on thumbnails up to multi-second 1080p software sweeps; the
@@ -200,18 +183,10 @@ def _run_instrumented(
             lut_hits = CACHE_STATS["hits"] - hits_before
             if lut_hits:
                 tracer.count("color.lut_cache_hits", lut_hits)
-            if _fused_color_enabled(params):
-                # One traversal produces the codes and their float decode
-                # (bit-identical to convert-then-decode on every backend).
-                lab, codes = converter.convert_fused(
-                    as_uint8_rgb(image), backend=kernel_name
-                )
-                tracer.count("color.fused_frames")
-            else:
-                codes = converter.convert_codes(
-                    as_uint8_rgb(image), backend=kernel_name
-                )
-                lab = datapath.encoding.decode(codes)
+            # One traversal produces the codes and their float decode.
+            lab, codes = converter.convert_fused(
+                as_uint8_rgb(image), backend=kernel_name
+            )
         else:
             codes = None
             lab = rgb_to_lab(image)

@@ -99,21 +99,16 @@ class SlicParams:
     kernel_backend:
         Which :mod:`repro.kernels` backend runs the assignment and
         connectivity hot loops: ``"reference"``, ``"vectorized"``,
-        ``"native"``, ``"native-mt"``, or ``"auto"``. ``None`` (default)
+        ``"native-mt"`` (compiled C), or ``"auto"``. ``None`` (default)
         defers to the ``REPRO_KERNEL_BACKEND`` environment variable,
         then ``auto``. All backends produce bit-identical labels.
     n_threads:
         Kernel threads per frame for the ``native-mt`` backend (other
-        backends ignore it). ``None`` defers to ``REPRO_KERNEL_THREADS``,
-        then the visible core count. Results are bit-identical at any
-        thread count, so this only affects speed.
-    fused_color:
-        Fixed-datapath color conversion: produce the decoded Lab array
-        and the channel codes in one fused kernel traversal (``True``)
-        or convert then decode in two steps (``False``). ``None``
-        (default) defers to the ``REPRO_FUSED_COLOR`` environment
-        variable, then on. Both paths are bit-identical; this knob
-        exists for benchmarking and fault isolation.
+        backends ignore it); ``1`` runs the compiled kernels serially
+        on the calling thread. ``None`` defers to
+        ``REPRO_KERNEL_THREADS``, then the cores in the process's CPU
+        affinity mask. Results are bit-identical at any thread count,
+        so this only affects speed.
     """
 
     n_superpixels: int = 100
@@ -133,7 +128,6 @@ class SlicParams:
     seed: int = 0
     kernel_backend: str | None = None
     n_threads: int | None = None
-    fused_color: bool | None = None
 
     def __post_init__(self) -> None:
         if self.n_superpixels < 1:

@@ -1,17 +1,17 @@
 """Dispatchable kernels for the assignment/connectivity hot paths.
 
 The engine's inner loops — the CPA window scan, the PPA 9-candidate
-evaluation, connected-component labeling, the fixed-point RGB->Lab
-conversion, the small-component merge walk, and the BR/USE metric
-histograms/distance transform — are implemented four times behind one
-contract:
+evaluation, connected-component labeling, the fused fixed-point
+RGB->Lab conversion, the sigma accumulation, the small-component merge
+walk, and the BR/USE metric histograms/distance transform — are
+implemented three times behind one contract:
 
 * ``reference`` — the readable loops in :mod:`repro.core` (semantics
   ground truth);
 * ``vectorized`` — batched pure numpy;
-* ``native`` — C loops compiled on demand via ctypes;
-* ``native-mt`` — the same C loops fanned out over an in-process
-  pthread pool (``SlicParams(n_threads=...)``, ``REPRO_KERNEL_THREADS``).
+* ``native-mt`` — C loops compiled on demand via ctypes, fanned out
+  over an in-process pthread pool (``SlicParams(n_threads=...)``,
+  ``REPRO_KERNEL_THREADS``); one thread is the serial case.
 
 All backends return bit-identical labels; pick one with
 ``SlicParams(kernel_backend=...)``, the ``--kernel-backend`` CLI flag, or
@@ -19,7 +19,7 @@ the ``REPRO_KERNEL_BACKEND`` environment variable. See ``docs/kernels.md``.
 
 Backends are *supervised*: before a process trusts one it must pass a
 known-answer self-test, and failures demote down the chain
-native-mt -> native -> vectorized -> reference (see
+native-mt -> vectorized -> reference (see
 :mod:`repro.kernels.supervisor` and ``docs/resilience.md``).
 """
 
@@ -29,6 +29,7 @@ from .dispatch import (
     available_backends,
     get_backend,
     resolve_name,
+    usable_cores,
     validate_name,
 )
 from .supervisor import (
@@ -48,5 +49,6 @@ __all__ = [
     "resolve_name",
     "self_test",
     "supervised_resolve",
+    "usable_cores",
     "validate_name",
 ]

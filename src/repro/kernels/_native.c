@@ -1,9 +1,9 @@
 /* Native kernels: the CPA window scan, the PPA 9-candidate evaluation,
- * the fixed-point RGB->Lab conversion (optionally fused with the
- * code->Lab decode), the sigma-register accumulation, the two-pass
- * union-find connected-components pass, the small-component merge walk,
- * and the BR/USE metric inner loops (joint histogram, 3-4 chamfer) as
- * plain C loops.
+ * the fused fixed-point RGB->Lab conversion and code->Lab decode, the
+ * sigma-register accumulation, the two-pass union-find
+ * connected-components pass, the small-component merge walk, and the
+ * BR/USE metric inner loops (joint histogram, 3-4 chamfer) as plain C
+ * loops.
  *
  * Compiled on demand by repro.kernels.native with
  *
@@ -20,19 +20,22 @@
  * replicate the shift/saturate pipeline of FixedDatapath.pairwise_d2 and
  * the fixed branch of assign_cpa.
  *
- * Every data-parallel kernel also exists as a `_mt` variant taking an
- * `n_threads` argument (the `native-mt` backend). Parallelism is by
- * *ownership partitioning*: each thread owns a contiguous slice of the
- * output (row bands for CPA, index ranges for PPA / lab_codes, a private
- * histogram for contingency, cluster ranges for the sigma accumulation)
- * and visits its slice in exactly the serial order, so every output
- * element is written by exactly one thread with the serial operation
- * order — no boundary ties can ever arise and the results stay
- * bit-identical to the serial loops at any thread count.
- * The only cross-tile combines (the contingency histogram stitch and
- * the connected-components band seams + renumber) run sequentially, in
- * ascending tile id; union-by-minimal-root makes the component roots
- * independent of union order (see the CCL section).
+ * Every data-parallel kernel is exported once, as a `_mt` entry taking
+ * an `n_threads` argument (the `native-mt` backend); n_threads = 1 runs
+ * the kernel inline on the calling thread, which is the serial case.
+ * Parallelism is by *ownership partitioning*: each thread owns a
+ * contiguous slice of the output (row bands for CPA, index ranges for
+ * PPA / lab_from_codes, a private histogram for contingency, cluster
+ * ranges for the sigma accumulation) and visits its slice in exactly the
+ * serial order, so every output element is written by exactly one thread
+ * with the serial operation order — no boundary ties can ever arise and
+ * the results stay bit-identical to the one-thread run at any thread
+ * count. The only cross-tile combines (the contingency histogram stitch
+ * and the connected-components band seams + renumber) run sequentially,
+ * in ascending tile id; union-by-minimal-root makes the component roots
+ * independent of union order (see the CCL section). merge_small,
+ * ccl_resolve and chamfer_i64 are inherently sequential and have no
+ * `_mt` form.
  */
 
 #include <math.h>
@@ -42,9 +45,11 @@
 /* ------------------------------------------------------------------ */
 /* A tiny persistent pthread pool. mt_run(fn, ctx, n) runs              */
 /* fn(ctx, tid, width) on `width` participants: the calling thread is   */
-/* tid 0, parked workers are tids 1..width-1. A dispatch mutex          */
-/* serializes concurrent callers (two engines in one process simply     */
-/* take turns), workers park on a condvar keyed by a job sequence       */
+/* tid 0, parked workers are tids 1..width-1. A width of 1 runs inline  */
+/* and never touches the pool, so one-thread calls from concurrent      */
+/* callers overlap. Wider jobs take a dispatch mutex that serializes    */
+/* concurrent callers (two engines in one process simply take turns),   */
+/* workers park on a condvar keyed by a job sequence                    */
 /* number, and pthread_atfork handlers keep fork()d children (the       */
 /* multiprocessing pool) consistent: the child reinitializes the        */
 /* primitives and respawns lazily. If pthread_create fails the job      */
@@ -128,7 +133,10 @@ __attribute__((constructor)) static void mt_init(void)
 static int64_t mt_run(mt_fn fn, void *ctx, int64_t n_threads)
 {
     if (n_threads > MT_MAX_THREADS) n_threads = MT_MAX_THREADS;
-    if (n_threads < 1) n_threads = 1;
+    if (n_threads <= 1) {
+        fn(ctx, 0, 1);
+        return 1;
+    }
     pthread_mutex_lock(&mt_dispatch);
     while (mt_spawned + 1 < n_threads) {
         pthread_t th;
@@ -186,9 +194,9 @@ static int64_t mt_slice_hi(int64_t n, int64_t tid, int64_t width)
  * once (the deduplicated pixels_assigned telemetry counter).
  *
  * The row-bounded helpers restrict every window to [row0, row1): the
- * _mt variants give each thread a row band, so each pixel is updated by
+ * _mt entries give each thread a row band, so each pixel is updated by
  * exactly one thread, which visits centers in the same ks order as the
- * serial scan — per-pixel update order, and therefore the strict-<
+ * one-thread scan — per-pixel update order, and therefore the strict-<
  * running-minimum result, is identical.                                */
 /* ------------------------------------------------------------------ */
 
@@ -238,15 +246,6 @@ static void cpa_f64_rows(
             }
         }
     }
-}
-
-void cpa_assign_f64(
-    const double *lab, const double *centers, const int64_t *ks,
-    int64_t n_ks, double weight, int64_t half, int64_t h, int64_t w,
-    double *dist, int32_t *labels, uint8_t *touched)
-{
-    cpa_f64_rows(lab, centers, ks, n_ks, weight, half, h, w, 0, h,
-                 dist, labels, touched);
 }
 
 typedef struct {
@@ -342,18 +341,6 @@ static void cpa_fixed_rows(
     }
 }
 
-void cpa_assign_fixed(
-    const int64_t *codes, const int64_t *c_codes, const double *centers,
-    const int64_t *ks, int64_t n_ks, int64_t weight_raw, int64_t wfrac,
-    int64_t sf, int64_t quantize, int64_t dshift, int64_t dmax,
-    int64_t half, int64_t h, int64_t w,
-    double *dist, int32_t *labels, uint8_t *touched)
-{
-    cpa_fixed_rows(codes, c_codes, centers, ks, n_ks, weight_raw, wfrac,
-                   sf, quantize, dshift, dmax, half, h, w, 0, h,
-                   dist, labels, touched);
-}
-
 typedef struct {
     const int64_t *codes;
     const int64_t *c_codes;
@@ -395,7 +382,7 @@ void cpa_assign_fixed_mt(
  * temporaries, one running minimum per pixel. Ties resolve to the
  * lowest candidate slot via the strict <, like the hardware 9:1 tree.
  *
- * Each subset pixel is independent, so the _mt variants split the
+ * Each subset pixel is independent, so the _mt entries split the
  * subset into contiguous [j0, j1) ranges — single-writer per output
  * element, serial evaluation order within each element.                */
 /* ------------------------------------------------------------------ */
@@ -438,16 +425,6 @@ static void ppa_f64_range(
     }
 }
 
-void ppa_assign_f64(
-    const double *lab_flat, const int64_t *xs, const int64_t *ys,
-    const int64_t *tiles, const int64_t *subset, int64_t m,
-    const int32_t *cands, const double *centers, double weight,
-    int32_t *out)
-{
-    ppa_f64_range(lab_flat, xs, ys, tiles, subset, 0, m, cands, centers,
-                  weight, out);
-}
-
 typedef struct {
     const double *lab_flat;
     const int64_t *xs, *ys, *tiles, *subset;
@@ -481,7 +458,8 @@ void ppa_assign_f64_mt(
 /* ------------------------------------------------------------------ */
 /* Fixed-point RGB -> Lab channel codes: gamma LUT, folded 3x3 integer
  * matrix, piecewise-linear cube root, scale-and-offset encode — one
- * pixel at a time, replicating HwColorConverter.convert_codes exactly.
+ * pixel at a time, replicating convert_codes_reference exactly, with
+ * the code->Lab decode fused into the same traversal.
  *
  * Bit-identity notes: rounding shifts on possibly-negative values use
  * the same arithmetic >> numpy does (gcc/clang on the targets we build
@@ -498,7 +476,7 @@ static int64_t scale_round_i64(int64_t raw, int64_t scale_raw,
     return wide >= 0 ? (wide + half) >> shift : -((-wide + half) >> shift);
 }
 
-static void lab_codes_u8_range(
+static void lab_from_codes_range(
     const uint8_t *rgb,        /* n*3 flat RGB                          */
     int64_t i0, int64_t i1,    /* pixel range                           */
     const int64_t *gamma_lut,  /* 256 entries, gamma_frac fraction bits */
@@ -518,10 +496,10 @@ static void lab_codes_u8_range(
     int64_t ab_offset,
     int64_t code_max,
     int64_t *codes,            /* n*3 output channel codes              */
-    double l_scale_d,          /* real decode scales (fused path only)  */
+    double l_scale_d,          /* real decode scales                    */
     double ab_scale_d,
     double ab_offset_d,
-    double *lab_out)           /* n*3 decoded Lab, or NULL: codes only  */
+    double *lab_out)           /* n*3 decoded Lab                       */
 {
     int64_t mat_half = (int64_t)1 << (mat_shift - 1);
     int64_t b_align = (int64_t)1 << in_frac;
@@ -564,35 +542,15 @@ static void lab_codes_u8_range(
         out[0] = cl < 0 ? 0 : (cl > code_max ? code_max : cl);
         out[1] = ca < 0 ? 0 : (ca > code_max ? code_max : ca);
         out[2] = cb < 0 ? 0 : (cb > code_max ? code_max : cb);
-        if (lab_out) {
-            /* Inline LabEncoding.decode: float64 cast, then the same
-             * divide / subtract-divide expressions numpy evaluates —
-             * identical IEEE operations, so the fused Lab plane is
-             * bit-identical to decode(convert_codes(...)).             */
-            double *lo = lab_out + 3 * i;
-            lo[0] = (double)out[0] / l_scale_d;
-            lo[1] = ((double)out[1] - ab_offset_d) / ab_scale_d;
-            lo[2] = ((double)out[2] - ab_offset_d) / ab_scale_d;
-        }
+        /* Inline LabEncoding.decode: float64 cast, then the same
+         * divide / subtract-divide expressions numpy evaluates —
+         * identical IEEE operations, so the fused Lab plane is
+         * bit-identical to decode(convert_codes_reference(...)).       */
+        double *lo = lab_out + 3 * i;
+        lo[0] = (double)out[0] / l_scale_d;
+        lo[1] = ((double)out[1] - ab_offset_d) / ab_scale_d;
+        lo[2] = ((double)out[2] - ab_offset_d) / ab_scale_d;
     }
-}
-
-void lab_codes_u8(
-    const uint8_t *rgb, int64_t n, const int64_t *gamma_lut,
-    const int64_t *matrix_raw, int64_t mat_shift,
-    int64_t in_raw_min, int64_t in_raw_max, const int64_t *breaks_raw,
-    int64_t n_seg, const int64_t *slopes_raw,
-    const int64_t *intercepts_raw, int64_t in_frac, int64_t out_shift,
-    int64_t out_raw_min, int64_t out_raw_max, int64_t f_frac,
-    int64_t l_scale_raw, int64_t ab_scale_raw, int64_t ab_offset,
-    int64_t code_max, int64_t *codes)
-{
-    lab_codes_u8_range(rgb, 0, n, gamma_lut, matrix_raw, mat_shift,
-                       in_raw_min, in_raw_max, breaks_raw, n_seg,
-                       slopes_raw, intercepts_raw, in_frac, out_shift,
-                       out_raw_min, out_raw_max, f_frac, l_scale_raw,
-                       ab_scale_raw, ab_offset, code_max, codes,
-                       0.0, 1.0, 0.0, 0);
 }
 
 typedef struct {
@@ -612,66 +570,25 @@ typedef struct {
     int64_t *codes;
     double l_scale_d, ab_scale_d, ab_offset_d;
     double *lab_out;
-} lab_codes_ctx;
+} lab_ctx;
 
-static void lab_codes_chunk(void *vctx, int64_t tid, int64_t width)
+static void lab_chunk(void *vctx, int64_t tid, int64_t width)
 {
-    lab_codes_ctx *c = (lab_codes_ctx *)vctx;
-    lab_codes_u8_range(c->rgb, mt_slice_lo(c->n, tid, width),
-                       mt_slice_hi(c->n, tid, width), c->gamma_lut,
-                       c->matrix_raw, c->mat_shift, c->in_raw_min,
-                       c->in_raw_max, c->breaks_raw, c->n_seg,
-                       c->slopes_raw, c->intercepts_raw, c->in_frac,
-                       c->out_shift, c->out_raw_min, c->out_raw_max,
-                       c->f_frac, c->l_scale_raw, c->ab_scale_raw,
-                       c->ab_offset, c->code_max, c->codes,
-                       c->l_scale_d, c->ab_scale_d, c->ab_offset_d,
-                       c->lab_out);
+    lab_ctx *c = (lab_ctx *)vctx;
+    lab_from_codes_range(c->rgb, mt_slice_lo(c->n, tid, width),
+                         mt_slice_hi(c->n, tid, width), c->gamma_lut,
+                         c->matrix_raw, c->mat_shift, c->in_raw_min,
+                         c->in_raw_max, c->breaks_raw, c->n_seg,
+                         c->slopes_raw, c->intercepts_raw, c->in_frac,
+                         c->out_shift, c->out_raw_min, c->out_raw_max,
+                         c->f_frac, c->l_scale_raw, c->ab_scale_raw,
+                         c->ab_offset, c->code_max, c->codes,
+                         c->l_scale_d, c->ab_scale_d, c->ab_offset_d,
+                         c->lab_out);
 }
 
-void lab_codes_u8_mt(
-    const uint8_t *rgb, int64_t n, const int64_t *gamma_lut,
-    const int64_t *matrix_raw, int64_t mat_shift,
-    int64_t in_raw_min, int64_t in_raw_max, const int64_t *breaks_raw,
-    int64_t n_seg, const int64_t *slopes_raw,
-    const int64_t *intercepts_raw, int64_t in_frac, int64_t out_shift,
-    int64_t out_raw_min, int64_t out_raw_max, int64_t f_frac,
-    int64_t l_scale_raw, int64_t ab_scale_raw, int64_t ab_offset,
-    int64_t code_max, int64_t *codes, int64_t n_threads)
-{
-    lab_codes_ctx ctx = {rgb, n, gamma_lut, matrix_raw, mat_shift,
-                         in_raw_min, in_raw_max, breaks_raw, n_seg,
-                         slopes_raw, intercepts_raw, in_frac, out_shift,
-                         out_raw_min, out_raw_max, f_frac, l_scale_raw,
-                         ab_scale_raw, ab_offset, code_max, codes,
-                         0.0, 1.0, 0.0, 0};
-    mt_run(lab_codes_chunk, &ctx, n_threads < n ? n_threads : n);
-}
-
-/* The fused conversion: one pixel pass producing both the channel codes
- * and the decoded float64 Lab plane — replacing the engine's
- * convert-then-decode double frame walk. Same datapath as lab_codes_u8;
- * the decode tail is bit-identical to LabEncoding.decode.               */
-void lab_from_codes_u8(
-    const uint8_t *rgb, int64_t n, const int64_t *gamma_lut,
-    const int64_t *matrix_raw, int64_t mat_shift,
-    int64_t in_raw_min, int64_t in_raw_max, const int64_t *breaks_raw,
-    int64_t n_seg, const int64_t *slopes_raw,
-    const int64_t *intercepts_raw, int64_t in_frac, int64_t out_shift,
-    int64_t out_raw_min, int64_t out_raw_max, int64_t f_frac,
-    int64_t l_scale_raw, int64_t ab_scale_raw, int64_t ab_offset,
-    int64_t code_max, int64_t *codes,
-    double l_scale_d, double ab_scale_d, double ab_offset_d,
-    double *lab_out)
-{
-    lab_codes_u8_range(rgb, 0, n, gamma_lut, matrix_raw, mat_shift,
-                       in_raw_min, in_raw_max, breaks_raw, n_seg,
-                       slopes_raw, intercepts_raw, in_frac, out_shift,
-                       out_raw_min, out_raw_max, f_frac, l_scale_raw,
-                       ab_scale_raw, ab_offset, code_max, codes,
-                       l_scale_d, ab_scale_d, ab_offset_d, lab_out);
-}
-
+/* The conversion entry: one pixel pass producing both the channel codes
+ * and the decoded float64 Lab plane.                                    */
 void lab_from_codes_u8_mt(
     const uint8_t *rgb, int64_t n, const int64_t *gamma_lut,
     const int64_t *matrix_raw, int64_t mat_shift,
@@ -684,13 +601,13 @@ void lab_from_codes_u8_mt(
     double l_scale_d, double ab_scale_d, double ab_offset_d,
     double *lab_out, int64_t n_threads)
 {
-    lab_codes_ctx ctx = {rgb, n, gamma_lut, matrix_raw, mat_shift,
-                         in_raw_min, in_raw_max, breaks_raw, n_seg,
-                         slopes_raw, intercepts_raw, in_frac, out_shift,
-                         out_raw_min, out_raw_max, f_frac, l_scale_raw,
-                         ab_scale_raw, ab_offset, code_max, codes,
-                         l_scale_d, ab_scale_d, ab_offset_d, lab_out};
-    mt_run(lab_codes_chunk, &ctx, n_threads < n ? n_threads : n);
+    lab_ctx ctx = {rgb, n, gamma_lut, matrix_raw, mat_shift,
+                   in_raw_min, in_raw_max, breaks_raw, n_seg,
+                   slopes_raw, intercepts_raw, in_frac, out_shift,
+                   out_raw_min, out_raw_max, f_frac, l_scale_raw,
+                   ab_scale_raw, ab_offset, code_max, codes,
+                   l_scale_d, ab_scale_d, ab_offset_d, lab_out};
+    mt_run(lab_chunk, &ctx, n_threads < n ? n_threads : n);
 }
 
 /* ------------------------------------------------------------------ */
@@ -760,14 +677,15 @@ void merge_small(
  * in raster order. An ascending renumber of the roots then reproduces
  * the reference's canonical first-appearance component ids exactly.
  *
- * The _mt variant gives each thread a contiguous row band. Runs are
+ * ccl_i32_mt gives each thread a contiguous row band. Runs are
  * counted per band, offset by a serial prefix sum (band-local run
  * decomposition + offsets equals the global decomposition because runs
  * break at row boundaries anyway), and intra-band unions touch only the
  * band's own disjoint parent range — race-free by ownership. The
  * cross-band seams and the final renumber run serially. Union-by-min
  * makes every component's root independent of union order, so the
- * result is bit-identical to the serial kernel at any thread count.    */
+ * result is bit-identical to the one-band pass (ccl_i32, the width-1
+ * fallback) at any thread count.                                       */
 /* ------------------------------------------------------------------ */
 
 /* Attach the larger of the two roots under the smaller. */
@@ -822,7 +740,7 @@ static int64_t ccl_renumber(int64_t *parent, int64_t n_runs)
     return next;
 }
 
-int64_t ccl_i32(
+static int64_t ccl_i32(
     const int32_t *labels,     /* h*w label map                         */
     int64_t h, int64_t w,
     int32_t *comps,            /* h*w output component map              */
@@ -946,17 +864,6 @@ int64_t ccl_resolve(
  * prefix minimum), so results stay bit-identical.                      */
 /* ------------------------------------------------------------------ */
 
-void contingency_i64(
-    const int64_t *a,          /* n flat labels                         */
-    const int64_t *b,          /* n flat labels                         */
-    int64_t n,
-    int64_t n_b,               /* table width                           */
-    int64_t *table)            /* n_a*n_b, zero-initialized             */
-{
-    for (int64_t i = 0; i < n; i++)
-        table[a[i] * n_b + b[i]] += 1;
-}
-
 typedef struct {
     const int64_t *a, *b;
     int64_t n, n_b, n_cells;
@@ -1074,18 +981,6 @@ static void ppa_fixed_range(
     }
 }
 
-void ppa_assign_fixed(
-    const int64_t *codes_flat, const int64_t *xs, const int64_t *ys,
-    const int64_t *tiles, const int64_t *subset, int64_t m,
-    const int32_t *cands, const int64_t *c_codes, int64_t weight_raw,
-    int64_t wfrac, int64_t sf, int64_t quantize, int64_t dshift,
-    int64_t dmax, int32_t *out)
-{
-    ppa_fixed_range(codes_flat, xs, ys, tiles, subset, 0, m, cands,
-                    c_codes, weight_raw, wfrac, sf, quantize, dshift,
-                    dmax, out);
-}
-
 typedef struct {
     const int64_t *codes_flat;
     const int64_t *xs, *ys, *tiles, *subset;
@@ -1131,7 +1026,7 @@ void ppa_assign_fixed_mt(
  * np.bincount(labels, weights=...) folds them — so the partial sums
  * equal the reference's bincount outputs bit for bit. The five fields
  * are independent accumulators, so fusing them into one loop changes
- * nothing. The _mt variants partition by *cluster ownership*, not entry
+ * nothing. The _mt entries partition by *cluster ownership*, not entry
  * ranges: thread t owns clusters [mt_slice_lo(K, t, width),
  * mt_slice_hi(K, t, width)), scans every entry, and accumulates only
  * labels it owns. Each accumulator is written by exactly one thread in
@@ -1139,8 +1034,8 @@ void ppa_assign_fixed_mt(
  * and results are bit-identical at any thread count. (A per-thread
  * entry-range fold — the contingency_table pattern — would reorder
  * float additions and is NOT exact for float weights; it is only valid
- * for integer histograms.) Labels outside [k_lo, k_hi) are skipped,
- * which also makes out-of-range labels harmless in the serial entries. */
+ * for integer histograms.) Labels outside [k_lo, k_hi) are skipped, so
+ * a label outside [0, K) is never written.                             */
 /* ------------------------------------------------------------------ */
 
 static void sigma_f64_rows(
@@ -1166,15 +1061,6 @@ static void sigma_f64_rows(
         s[4] += (double)(i / w);
         counts[k]++;
     }
-}
-
-void sigma_acc_f64(
-    const double *lab_flat, const int64_t *idx, const int32_t *labels,
-    int64_t m, int64_t w, int64_t n_clusters, double *sums,
-    int64_t *counts)
-{
-    sigma_f64_rows(lab_flat, idx, labels, m, 0, n_clusters, w,
-                   sums, counts);
 }
 
 static void sigma_codes_rows(
@@ -1206,15 +1092,6 @@ static void sigma_codes_rows(
         s[4] += (double)(i / w);
         counts[k]++;
     }
-}
-
-void sigma_acc_codes(
-    const int64_t *codes_flat, const int64_t *idx, const int32_t *labels,
-    int64_t m, int64_t w, double l_scale, double ab_scale,
-    double ab_offset, int64_t n_clusters, double *sums, int64_t *counts)
-{
-    sigma_codes_rows(codes_flat, idx, labels, m, 0, n_clusters, w,
-                     l_scale, ab_scale, ab_offset, sums, counts);
 }
 
 typedef struct {

@@ -1,21 +1,19 @@
 """Backend selection for the kernel layer.
 
-Four backends implement the same kernel contract (``cpa_assign``,
-``ppa_assign``, ``connected_components``, ``lab_codes``,
-``lab_from_codes``, ``sigma_accumulate``, ``merge_small``,
-``contingency_table``, ``chamfer_distance``; see ``docs/kernels.md``):
+Three backends implement the same kernel contract (``cpa_assign``,
+``ppa_assign``, ``connected_components``, ``lab_from_codes``,
+``sigma_accumulate``, ``merge_small``, ``contingency_table``,
+``chamfer_distance``; see ``docs/kernels.md``):
 
 * ``reference`` — the original loops in :mod:`repro.core`;
 * ``vectorized`` — batched pure numpy, always available;
-* ``native`` — compiled C hot loops, available when a C compiler is;
-* ``native-mt`` — the same C hot loops fanned out over an in-process
-  pthread pool (same compiled library as ``native``).
+* ``native-mt`` — compiled C hot loops at any thread count, available
+  when a C compiler is; ``n_threads=1`` is the serial case.
 
 Selection order: an explicit name (``SlicParams.kernel_backend`` or a
 ``backend=`` argument) wins; otherwise the ``REPRO_KERNEL_BACKEND``
 environment variable; otherwise ``auto``, which picks ``native-mt``
-when the C library compiles and more than one core is visible,
-``native`` with a single core, and ``vectorized`` when there is no
+when the C library compiles and ``vectorized`` when there is no
 compiler. All backends produce bit-identical labels, so selection only
 affects speed.
 """
@@ -32,16 +30,19 @@ __all__ = [
     "available_backends",
     "get_backend",
     "resolve_name",
+    "usable_cores",
     "validate_name",
 ]
 
 ENV_VAR = "REPRO_KERNEL_BACKEND"
 
 #: Accepted backend names (``auto`` resolves to a concrete one).
-BACKEND_NAMES = ("auto", "reference", "vectorized", "native", "native-mt")
+BACKEND_NAMES = ("auto", "reference", "vectorized", "native-mt")
 
 
-def _cores() -> int:
+def usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity mask where the
+    platform has one, else the machine's core count."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # non-Linux
@@ -53,10 +54,8 @@ def _module(name: str):
         from . import reference as mod
     elif name == "vectorized":
         from . import vectorized as mod
-    elif name == "native-mt":
-        from . import native_mt as mod
     else:
-        from . import native as mod
+        from . import native_mt as mod
     return mod
 
 
@@ -76,11 +75,9 @@ def resolve_name(name: str | None = None) -> str:
 
     ``None`` falls back to ``$REPRO_KERNEL_BACKEND``, then ``auto``.
     ``auto`` probes the native library (compiling it on first use) and
-    prefers ``native-mt`` when more than one core is available, serial
-    ``native`` otherwise, falling back to ``vectorized`` without a
-    compiler. An explicitly requested ``native``/``native-mt`` that
-    cannot load raises :class:`ConfigurationError` instead of silently
-    degrading.
+    picks ``native-mt`` when it loads, ``vectorized`` otherwise. An
+    explicitly requested ``native-mt`` that cannot load raises
+    :class:`ConfigurationError` instead of silently degrading.
     """
     if name is None:
         name = os.environ.get(ENV_VAR) or "auto"
@@ -88,10 +85,8 @@ def resolve_name(name: str | None = None) -> str:
     if name == "auto":
         from . import native
 
-        if not native.is_available():
-            return "vectorized"
-        return "native-mt" if _cores() > 1 else "native"
-    if name in ("native", "native-mt"):
+        return "native-mt" if native.is_available() else "vectorized"
+    if name == "native-mt":
         from . import native
 
         native.load()  # raises ConfigurationError with the compile detail
@@ -109,5 +104,5 @@ def available_backends() -> tuple:
     from . import native
 
     if native.is_available():
-        names += ["native", "native-mt"]
+        names.append("native-mt")
     return tuple(names)

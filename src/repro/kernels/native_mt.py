@@ -1,28 +1,33 @@
-"""The ``native-mt`` backend: the C hot loops fanned out over threads.
+"""The ``native-mt`` backend: the compiled kernels at any thread count.
 
-Shares the compiled ``_native.c`` library with the ``native`` backend —
-same source, same compile cache — but dispatches to the ``*_mt`` entry
-points, which split each kernel over a small persistent pthread pool
-inside the shared object. ctypes releases the GIL for the duration of
-the call, so the threads genuinely run in parallel in one address
-space: no pickling, no shared-memory slabs, no per-frame process
+Loads the ``_native.c`` library through :mod:`repro.kernels.native` and
+calls its ``*_mt`` entry points, which split each kernel over a small
+persistent pthread pool inside the shared object. One thread is the
+serial case: the C side runs a width-1 call inline on the calling
+thread, without touching the pool, so concurrent one-thread callers
+overlap instead of taking turns. Wider calls run truly parallel in one
+address space — ctypes releases the GIL for the duration of the call —
+with no pickling, no shared-memory slabs and no per-frame process
 overhead.
+
+The backend keeps the name ``native-mt`` although it is the only
+compiled backend: benchmark configurations and recorded runs key on it.
 
 Bit-identity at any thread count comes from *ownership partitioning*
 (see the ``_native.c`` header): each thread owns a contiguous slice of
-the output — row bands for CPA, index ranges for PPA and ``lab_codes``
-/ ``lab_from_codes``, cluster ranges for ``sigma_accumulate``,
-a private histogram for ``contingency_table`` — and visits its slice in
-exactly the serial order. Every output element is written by exactly
-one thread, so no boundary ties can arise; the cross-tile combines
-(the contingency stitch, the connected-components band seams and
-renumber) run sequentially. ``connected_components`` tiles row bands
-with per-band run decomposition and union-by-minimal-root, so component
+the output — row bands for CPA, index ranges for PPA and
+``lab_from_codes``, cluster ranges for ``sigma_accumulate``, a private
+histogram for ``contingency_table`` — and visits its slice in exactly
+the one-thread order. Every output element is written by exactly one
+thread, so no boundary ties can arise; the cross-tile combines (the
+contingency stitch, the connected-components band seams and renumber)
+run sequentially. ``connected_components`` tiles row bands with
+per-band run decomposition and union-by-minimal-root, so component
 roots — and the canonical first-appearance renumbering — are
 independent of thread count (see the CCL section in ``_native.c``).
 The inherently sequential kernels (``merge_small``'s greedy walk, the
-raster-ordered chamfer sweeps) delegate to their serial
-implementations.
+raster-ordered chamfer sweeps) have no threaded form and come from
+:mod:`repro.kernels.native`.
 
 Thread-count resolution, per call site, first match wins:
 
@@ -32,7 +37,8 @@ Thread-count resolution, per call site, first match wins:
    a :class:`contextvars.ContextVar`, so concurrent engines in one
    process each see their own setting),
 3. the ``REPRO_KERNEL_THREADS`` environment variable,
-4. ``os.cpu_count()``.
+4. :func:`repro.kernels.usable_cores` (the CPU affinity mask, so a
+   pinned process is not oversubscribed).
 
 The result is clamped to [1, MAX_THREADS]; the C pool degrades
 gracefully if thread spawn fails (kernels see the width that exists).
@@ -42,12 +48,14 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import ctypes
 import os
 
 import numpy as np
 
 from ..core.distance import WEIGHT_FRAC_BITS
-from . import native
+from ..types import validate_label_map
+from .dispatch import usable_cores
 from .native import chamfer_distance, is_available, load, merge_small  # noqa: F401
 
 __all__ = [
@@ -58,7 +66,6 @@ __all__ = [
     "cpa_assign",
     "ppa_assign",
     "connected_components",
-    "lab_codes",
     "lab_from_codes",
     "sigma_accumulate",
     "merge_small",
@@ -71,7 +78,7 @@ MAX_THREADS = 64
 
 ENV_THREADS = "REPRO_KERNEL_THREADS"
 
-#: Ambient per-context thread count (None = fall through to env/cpu).
+#: Ambient per-context thread count (None = fall through to env/cores).
 _ambient: contextvars.ContextVar = contextvars.ContextVar(
     "repro_kernel_threads", default=None
 )
@@ -89,7 +96,7 @@ def resolve_threads(n_threads=None) -> int:
             except ValueError:
                 n_threads = None
     if n_threads is None:
-        n_threads = os.cpu_count() or 1
+        n_threads = usable_cores()
     return max(1, min(int(n_threads), MAX_THREADS))
 
 
@@ -99,7 +106,7 @@ def thread_context(n_threads):
 
     Context-local, not process-global: two engines running concurrently
     in different threads (or asyncio tasks) each keep their own value.
-    ``None`` simply defers to the env/cpu fallbacks.
+    ``None`` simply defers to the env/core-count fallbacks.
     """
     token = _ambient.set(None if n_threads is None else int(n_threads))
     try:
@@ -111,6 +118,27 @@ def thread_context(n_threads):
 # ----------------------------------------------------------------------
 # Kernel entry points (KernelBackend interface)
 # ----------------------------------------------------------------------
+
+#: Per-process reusable ``touched`` masks for the CPA kernels, keyed by
+#: pixel count — the same checkout/checkin protocol as the vectorized
+#: backend's CPA scratch (buffers are popped while in use, so concurrent
+#: engines race harmlessly to fresh allocations).
+_TOUCHED_POOL: dict = {}
+
+
+def _touched_checkout(n: int):
+    buf = _TOUCHED_POOL.pop(n, None)
+    if buf is None:
+        return np.zeros(n, dtype=np.uint8)
+    buf.fill(0)
+    return buf
+
+
+def _touched_checkin(n: int, buf) -> None:
+    if len(_TOUCHED_POOL) >= 4:  # bound growth across geometries
+        _TOUCHED_POOL.clear()
+    _TOUCHED_POOL[n] = buf
+
 
 def cpa_assign(
     lab,
@@ -153,7 +181,7 @@ def cpa_assign(
     centers_c = np.ascontiguousarray(centers, dtype=np.float64)
     labels_v = labels_buf.reshape(-1)
     dist_v = dist_buf.reshape(-1)
-    touched = native._touched_checkout(h * w)
+    touched = _touched_checkout(h * w)
     if datapath is None:
         lab_c = np.ascontiguousarray(lab, dtype=np.float64)
         lib.cpa_assign_f64_mt(
@@ -172,7 +200,7 @@ def cpa_assign(
             half, h, w, dist_v, labels_v, touched, nt,
         )
     n_touched = int(np.count_nonzero(touched))
-    native._touched_checkin(h * w, touched)
+    _touched_checkin(h * w, touched)
     return n_touched
 
 
@@ -216,13 +244,16 @@ def ppa_assign(
     return out
 
 
-def lab_codes(converter, rgb, n_threads=None):
-    """Fixed-point RGB->Lab codes over pixel-range chunks.
+def lab_from_codes(converter, rgb, n_threads=None):
+    """Fused RGB->Lab ``(lab, codes)`` over pixel-range chunks.
 
-    Ships the converter's LUTs/formats into the threaded C pixel loop.
-    Falls back to the vectorized backend for exotic PWL configurations
-    whose rounding shifts are not strictly positive (the C loop assumes
-    the default Q-format layout, where both are).
+    Produces both the channel codes and the decoded float64 Lab plane in
+    one frame traversal — bit-identical to ``convert_codes_reference``
+    followed by ``LabEncoding.decode``. Ships the converter's LUTs and
+    formats into the C pixel loop; falls back to the vectorized backend
+    for exotic PWL configurations whose rounding shifts are not strictly
+    positive (the C loop assumes the default Q-format layout, where both
+    are).
     """
     rgb = np.ascontiguousarray(rgb, dtype=np.uint8)
     pwl = converter.pwl
@@ -235,13 +266,14 @@ def lab_codes(converter, rgb, n_threads=None):
     if mat_shift <= 0 or out_shift <= 0:
         from . import vectorized
 
-        return vectorized.lab_codes(converter, rgb)
+        return vectorized.lab_from_codes(converter, rgb)
     lib = load()
     nt = resolve_threads(n_threads)
     h, w = rgb.shape[:2]
     enc = converter.encoding
     codes = np.empty((h, w, 3), dtype=np.int64)
-    lib.lab_codes_u8_mt(
+    lab = np.empty((h, w, 3), dtype=np.float64)
+    lib.lab_from_codes_u8_mt(
         rgb.reshape(-1),
         h * w,
         np.ascontiguousarray(converter.gamma_lut, dtype=np.int64),
@@ -261,21 +293,13 @@ def lab_codes(converter, rgb, n_threads=None):
         enc.ab_offset,
         enc.code_max,
         codes.reshape(-1),
+        float(enc.l_scale),
+        float(enc.ab_scale),
+        float(enc.ab_offset),
+        lab.reshape(-1),
         nt,
     )
-    return codes
-
-
-def lab_from_codes(converter, rgb, n_threads=None):
-    """Fused RGB->Lab ``(lab, codes)`` over pixel-range chunks.
-
-    Delegates to the shared native wrapper with the resolved thread
-    count, which dispatches the ``lab_from_codes_u8_mt`` entry (or the
-    vectorized fallback for exotic PWL configurations).
-    """
-    return native.lab_from_codes(
-        converter, rgb, _n_threads=resolve_threads(n_threads)
-    )
+    return lab, codes
 
 
 def sigma_accumulate(
@@ -290,16 +314,42 @@ def sigma_accumulate(
 ):
     """Cluster-ownership-partitioned sigma accumulation.
 
-    Each thread owns a contiguous cluster range and scans every entry,
-    accumulating only the labels it owns — the full serial addition
-    order per register, so sums are bit-identical at any thread count
-    (see the sigma section in ``_native.c``).
+    Returns partial ``(sums, counts)`` accumulated from zero — the
+    caller (``SigmaAccumulator.accumulate``) folds them into its
+    registers. x/y come from the flat pixel index, so no (M, 5) values
+    matrix is ever materialized. Each thread owns a contiguous cluster
+    range and scans every entry, accumulating only the labels it owns —
+    the full one-thread addition order per register, so sums are
+    bit-identical at any thread count (see the sigma section in
+    ``_native.c``).
     """
-    return native.sigma_accumulate(
-        labels, n_clusters, width,
-        lab_flat=lab_flat, codes_flat=codes_flat, encoding=encoding,
-        idx=idx, _n_threads=resolve_threads(n_threads),
-    )
+    lib = load()
+    nt = resolve_threads(n_threads)
+    labels_c = np.ascontiguousarray(labels, dtype=np.int32)
+    m = len(labels_c)
+    sums = np.zeros((n_clusters, 5), dtype=np.float64)
+    counts = np.zeros(n_clusters, dtype=np.int64)
+    if m == 0 or n_clusters == 0:
+        return sums, counts
+    idx_ptr = None
+    if idx is not None:
+        idx_c = np.ascontiguousarray(idx, dtype=np.int64)
+        idx_ptr = idx_c.ctypes.data_as(ctypes.POINTER(ctypes.c_int64))
+    if codes_flat is not None:
+        codes_c = np.ascontiguousarray(codes_flat, dtype=np.int64)
+        lib.sigma_acc_codes_mt(
+            codes_c.reshape(-1), idx_ptr, labels_c, m, width,
+            float(encoding.l_scale), float(encoding.ab_scale),
+            float(encoding.ab_offset), n_clusters,
+            sums.reshape(-1), counts, nt,
+        )
+    else:
+        lab_c = np.ascontiguousarray(lab_flat, dtype=np.float64)
+        lib.sigma_acc_f64_mt(
+            lab_c.reshape(-1), idx_ptr, labels_c, m, width,
+            n_clusters, sums.reshape(-1), counts, nt,
+        )
+    return sums, counts
 
 
 def connected_components(labels, n_threads=None):
@@ -309,11 +359,26 @@ def connected_components(labels, n_threads=None):
     serial prefix sum) and unions within the band's disjoint parent
     range; the band seams and the ascending renumber run serially.
     Union-by-minimal-root makes the component roots independent of the
-    union order, so labels are bit-identical at any thread count.
+    union order, so labels are bit-identical at any thread count, and
+    component ids come out in the reference's canonical first-appearance
+    order. Maps too large for the int32 run-id scratch fall back to the
+    vectorized backend.
     """
-    return native.connected_components(
-        labels, _n_threads=resolve_threads(n_threads)
+    labels = validate_label_map(labels)
+    h, w = labels.shape
+    if h * w >= 2**31:
+        from . import vectorized
+
+        return vectorized.connected_components(labels)
+    lib = load()
+    nt = resolve_threads(n_threads)
+    lab_c = np.ascontiguousarray(labels, dtype=np.int32)
+    comps = np.empty((h, w), dtype=np.int32)
+    parent = np.empty(h * w, dtype=np.int64)
+    n = lib.ccl_i32_mt(
+        lab_c.reshape(-1), h, w, comps.reshape(-1), parent, nt
     )
+    return comps, int(n)
 
 
 def contingency_table(a_flat, b_flat, n_a, n_b, n_threads=None):

@@ -8,7 +8,6 @@ for debugging and for the identity checks in the benchmarks.
 
 from __future__ import annotations
 
-from ..color.hw_convert import convert_codes_reference as lab_codes
 from ..color.hw_convert import lab_from_codes_reference as lab_from_codes
 from ..core.accumulators import (
     sigma_accumulate_reference as sigma_accumulate,
@@ -30,7 +29,6 @@ __all__ = [
     "cpa_assign",
     "ppa_assign",
     "connected_components",
-    "lab_codes",
     "lab_from_codes",
     "sigma_accumulate",
     "merge_small",

@@ -7,7 +7,7 @@ tiny **known-answer self-test** — a fixed CPA window scan whose output
 is compared against the reference loops. A backend that fails to load
 *or* fails the self-test is **demoted** down the chain
 
-    native-mt -> native -> vectorized -> reference
+    native-mt -> vectorized -> reference
 
 and the demotion is recorded (tracer counter ``kernels.demotions``, an
 event naming both backends, and the frame's
@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 #: Demotion order: each name falls back to the next on failure.
-DEMOTION_CHAIN = ("native-mt", "native", "vectorized", "reference")
+DEMOTION_CHAIN = ("native-mt", "vectorized", "reference")
 
 #: Env var forcing self-test failures (comma-separated backend names) —
 #: the fault-injection hook for the supervisor.
@@ -95,16 +95,17 @@ def _known_answer_inputs():
 def self_test(name: str) -> None:
     """Run the known-answer kernel checks for backend ``name``.
 
-    Exercises every kernel in the contract (CPA scan, Lab conversion —
-    two-step and fused — sigma accumulation, merge walk, metric
+    Exercises every kernel in the contract (CPA scan, fused Lab
+    conversion, sigma accumulation, merge walk, metric
     histogram/chamfer) on tiny fixed inputs and
     compares against the reference loops, raising
     :class:`ConfigurationError` with the mismatch detail on any
     difference. Cheap (a 6 x 9 image and a handful of components) —
     intended to run once per process. The ``native-mt`` vector runs the
     whole battery pinned to 2 threads (so the pool and the stitch are
-    genuinely exercised) plus an odd 3-thread CPA pass that would catch
-    remainder-band partition bugs.
+    genuinely exercised), plus one-thread and odd 3-thread CPA passes
+    that would catch a broken inline path or remainder-band partition
+    bugs.
     """
     import contextlib
 
@@ -135,16 +136,18 @@ def self_test(name: str) -> None:
         got_touched, got_dist, got_labels = run(backend)
     want_touched, want_dist, want_labels = run(reference)
     if name == "native-mt":
-        odd = run(backend, n_threads=3)
-        if not (
-            odd[0] == want_touched
-            and np.array_equal(odd[2], want_labels)
-            and np.array_equal(odd[1], want_dist)
-        ):
-            raise ConfigurationError(
-                "kernel backend 'native-mt' failed its known-answer "
-                "self-test at 3 threads (remainder-band partition bug?)"
-            )
+        for nt in (1, 3):
+            touched, dist, labels = run(backend, n_threads=nt)
+            if not (
+                touched == want_touched
+                and np.array_equal(labels, want_labels)
+                and np.array_equal(dist, want_dist)
+            ):
+                raise ConfigurationError(
+                    "kernel backend 'native-mt' failed its known-answer "
+                    f"self-test at {nt} thread(s) (inline path or "
+                    "remainder-band partition bug?)"
+                )
     if (
         got_touched != want_touched
         or not np.array_equal(got_labels, want_labels)
@@ -164,21 +167,14 @@ def self_test(name: str) -> None:
                 f"self-test on {kernel!r} (output differs from reference)"
             )
 
-    # Fixed-point Lab conversion: a tiny RGB ramp covering all channels.
+    # Fixed-point Lab conversion, codes and their decode from one
+    # traversal: a tiny RGB ramp covering all channels.
     from ..color.hw_convert import HwColorConverter
 
     rgb = (np.arange(4 * 5 * 3, dtype=np.int64) * 13 % 256).astype(
         np.uint8
     ).reshape(4, 5, 3)
     conv = HwColorConverter()
-    with pinned():
-        check(
-            "lab_codes",
-            backend.lab_codes(conv, rgb),
-            reference.lab_codes(conv, rgb),
-        )
-
-    # Fused conversion: codes and their decode from one traversal.
     want_flab, want_fcodes = reference.lab_from_codes(conv, rgb)
     with pinned():
         got_flab, got_fcodes = backend.lab_from_codes(conv, rgb)

@@ -14,9 +14,9 @@ Portable optimized backend — no compiler required. The kernels:
   the reference's ``(M, 9, 3)`` intermediates.
 * :func:`connected_components` — union-find replaced by iterative
   min-label propagation with pointer jumping; no Python edge loop.
-* :func:`lab_codes` — the fixed-point RGB->Lab pipeline run once per
-  *unique* 24-bit color and gathered back, exploiting that real frames
-  use a small fraction of the color cube.
+* :func:`lab_from_codes` — the fixed-point RGB->Lab pipeline and its
+  decode run once per *unique* 24-bit color and gathered back,
+  exploiting that real frames use a small fraction of the color cube.
 * :func:`merge_small` — the greedy small-component merge walk with the
   per-component neighbor scan batched (vectorized root resolution and
   ``np.lexsort`` best-neighbor selection).
@@ -54,7 +54,6 @@ __all__ = [
     "cpa_assign",
     "ppa_assign",
     "connected_components",
-    "lab_codes",
     "lab_from_codes",
     "sigma_accumulate",
     "merge_small",
@@ -303,13 +302,14 @@ def connected_components(labels: np.ndarray):
     return components.astype(np.int32), int(len(uniq))
 
 
-def _unique_codes(converter, rgb: np.ndarray):
-    """Unique-color pipeline: codes per distinct 24-bit RGB triple.
+def lab_from_codes(converter, rgb: np.ndarray):
+    """Fused RGB->Lab ``(lab, codes)`` via the unique-color gather.
 
     The conversion is a pure per-pixel function of the RGB triple, so it
-    is run once per *unique* color (typically a few thousand for a
-    frame, vs. hundreds of thousands of pixels) and gathered back.
-    Returns ``(codes_u, inverse, h, w)``.
+    is run once per *unique* 24-bit color (typically a few thousand for
+    a frame, vs. hundreds of thousands of pixels) and gathered back.
+    Decoding is elementwise, so decoding the unique codes and gathering
+    is bit-identical to decoding the gathered full-frame codes.
     """
     rgb = np.asarray(rgb)
     h, w = rgb.shape[:2]
@@ -324,23 +324,6 @@ def _unique_codes(converter, rgb: np.ndarray):
     uc[0, :, 1] = (uniq >> 8) & 0xFF
     uc[0, :, 2] = uniq & 0xFF
     codes_u = convert_codes_reference(converter, uc)[0]  # (U, 3) int64
-    return codes_u, inverse, h, w
-
-
-def lab_codes(converter, rgb: np.ndarray) -> np.ndarray:
-    """Fixed-point RGB->Lab codes via the unique-color gather trick —
-    bit-identical to the reference by construction."""
-    codes_u, inverse, h, w = _unique_codes(converter, rgb)
-    return codes_u[inverse].reshape(h, w, 3)
-
-
-def lab_from_codes(converter, rgb: np.ndarray):
-    """Fused RGB->Lab ``(lab, codes)`` via the unique-color gather.
-
-    Decoding is elementwise, so decoding the unique codes and gathering
-    is bit-identical to decoding the gathered full-frame codes.
-    """
-    codes_u, inverse, h, w = _unique_codes(converter, rgb)
     lab_u = converter.encoding.decode(codes_u)
     return (
         lab_u[inverse].reshape(h, w, 3),

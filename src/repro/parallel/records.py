@@ -99,7 +99,7 @@ class FrameRecord:
     n_threads:
         Effective kernel threads the frame ran with when
         ``kernel_backend`` is ``"native-mt"`` ("one process per stream,
-        threads per frame"); ``None`` for the serial backends.
+        threads per frame"); ``None`` for the numpy backends.
     attempts:
         How many executions this frame consumed (> 1 means the retry
         policy recovered — or exhausted itself on — transient failures).

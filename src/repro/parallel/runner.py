@@ -147,8 +147,9 @@ class ParallelRunner:
         in-process threads with zero serialization, instead of paying
         process-pool transport per frame. Merged into ``params``
         (``SlicParams.n_threads``); recorded per frame on
-        ``FrameRecord.n_threads`` and in frame-span telemetry. Ignored
-        by the serial backends.
+        ``FrameRecord.n_threads`` and in frame-span telemetry; ``1``
+        runs the compiled kernels serially. Ignored by the numpy
+        backends.
     """
 
     def __init__(

@@ -17,8 +17,8 @@ Two resilience hooks live here:
   would end the experiment rather than exercise recovery.
 * **backend supervision** — the kernel backend is resolved through the
   supervisor (first-dispatch known-answer self-test, memoized per
-  process); a failing backend is demoted native-mt -> native ->
-  vectorized -> reference and the demotion is recorded on the
+  process); a failing backend is demoted native-mt -> vectorized ->
+  reference and the demotion is recorded on the
   ``FrameRecord``.
 
 Workers are deliberately stateless: a frame's output is a pure function

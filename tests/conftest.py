@@ -26,6 +26,27 @@ def pytest_addoption(parser):
     )
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "kernel_threads(n): pin the ambient native-mt kernel thread count "
+        "to n for the test (see tests/kernel_cases.py)",
+    )
+
+
+@pytest.fixture(autouse=True)
+def _kernel_threads(request):
+    """Apply the test's ``kernel_threads`` marker, if it has one."""
+    marker = request.node.get_closest_marker("kernel_threads")
+    if marker is None:
+        yield
+        return
+    from repro.kernels.native_mt import thread_context
+
+    with thread_context(marker.args[0]):
+        yield
+
+
 @pytest.fixture(scope="session")
 def update_golden(request):
     """True when the run should rewrite golden fixtures."""

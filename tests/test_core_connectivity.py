@@ -5,9 +5,10 @@ import pytest
 
 from repro.core import connected_components, enforce_connectivity
 from repro.core.connectivity import ConnectivityState
-from repro.kernels import available_backends
 
-BACKENDS = available_backends()
+from .kernel_cases import kernel_cases
+
+BACKENDS = kernel_cases()
 
 
 class TestConnectedComponents:

@@ -207,45 +207,6 @@ class TestWarmStart:
         assert np.array_equal(runs[0].centers, runs[1].centers)
 
 
-class TestFusedColor:
-    """The fused color-conversion knob: identical results, observable."""
-
-    def _run(self, image, **kw):
-        return slic(
-            image, n_superpixels=20, max_iterations=3,
-            datapath=FixedDatapath(bits=8), **kw,
-        )
-
-    def test_param_off_matches_on(self, small_scene):
-        on = self._run(small_scene.image, fused_color=True)
-        off = self._run(small_scene.image, fused_color=False)
-        assert np.array_equal(on.labels, off.labels)
-        assert np.array_equal(on.centers, off.centers)
-
-    def test_env_var_disables(self, small_scene, monkeypatch):
-        from repro.core.engine import FUSED_COLOR_ENV
-
-        monkeypatch.setenv(FUSED_COLOR_ENV, "0")
-        off = self._run(small_scene.image)
-        monkeypatch.setenv(FUSED_COLOR_ENV, "1")
-        on = self._run(small_scene.image)
-        assert np.array_equal(on.labels, off.labels)
-
-    def test_fused_frames_counter(self, small_scene):
-        from repro.obs import MemorySink, Tracer
-
-        for flag, expected in ((True, 1), (False, 0)):
-            tracer = Tracer(MemorySink())
-            self._run(small_scene.image, fused_color=flag, tracer=tracer)
-            tracer.flush()
-            counts = [
-                e for e in tracer.sink.events
-                if e.get("name") == "color.fused_frames"
-            ]
-            assert len(counts) == expected, flag
-            tracer.close()
-
-
 class TestCenterUpdateMemory:
     """The CPA center update streams from the flat lab array; the old
     (H*W, 5) float64 values cache must not come back."""

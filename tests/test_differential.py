@@ -43,6 +43,8 @@ from repro.data import SceneConfig, generate_scene
 from repro.kernels import available_backends, get_backend
 from repro.kernels import reference as reference_kernels
 
+from .kernel_cases import kernel_cases
+
 H, W = 48, 64
 
 
@@ -300,7 +302,7 @@ class TestCclDifferential:
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("backend", kernel_cases())
 class TestMergeChainSemantics:
     """Chain semantics of the small-component merge walk, per backend.
 

@@ -25,21 +25,19 @@ import numpy as np
 import pytest
 
 from repro.core import FixedDatapath, SlicParams, run_segmentation
-from repro.kernels import available_backends
 from repro.metrics import boundary_recall, undersegmentation_error
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
-#: Backend axis: every golden case must hash identically under the
-#: default backend and the threaded one — one fixture file per case,
-#: because the backends are bit-identical by contract.
-BACKEND_AXIS = [None, "native-mt"]
+#: Thread axis on the default backend (``native-mt`` wherever a compiler
+#: exists): every golden case must hash identically with the kernels run
+#: inline at one thread and on an odd-width pool — one fixture file per
+#: case, because results are bit-identical at any thread count.
+THREAD_AXIS = [1, 3]
 
 
-@pytest.fixture(params=BACKEND_AXIS, ids=["default", "native-mt"])
-def kernel_backend(request):
-    if request.param is not None and request.param not in available_backends():
-        pytest.skip(f"backend {request.param!r} unavailable")
+@pytest.fixture(params=THREAD_AXIS, ids=["default", "native-mt"])
+def n_threads(request):
     return request.param
 
 CASES = {
@@ -80,10 +78,8 @@ def _labels_sha256(labels: np.ndarray) -> str:
     return hashlib.sha256(canonical.tobytes()).hexdigest()
 
 
-def _measure(case: dict, scene, kernel_backend=None) -> dict:
-    params = case["params"]
-    if kernel_backend is not None:
-        params = params.with_(kernel_backend=kernel_backend)
+def _measure(case: dict, scene, n_threads) -> dict:
+    params = case["params"].with_(n_threads=n_threads)
     result = run_segmentation(scene.image, params)
     return {
         "labels_sha256": _labels_sha256(result.labels),
@@ -102,13 +98,13 @@ def _measure(case: dict, scene, kernel_backend=None) -> dict:
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_golden(name, kernel_backend, small_scene, hard_scene, update_golden):
+def test_golden(name, n_threads, small_scene, hard_scene, update_golden):
     case = CASES[name]
     scene = {"small": small_scene, "hard": hard_scene}[case["scene"]]
-    got = _measure(case, scene, kernel_backend)
+    got = _measure(case, scene, n_threads)
     path = GOLDEN_DIR / f"{name}.json"
 
-    if update_golden and kernel_backend is None:
+    if update_golden and n_threads == 1:
         GOLDEN_DIR.mkdir(exist_ok=True)
         path.write_text(json.dumps(got, indent=2) + "\n")
 

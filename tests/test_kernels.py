@@ -7,6 +7,8 @@ here are the contract ``docs/kernels.md`` promises; the speedup side is
 asserted in ``benchmarks/bench_kernels.py``.
 """
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from repro.core.assignment import PixelArrays
 from repro.errors import ConfigurationError
 from repro.kernels import (
     BACKEND_NAMES,
+    DEMOTION_CHAIN,
     available_backends,
     get_backend,
     resolve_name,
@@ -33,13 +36,14 @@ from repro.kernels import (
 )
 from repro.kernels import native as native_mod
 
+from .kernel_cases import kernel_cases
+
 H, W = 48, 64
 
-OPTIMIZED = [
-    name
-    for name in ("vectorized", "native", "native-mt")
-    if name in available_backends()
-]
+#: Optimized backends by name (for in-body loops) and as parametrize
+#: cases (the compiled backend at one thread and on its pool).
+OPTIMIZED_NAMES = [n for n in available_backends() if n != "reference"]
+OPTIMIZED = kernel_cases(OPTIMIZED_NAMES)
 
 
 def _setup(seed, k, m, fixed=False):
@@ -80,7 +84,22 @@ class TestDispatch:
         assert resolve_name("vectorized") == "vectorized"
 
     def test_resolve_name_auto_is_concrete(self):
-        assert resolve_name("auto") in ("native-mt", "native", "vectorized")
+        assert resolve_name("auto") in ("native-mt", "vectorized")
+
+    def test_one_compiled_backend(self):
+        """Serial is ``native-mt`` at one thread, not its own backend."""
+        assert BACKEND_NAMES == ("auto", "reference", "vectorized", "native-mt")
+        assert DEMOTION_CHAIN == ("native-mt", "vectorized", "reference")
+        with pytest.raises(ConfigurationError, match="unknown kernel backend"):
+            validate_name("native")
+
+    def test_auto_picks_compiled_backend_on_one_core(self, monkeypatch):
+        """``auto`` does not depend on the core count: a one-core process
+        gets ``native-mt``, whose default width is then one thread."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        want = "native-mt" if native_mod.is_available() else "vectorized"
+        assert resolve_name("auto") == want
 
     def test_env_var_drives_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", "reference")
@@ -298,7 +317,8 @@ class TestNativeBackend:
         assert native_mod.is_available() in (True, False)
 
     @pytest.mark.skipif(
-        "native" not in OPTIMIZED, reason="no C compiler in environment"
+        "native-mt" not in OPTIMIZED_NAMES,
+        reason="no C compiler in environment",
     )
     def test_compile_cache_reused(self, tmp_path, monkeypatch):
         """A fresh cache dir gets exactly one .so; a second build reuses
@@ -315,24 +335,32 @@ class TestNativeBackend:
 
 
 class TestLabCodesIdentity:
-    """The fixed-point RGB->Lab conversion kernel across backends."""
+    """Every backend's Lab codes against the ``convert_codes_reference``
+    spec; the codes come from the one conversion kernel,
+    ``lab_from_codes``."""
 
     @pytest.mark.parametrize("name", OPTIMIZED)
     @pytest.mark.parametrize("bits,uniform", [(8, True), (10, True), (8, False)])
     def test_matches_reference(self, name, bits, uniform):
-        from repro.color.hw_convert import HwColorConverter, LabEncoding
+        from repro.color.hw_convert import (
+            HwColorConverter,
+            LabEncoding,
+            convert_codes_reference,
+        )
 
         rng = np.random.default_rng(bits * 7 + uniform)
         rgb = rng.integers(0, 256, size=(H, W, 3), dtype=np.uint8)
         conv = HwColorConverter(encoding=LabEncoding(bits, uniform=uniform))
-        want = get_backend("reference").lab_codes(conv, rgb)
-        got = get_backend(name).lab_codes(conv, rgb)
-        assert np.array_equal(got, want)
+        want = convert_codes_reference(conv, rgb)
+        assert np.array_equal(conv.convert_codes(rgb, backend=name), want)
 
     @pytest.mark.parametrize("name", OPTIMIZED)
     def test_extreme_colors_match(self, name):
         """Saturation corners: black, white, pure primaries."""
-        from repro.color.hw_convert import HwColorConverter
+        from repro.color.hw_convert import (
+            HwColorConverter,
+            convert_codes_reference,
+        )
 
         corners = np.array(
             [
@@ -343,9 +371,10 @@ class TestLabCodesIdentity:
             dtype=np.uint8,
         ).reshape(3, 3, 3)
         conv = HwColorConverter()
-        want = get_backend("reference").lab_codes(conv, corners)
-        got = get_backend(name).lab_codes(conv, corners)
-        assert np.array_equal(got, want)
+        want = convert_codes_reference(conv, corners)
+        lab, codes = get_backend(name).lab_from_codes(conv, corners)
+        assert np.array_equal(codes, want)
+        assert np.array_equal(lab, conv.encoding.decode(want))
 
     def test_convert_codes_dispatches_per_backend(self):
         from repro.color.hw_convert import HwColorConverter
@@ -354,7 +383,7 @@ class TestLabCodesIdentity:
         rgb = rng.integers(0, 256, size=(16, 16, 3), dtype=np.uint8)
         conv = HwColorConverter()
         base = conv.convert_codes(rgb, backend="reference")
-        for name in OPTIMIZED:
+        for name in OPTIMIZED_NAMES:
             assert np.array_equal(conv.convert_codes(rgb, backend=name), base)
 
 
@@ -378,13 +407,17 @@ class TestLabFromCodesIdentity:
 
     @pytest.mark.parametrize("name", OPTIMIZED)
     def test_equals_two_step_sequence(self, name):
-        """Fused output must be bitwise the convert-then-decode result."""
-        from repro.color.hw_convert import HwColorConverter
+        """Fused output must be bitwise the spec's convert-then-decode
+        result."""
+        from repro.color.hw_convert import (
+            HwColorConverter,
+            convert_codes_reference,
+        )
 
         rng = np.random.default_rng(17)
         rgb = rng.integers(0, 256, size=(20, 31, 3), dtype=np.uint8)
         conv = HwColorConverter()
-        codes = get_backend(name).lab_codes(conv, rgb)
+        codes = convert_codes_reference(conv, rgb)
         lab = conv.encoding.decode(codes)
         got_lab, got_codes = get_backend(name).lab_from_codes(conv, rgb)
         assert np.array_equal(got_codes, codes)
@@ -406,7 +439,7 @@ class TestLabFromCodesIdentity:
         want_lab, want_codes = get_backend("reference").lab_from_codes(
             conv, rgb
         )
-        for name in OPTIMIZED:
+        for name in OPTIMIZED_NAMES:
             got_lab, got_codes = get_backend(name).lab_from_codes(conv, rgb)
             assert np.array_equal(got_lab, want_lab), name
             assert np.array_equal(got_codes, want_codes), name
@@ -419,7 +452,7 @@ class TestLabFromCodesIdentity:
         conv = HwColorConverter()
         base_lab, base_codes = conv.convert_fused(rgb, backend="reference")
         assert np.array_equal(base_codes, conv.convert_codes(rgb))
-        for name in OPTIMIZED:
+        for name in OPTIMIZED_NAMES:
             lab, codes = conv.convert_fused(rgb, backend=name)
             assert np.array_equal(lab, base_lab), name
             assert np.array_equal(codes, base_codes), name
@@ -451,7 +484,7 @@ class TestSigmaAccumulateIdentity:
         want_s, want_c = get_backend("reference").sigma_accumulate(
             labels, k, w, lab_flat=lab_flat, idx=idx
         )
-        for name in OPTIMIZED:
+        for name in OPTIMIZED_NAMES:
             got_s, got_c = get_backend(name).sigma_accumulate(
                 labels, k, w, lab_flat=lab_flat, idx=idx
             )
@@ -478,7 +511,7 @@ class TestSigmaAccumulateIdentity:
         want_s, want_c = get_backend("reference").sigma_accumulate(
             labels, k, w, codes_flat=codes_flat, encoding=enc, idx=idx
         )
-        for name in OPTIMIZED:
+        for name in OPTIMIZED_NAMES:
             got_s, got_c = get_backend(name).sigma_accumulate(
                 labels, k, w, codes_flat=codes_flat, encoding=enc, idx=idx
             )
@@ -558,7 +591,7 @@ class TestMergeSmallIdentity:
         rng = np.random.default_rng(seed)
         labels = rng.integers(0, 8, size=(24, 30)).astype(np.int32)
         want = enforce_connectivity(labels, min_size, backend="reference")
-        for name in OPTIMIZED:
+        for name in OPTIMIZED_NAMES:
             got = enforce_connectivity(labels, min_size, backend=name)
             assert np.array_equal(got, want), name
 

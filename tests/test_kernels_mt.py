@@ -3,14 +3,17 @@
 The contract under test is stronger than "fast": every threaded kernel
 must be **bit-identical** to the reference loops at *any* thread count.
 The differential harness here runs each kernel at 1, 2, 4 and 7 threads
-(odd counts catch remainder-tile bugs in the ownership partition),
-including degenerate shapes where the frame is thinner or smaller than
-one tile. The concurrency half asserts that two engines segmenting at
-the same time in one process — each with its own ambient thread count —
-cannot corrupt each other, and that the supervisor's first-dispatch
-memo is race-free.
+(1 is the serial case, run inline; odd counts catch remainder-tile bugs
+in the ownership partition), including degenerate shapes where the
+frame is thinner or smaller than one tile. The concurrency half asserts
+that two engines segmenting at the same time in one process — each with
+its own ambient thread count — cannot corrupt each other, that
+one-thread calls from concurrent callers overlap, and that the
+supervisor's first-dispatch memo is race-free.
 """
 
+import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -20,7 +23,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.color import rgb_to_lab
-from repro.color.hw_convert import HwColorConverter, LabEncoding
+from repro.color.hw_convert import (
+    HwColorConverter,
+    LabEncoding,
+    convert_codes_reference,
+)
 from repro.color.lut import reset_lut_caches
 from repro.core import (
     FixedDatapath,
@@ -32,7 +39,12 @@ from repro.core import (
     tile_map,
 )
 from repro.core.assignment import PixelArrays
-from repro.kernels import available_backends, reference, supervisor
+from repro.kernels import (
+    available_backends,
+    reference,
+    supervisor,
+    usable_cores,
+)
 from repro.kernels import native_mt
 from repro.kernels.native_mt import resolve_threads, thread_context
 
@@ -42,7 +54,7 @@ pytestmark = pytest.mark.skipif(
 )
 
 #: Odd counts (7) exercise uneven remainder tiles; 1 exercises the
-#: pool's clamp-to-serial path; 2 and 4 are the common mobile widths.
+#: inline serial path; 2 and 4 are the common mobile widths.
 THREADS = [1, 2, 4, 7]
 
 H, W = 37, 53
@@ -167,6 +179,9 @@ class TestPpaDifferential:
 
 @pytest.mark.parametrize("nt", THREADS)
 class TestLabCodesDifferential:
+    """``HwColorConverter.convert_codes`` on ``native-mt`` against the
+    ``convert_codes_reference`` spec."""
+
     @settings(max_examples=5, deadline=None)
     @given(seed=st.integers(0, 10_000),
            bits=st.sampled_from([8, 10]), uniform=st.booleans())
@@ -174,8 +189,9 @@ class TestLabCodesDifferential:
         rng = np.random.default_rng(seed)
         rgb = rng.integers(0, 256, size=(H, W, 3), dtype=np.uint8)
         conv = HwColorConverter(encoding=LabEncoding(bits, uniform=uniform))
-        want = reference.lab_codes(conv, rgb)
-        got = native_mt.lab_codes(conv, rgb, n_threads=nt)
+        want = convert_codes_reference(conv, rgb)
+        with thread_context(nt):
+            got = conv.convert_codes(rgb, backend="native-mt")
         assert np.array_equal(got, want)
 
 
@@ -307,8 +323,9 @@ class TestDegenerateShapes:
         rng = np.random.default_rng(h * 10 + w)
         rgb = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
         conv = HwColorConverter()
-        want = reference.lab_codes(conv, rgb)
-        got = native_mt.lab_codes(conv, rgb, n_threads=7)
+        want = convert_codes_reference(conv, rgb)
+        with thread_context(7):
+            got = conv.convert_codes(rgb, backend="native-mt")
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("h,w", SHAPES)
@@ -334,8 +351,8 @@ class TestDegenerateShapes:
         assert np.array_equal(got[1], want[1])
 
     def test_serial_delegates_unaffected_by_ambient_threads(self):
-        """merge_small / chamfer / CC delegate to serial code; a pinned
-        ambient thread count must not change their output."""
+        """A pinned ambient thread count must not change the output of
+        the row-banded CC or of chamfer, which has no threaded form."""
         rng = np.random.default_rng(4)
         labels = rng.integers(0, 6, size=(20, 24)).astype(np.int32)
         mask = rng.random((20, 24)) < 0.1
@@ -364,6 +381,16 @@ class TestThreadResolution:
     def test_env_garbage_falls_through(self, monkeypatch):
         monkeypatch.setenv(native_mt.ENV_THREADS, "not-a-number")
         assert resolve_threads() >= 1
+
+    def test_default_follows_cpu_affinity(self, monkeypatch):
+        """A process pinned to one core of an 8-core machine defaults to
+        one thread, not eight."""
+        monkeypatch.delenv(native_mt.ENV_THREADS, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert usable_cores() == 1
+        assert resolve_threads() == 1
 
     def test_clamped_to_valid_range(self):
         assert resolve_threads(0) == 1
@@ -463,6 +490,47 @@ class TestConcurrentEngines:
                 img, n_superpixels=20, kernel_backend="native-mt"
             ).labels
         assert np.array_equal(explicit, ambient)
+
+
+@pytest.mark.skipif(usable_cores() < 2, reason="needs two usable cores")
+class TestInlineWidth:
+    """One-thread calls run inline, outside the pool's dispatch lock, so
+    two callers at ``n_threads=1`` run side by side instead of taking
+    turns (as thread-mode serving with one kernel thread does)."""
+
+    def test_concurrent_one_thread_calls_overlap(self):
+        """Callers taking turns would finish one whole call apart;
+        overlapping calls finish together (the gap is independent of how
+        much parallel speedup the host's cores can give)."""
+        rng = np.random.default_rng(8)
+        rgb = rng.integers(0, 256, size=(540, 960, 3), dtype=np.uint8)
+        conv = HwColorConverter()
+
+        def call():
+            t0 = time.perf_counter()
+            native_mt.lab_from_codes(conv, rgb, n_threads=1)
+            return time.perf_counter() - t0
+
+        def finish_gap():
+            start = threading.Barrier(2)
+            ends = []
+
+            def run():
+                start.wait(timeout=30)
+                call()
+                ends.append(time.perf_counter())
+
+            other = threading.Thread(target=run)
+            other.start()
+            run()
+            other.join(timeout=30)
+            assert not other.is_alive() and len(ends) == 2
+            return abs(ends[0] - ends[1])
+
+        call()  # warm the library and the LUT caches
+        one = min(call() for _ in range(5))
+        gap = min(finish_gap() for _ in range(5))
+        assert gap <= 0.5 * one, f"finish gap {gap:.4f}s, one call {one:.4f}s"
 
 
 class TestSupervisorMemoRace:
