@@ -1,6 +1,6 @@
 """Software kernel throughput: the pytest-benchmark timing suite proper.
 
-Times the library's hot paths (color conversion, one PPA assignment pass,
+Times the library's hot paths (color conversion, one fused PPA pass,
 one CPA sweep, a full S-SLIC run) so performance regressions in the
 vectorized kernels are visible. These are the kernels whose *relative*
 costs drive the Table 1 breakdown.
@@ -20,7 +20,7 @@ from repro.core import (
     sslic,
     tile_map,
 )
-from repro.core.assignment import PixelArrays, assign_ppa
+from repro.core.assignment import PixelArrays, ppa_assign_reference
 from repro.data import SceneConfig, generate_scene
 
 
@@ -52,7 +52,11 @@ def test_throughput_ppa_assignment_pass(benchmark, frame):
     pixels = PixelArrays(lab, tiles)
     idx = np.arange(pixels.n_pixels)
     weight = spatial_weight(10.0, float(np.sqrt(h * w / len(centers))))
-    benchmark(assign_ppa, pixels, idx, cands, centers, weight)
+    label_map = tiles.ravel().astype(np.int32)
+    benchmark(
+        ppa_assign_reference, pixels, idx, cands, centers, weight,
+        labels_out=label_map,
+    )
 
 
 def test_throughput_slic_full_run(benchmark, frame):

@@ -6,9 +6,11 @@ operating point scaled to one sweep):
 
 1. **Bit-identity** — every available optimized backend must reproduce
    the reference loops exactly: same labels, same distance buffers, same
-   touched-pixel counts, same component numbering.
+   touched-pixel counts, same sigma partials and written label map from
+   the fused PPA pass, same component numbering.
 2. **Speed** — the fastest available backend must beat the reference by
-   at least 3x on the CPA sweep and 1.3x on the PPA pass. The CPA gate
+   at least 3x on the CPA sweep and 1.3x on the fused PPA pass
+   (assignment, label write and sigma partials). The CPA gate
    needs the compiled ``native-mt`` backend; when no compiler is present
    the gate is reported as skipped rather than failed, because the
    pure-numpy fallback intentionally trades speed for portability.
@@ -96,25 +98,35 @@ def test_kernel_backends(setup, emit, bench_scale):
         return labels, dist, n
 
     def ppa_run(backend):
+        """The fused pass: ``(chosen, sums, counts, label_map)``."""
         pixels = PixelArrays(lab, tiles)
         idx = np.arange(pixels.n_pixels)
-        return get_backend(backend).ppa_assign(pixels, idx, cands, centers, weight)
+        label_map = tiles.ravel().astype(np.int32)
+        chosen, sums, counts = get_backend(backend).ppa_assign(
+            pixels, idx, cands, centers, weight, labels_out=label_map
+        )
+        return chosen, sums, counts, label_map
 
     with pin:
         # --- bit-identity across every available backend ---------------
         ref_cpa = cpa_run("reference")
         ref_ppa = ppa_run("reference")
         ref_cc = get_backend("reference").connected_components(
-            ref_ppa.reshape(H, W)
+            ref_ppa[0].reshape(H, W)
         )
         for b in optimized:
             got_l, got_d, got_n = cpa_run(b)
             assert np.array_equal(got_l, ref_cpa[0]), f"{b}: CPA labels differ"
             assert np.array_equal(got_d, ref_cpa[1]), f"{b}: CPA dist differs"
             assert got_n == ref_cpa[2], f"{b}: CPA touched count differs"
-            assert np.array_equal(ppa_run(b), ref_ppa), f"{b}: PPA labels differ"
+            for field, got, want in zip(
+                ("labels", "sigma sums", "sigma counts", "label map"),
+                ppa_run(b),
+                ref_ppa,
+            ):
+                assert np.array_equal(got, want), f"{b}: PPA {field} differ"
             got_c, got_k = get_backend(b).connected_components(
-                ref_ppa.reshape(H, W)
+                ref_ppa[0].reshape(H, W)
             )
             assert got_k == ref_cc[1] and np.array_equal(got_c, ref_cc[0]), (
                 f"{b}: components differ"

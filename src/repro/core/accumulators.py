@@ -25,12 +25,48 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigurationError
+from ..types import check_index_range
 
 __all__ = [
     "SigmaAccumulator",
     "center_movement",
+    "check_sigma_args",
     "sigma_accumulate_reference",
 ]
+
+
+def check_sigma_args(
+    labels, n_clusters, idx, lab_flat=None, codes_flat=None
+):
+    """Validate one ``sigma_accumulate`` call before any backend folds it.
+
+    Every backend runs this first, so all of them reject the same bad
+    input with :class:`ConfigurationError` — a compiled kernel would
+    otherwise skip (or read past) an out-of-range entry: labels must be a
+    1-D vector in ``[0, n_clusters)``, and the batch must select rows of
+    the source (``codes_flat``, else ``lab_flat``), either through
+    ``idx`` (same length as ``labels``, entries in ``[0, n_rows)``) or as
+    its first ``len(labels)`` rows. Returns ``(labels, idx)`` as
+    validated arrays.
+    """
+    n_rows = len(codes_flat if codes_flat is not None else lab_flat)
+    labels = check_index_range(labels, n_clusters, "labels")
+    if labels.ndim != 1:
+        raise ConfigurationError(
+            f"labels must be 1-D, got shape {labels.shape}"
+        )
+    if idx is None:
+        if len(labels) > n_rows:
+            raise ConfigurationError(
+                f"{len(labels)} labels exceed the {n_rows} source rows"
+            )
+        return labels, None
+    idx = check_index_range(idx, n_rows, "idx")
+    if idx.shape != labels.shape:
+        raise ConfigurationError(
+            f"idx shape {idx.shape} does not match labels {labels.shape}"
+        )
+    return labels, idx
 
 
 def sigma_accumulate_reference(
@@ -70,7 +106,9 @@ def sigma_accumulate_reference(
     (M, 5) values matrix, since each field's sum is the same
     ``np.bincount`` fold.
     """
-    labels = np.asarray(labels)
+    labels, idx = check_sigma_args(
+        labels, n_clusters, idx, lab_flat, codes_flat
+    )
     if idx is None:
         idx = np.arange(len(labels), dtype=np.int64)
     else:
@@ -149,10 +187,10 @@ class SigmaAccumulator:
         """Accumulate a batch through a kernel backend's ``sigma_accumulate``.
 
         The backend returns zero-based partials ``(sums, counts)`` which are
-        folded in with ``+=`` — bitwise-equal to :meth:`add` on the
+        folded in by :meth:`fold` — bitwise-equal to :meth:`add` on the
         equivalent (M, 5) values matrix, without ever materializing it.
         """
-        sums, counts = kernels.sigma_accumulate(
+        self.fold(*kernels.sigma_accumulate(
             labels,
             self.n_clusters,
             width,
@@ -160,7 +198,15 @@ class SigmaAccumulator:
             codes_flat=codes_flat,
             encoding=encoding,
             idx=idx,
-        )
+        ))
+
+    def fold(self, sums: np.ndarray, counts: np.ndarray) -> None:
+        """Add zero-based kernel partials into the registers with ``+=``.
+
+        The partials come from ``sigma_accumulate`` or the fused
+        ``ppa_assign`` pass, which returns the subset's partials with its
+        assignment.
+        """
         self.sums += sums
         self.counts += counts
 

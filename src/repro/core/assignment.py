@@ -17,11 +17,22 @@ Both support the float64 reference datapath and the quantized
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
+from ..errors import ConfigurationError
+from ..types import check_index_range
+from .accumulators import sigma_accumulate_reference
 from .distance import FixedDatapath, pairwise_d2_float
 
-__all__ = ["PixelArrays", "assign_ppa", "assign_cpa"]
+__all__ = [
+    "PixelArrays",
+    "assign_ppa",
+    "assign_cpa",
+    "check_ppa_args",
+    "ppa_assign_reference",
+]
 
 #: Chunk size (pixels) for the PPA vectorized pass; bounds peak memory at
 #: roughly chunk * 9 * 5 float64s (~95 MB at the default).
@@ -29,11 +40,16 @@ _PPA_CHUNK = 1 << 18
 
 
 class PixelArrays:
-    """Flat per-pixel arrays prepared once per run.
+    """Flat per-pixel views of one frame for the PPA kernels.
 
     Holds the Lab image (float and, when a fixed datapath is configured,
-    code domain), integer pixel coordinates, and the tile index of every
-    pixel. Assignment functions index these with subset index arrays.
+    code domain) and the frame's int32 tile map. ``lab_flat`` and
+    ``codes_flat`` are views, not copies, when the inputs are already
+    C-contiguous float64 / int64, and an int32 tile map is kept as given,
+    so preparing a frame costs one pass (the tile-range check). The
+    integer coordinate arrays ``x_flat``/``y_flat`` and the int64
+    ``tile_flat`` are built on first use: only the numpy backends read
+    them, the compiled kernels derive x/y from the flat pixel index.
     """
 
     def __init__(
@@ -45,22 +61,62 @@ class PixelArrays:
     ):
         h, w = lab.shape[:2]
         self.shape = (h, w)
-        self.lab_flat = lab.reshape(-1, 3).astype(np.float64)
-        yy, xx = np.mgrid[0:h, 0:w]
-        self.x_flat = xx.ravel().astype(np.int64)
-        self.y_flat = yy.ravel().astype(np.int64)
-        self.tile_flat = np.asarray(tile_of_pixel).ravel().astype(np.int64)
+        self.lab_flat = np.ascontiguousarray(lab, dtype=np.float64).reshape(
+            -1, 3
+        )
+        tiles = np.ascontiguousarray(tile_of_pixel, dtype=np.int32)
+        if tiles.size != h * w:
+            raise ConfigurationError(
+                f"tile map must have {h * w} entries for a {h}x{w} frame, "
+                f"got shape {tiles.shape}"
+            )
+        self.tiles = tiles.reshape(-1)
+        # Upper bound on the tile ids, for the per-call candidate-row
+        # check; a negative id reads as a huge unsigned one.
+        self.tile_bound = (
+            int(self.tiles.view(np.uint32).max()) + 1 if h * w else 0
+        )
         self.datapath = datapath
         if datapath is not None:
             if codes is None:
                 codes = datapath.encode_image(lab)
-            self.codes_flat = np.asarray(codes, dtype=np.int64).reshape(-1, 3)
+            self.codes_flat = np.ascontiguousarray(
+                codes, dtype=np.int64
+            ).reshape(-1, 3)
         else:
             self.codes_flat = None
 
     @property
     def n_pixels(self) -> int:
-        return len(self.x_flat)
+        return self.shape[0] * self.shape[1]
+
+    @cached_property
+    def x_flat(self) -> np.ndarray:
+        h, w = self.shape
+        return np.tile(np.arange(w, dtype=np.int64), h)
+
+    @cached_property
+    def y_flat(self) -> np.ndarray:
+        h, w = self.shape
+        return np.repeat(np.arange(h, dtype=np.int64), w)
+
+    @cached_property
+    def tile_flat(self) -> np.ndarray:
+        return self.tiles.astype(np.int64)
+
+    @property
+    def sigma_source(self) -> dict:
+        """The ``sigma_accumulate`` source arguments for this frame.
+
+        The fixed datapath accumulates decoded codes (``values5``
+        semantics); the float path accumulates the Lab rows directly.
+        """
+        if self.datapath is not None:
+            return {
+                "codes_flat": self.codes_flat,
+                "encoding": self.datapath.encoding,
+            }
+        return {"lab_flat": self.lab_flat}
 
     def values5(self, idx: np.ndarray) -> np.ndarray:
         """(M, 5) rows ``[L, a, b, x, y]`` for sigma accumulation.
@@ -77,6 +133,98 @@ class PixelArrays:
         out[:, 3] = self.x_flat[idx]
         out[:, 4] = self.y_flat[idx]
         return out
+
+
+def check_ppa_args(pixels, subset_idx, candidates, centers, labels_out=None):
+    """Validate one ``ppa_assign`` call before any backend indexes with it.
+
+    Every backend runs this first, so all of them reject the same bad
+    input with :class:`ConfigurationError` — and the compiled kernels
+    never see an index they would dereference out of bounds: subset
+    indices must lie in ``[0, H*W)``, candidates in ``[0, K)``, the tile
+    map in ``[0, T)`` for ``T`` candidate rows, and ``labels_out``, when
+    given, must be a C-contiguous int32 map of ``H*W`` entries (it is
+    written in place).
+
+    Returns ``(subset, candidates, labels_flat)``: the subset as a
+    contiguous int64 vector, the (T, 9) candidates as contiguous int32,
+    and a flat view of ``labels_out`` (or ``None``).
+    """
+    n_pixels = pixels.n_pixels
+    centers = np.asarray(centers)
+    if centers.ndim != 2 or centers.shape[1] != 5:
+        raise ConfigurationError(
+            f"centers must be (K, 5), got shape {centers.shape}"
+        )
+    subset = check_index_range(subset_idx, n_pixels, "subset indices")
+    if subset.ndim != 1:
+        raise ConfigurationError(
+            f"subset indices must be 1-D, got shape {subset.shape}"
+        )
+    subset = np.ascontiguousarray(subset, dtype=np.int64)
+    cands = check_index_range(candidates, len(centers), "candidates")
+    if cands.ndim != 2 or cands.shape[1] != 9:
+        raise ConfigurationError(
+            f"candidates must be (T, 9), got shape {cands.shape}"
+        )
+    if pixels.tile_bound > len(cands):
+        raise ConfigurationError(
+            f"tile map ids must be in [0, {len(cands)}): one candidate row "
+            f"per tile"
+        )
+    cands = np.ascontiguousarray(cands, dtype=np.int32)
+    labels_flat = None
+    if labels_out is not None:
+        if not (
+            isinstance(labels_out, np.ndarray)
+            and labels_out.dtype == np.int32
+            and labels_out.flags.c_contiguous
+            and labels_out.flags.writeable
+            and labels_out.size == n_pixels
+        ):
+            raise ConfigurationError(
+                f"labels_out must be a writable C-contiguous int32 array of "
+                f"{n_pixels} entries"
+            )
+        labels_flat = labels_out.reshape(-1)
+    return subset, cands, labels_flat
+
+
+def ppa_assign_reference(
+    pixels: PixelArrays,
+    subset_idx: np.ndarray,
+    candidates: np.ndarray,
+    centers: np.ndarray,
+    weight: float,
+    compactness: float | None = None,
+    grid_s: float | None = None,
+    labels_out: np.ndarray | None = None,
+):
+    """Canonical form of the fused ``ppa_assign`` kernel contract entry.
+
+    One PPA sub-iteration as the Cluster Update Unit runs it: assign the
+    subset (:func:`assign_ppa`), write the chosen labels into
+    ``labels_out`` (the frame's label map, when given), and accumulate the
+    subset's sigma partials (:func:`sigma_accumulate_reference` over the
+    chosen labels, in subset order).
+
+    Returns ``(chosen, sums, counts)``: the (M,) int32 chosen clusters in
+    subset order and the zero-based (K, 5) float64 / (K,) int64 partials
+    that :meth:`SigmaAccumulator.fold` adds to the registers.
+    """
+    subset, cands, labels_flat = check_ppa_args(
+        pixels, subset_idx, candidates, centers, labels_out
+    )
+    chosen = assign_ppa(
+        pixels, subset, cands, centers, weight, compactness, grid_s
+    )
+    if labels_flat is not None:
+        labels_flat[subset] = chosen
+    sums, counts = sigma_accumulate_reference(
+        chosen, len(centers), pixels.shape[1], idx=subset,
+        **pixels.sigma_source,
+    )
+    return chosen, sums, counts
 
 
 def assign_ppa(

@@ -32,17 +32,17 @@ from ..color.hw_convert import HwColorConverter
 from ..errors import ConfigurationError
 from ..kernels import get_backend, resolve_name
 from ..obs.tracer import NULL_TRACER
-from ..types import as_uint8_rgb, validate_rgb_image
+from ..types import as_uint8_rgb, check_index_range, validate_rgb_image
 from .accumulators import SigmaAccumulator, center_movement
 from .assignment import PixelArrays
 from .connectivity import enforce_connectivity
 from .distance import spatial_weight
 from .initialization import grid_geometry, initial_centers, perturb_centers
-from .neighbors import candidate_map, dynamic_candidate_map, tile_map
+from .neighbors import dynamic_candidate_map, ppa_geometry, tile_map
 from .params import ARCH_CPA, ARCH_PPA, SlicParams
 from .profiles import PhaseTimer
 from .result import SegmentationResult
-from .subsampling import center_subsets, make_schedule
+from .subsampling import center_subsets
 
 __all__ = ["run_segmentation", "expected_cluster_count"]
 
@@ -83,13 +83,8 @@ def _check_warm_labels(warm_labels, shape, n_clusters) -> np.ndarray:
         raise ConfigurationError(
             f"warm_labels must be integer-typed, got dtype {arr.dtype}"
         )
-    lo, hi = int(arr.min()), int(arr.max())
-    if lo < 0 or hi >= n_clusters:
-        raise ConfigurationError(
-            f"warm_labels values must be in [0, {n_clusters}), got "
-            f"[{lo}, {hi}]"
-        )
-    return arr.astype(np.int32).copy()
+    check_index_range(arr, n_clusters, "warm_labels values")
+    return arr.astype(np.int32, order="C")
 
 
 def run_segmentation(
@@ -220,28 +215,19 @@ def _run_instrumented(
         n_subsets = params.n_subsets
 
         if params.architecture == ARCH_PPA:
-            tiles = tile_map((h, w), grid_h, grid_w)
-            cands = candidate_map(grid_h, grid_w)
-            pixels = PixelArrays(lab, tiles, datapath=datapath, codes=codes)
-            # Source arrays for the sigma_accumulate kernel: the fixed
-            # datapath accumulates decoded codes (values5 semantics), the
-            # float path accumulates the lab rows directly.
-            if datapath is not None:
-                sigma_src = {
-                    "codes_flat": pixels.codes_flat,
-                    "encoding": datapath.encoding,
-                }
-            else:
-                sigma_src = {"lab_flat": pixels.lab_flat}
-            schedule = make_schedule(
-                (h, w), params.subsample_ratio, params.subset_strategy, params.seed
+            # Geometry-only structures come from the process-wide memo
+            # (read-only, built on the first frame of this geometry).
+            tiles, cands, schedule = ppa_geometry(
+                (h, w), grid_h, grid_w, n_subsets, params.subset_strategy,
+                params.seed,
             )
+            pixels = PixelArrays(lab, tiles, datapath=datapath, codes=codes)
             if warm_labels is not None:
                 labels_flat = _check_warm_labels(
                     warm_labels, (h, w), n_clusters
                 ).ravel()
             else:
-                labels_flat = tiles.ravel().astype(np.int32).copy()
+                labels_flat = tiles.ravel().astype(np.int32)
         else:
             dist_buf = np.full((h, w), _INF, dtype=np.float64)
             if warm_labels is not None:
@@ -283,9 +269,13 @@ def _run_instrumented(
                         architecture=ARCH_PPA,
                         pixels=len(idx),
                     )
+                    mode = params.center_update_mode
                     with subit:
                         with timer.phase("distance_min"):
-                            chosen = kernels.ppa_assign(
+                            # One fused pass: assign the subset, write its
+                            # labels into labels_flat, and return its
+                            # sigma partials.
+                            _, sums, counts = kernels.ppa_assign(
                                 pixels,
                                 idx,
                                 cands,
@@ -293,10 +283,8 @@ def _run_instrumented(
                                 weight,
                                 compactness=params.compactness,
                                 grid_s=s,
+                                labels_out=labels_flat,
                             )
-                            labels_flat[idx] = chosen
-                        with timer.phase("center_update"):
-                            mode = params.center_update_mode
                             if mode == "accumulate":
                                 # Sigma registers persist across the sweep's
                                 # subset passes and reset at sweep boundaries
@@ -304,18 +292,16 @@ def _run_instrumented(
                                 # SlicParams.center_update_mode).
                                 if sub % n_subsets == 0:
                                     acc.reset()
-                                acc.accumulate(
-                                    kernels, chosen, w, idx=idx, **sigma_src
-                                )
+                                acc.fold(sums, counts)
                             elif mode == "subset":
                                 acc.reset()
-                                acc.accumulate(
-                                    kernels, chosen, w, idx=idx, **sigma_src
-                                )
-                            else:  # all_assigned
+                                acc.fold(sums, counts)
+                        with timer.phase("center_update"):
+                            if mode == "all_assigned":
                                 acc.reset()
                                 acc.accumulate(
-                                    kernels, labels_flat, w, **sigma_src
+                                    kernels, labels_flat, w,
+                                    **pixels.sigma_source,
                                 )
                             centers = acc.compute_centers(fallback=centers)
                     tracer.count("engine.pixels_assigned", len(idx))

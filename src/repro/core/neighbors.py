@@ -10,9 +10,12 @@ candidates are simply the 3x3 grid-cell neighborhood of the tile containing
 it. This module builds:
 
 * ``tile_map`` — (H, W) tile index per pixel (which grid cell owns it),
-* ``candidate_map`` — (T, 9) candidate cluster indices per tile, and
+* ``candidate_map`` — (T, 9) candidate cluster indices per tile,
 * a dynamic variant that recomputes candidates from *current* center
-  positions (for the static-vs-dynamic ablation).
+  positions (for the static-vs-dynamic ablation), and
+* ``ppa_geometry`` — the tile map, the static candidate map and the
+  subset schedule of one frame geometry, built once per process (the
+  accelerator likewise precomputes them once, not per frame).
 
 Edge tiles clamp their out-of-range neighbors, producing duplicate
 candidates; the hardware always evaluates 9 distances, so duplicates model
@@ -21,9 +24,36 @@ it exactly (a duplicate can never win over itself).
 
 from __future__ import annotations
 
+import functools
+from typing import NamedTuple
+
 import numpy as np
 
-__all__ = ["tile_map", "candidate_map", "dynamic_candidate_map"]
+from .subsampling import SubsetSchedule
+
+__all__ = [
+    "PpaGeometry",
+    "tile_map",
+    "candidate_map",
+    "dynamic_candidate_map",
+    "ppa_geometry",
+    "clear_geometry_cache",
+]
+
+#: Geometries the process-wide memo keeps (least recently used evicted).
+#: A 1080p entry holds ~25 MB: the int32 tile map and the int64 subsets.
+GEOMETRY_CACHE_SLOTS = 4
+
+
+class PpaGeometry(NamedTuple):
+    """The PPA structures that depend only on the frame geometry."""
+
+    #: (H, W) int32 tile map, read-only.
+    tiles: np.ndarray
+    #: (T, 9) int32 static candidate map, read-only.
+    candidates: np.ndarray
+    #: Subset schedule whose index arrays are read-only.
+    schedule: SubsetSchedule
 
 
 def tile_map(shape, grid_h: int, grid_w: int) -> np.ndarray:
@@ -88,3 +118,42 @@ def dynamic_candidate_map(
     row = np.arange(len(tile_xy))[:, None]
     order = np.argsort(d2[row, nearest], axis=1, kind="stable")
     return nearest[row, order].astype(np.int32)
+
+
+def ppa_geometry(
+    shape,
+    grid_h: int,
+    grid_w: int,
+    n_subsets: int,
+    strategy: str,
+    seed: int = 0,
+) -> PpaGeometry:
+    """Tile map, static candidate map and subset schedule, once per process.
+
+    A small bounded memo (:data:`GEOMETRY_CACHE_SLOTS` entries, least
+    recently used evicted) keyed on everything the three structures
+    depend on: frame size, grid, subset count, strategy, and the seed
+    when the strategy is ``random``. Every frame of every engine in the
+    process shares the entry — stream frames, pool workers and serve
+    sessions alike — so its arrays are read-only. The memo is a pure
+    cache: :func:`clear_geometry_cache` never changes a label.
+    """
+    h, w = shape[:2]
+    return _build_geometry(
+        h, w, grid_h, grid_w, n_subsets, strategy,
+        seed if strategy == "random" else 0,
+    )
+
+
+@functools.lru_cache(maxsize=GEOMETRY_CACHE_SLOTS)
+def _build_geometry(h, w, grid_h, grid_w, n_subsets, strategy, seed):
+    tiles = tile_map((h, w), grid_h, grid_w)
+    cands = candidate_map(grid_h, grid_w)
+    tiles.flags.writeable = False
+    cands.flags.writeable = False
+    schedule = SubsetSchedule((h, w), n_subsets, strategy=strategy, seed=seed)
+    return PpaGeometry(tiles, cands, schedule)
+
+
+#: Drop every memoized geometry (the next frame rebuilds its own).
+clear_geometry_cache = _build_geometry.cache_clear

@@ -42,9 +42,9 @@ class SubsetSchedule:
     seed:
         Used only by the ``random`` strategy.
 
-    The subsets are materialized once as flat index arrays; ``subset(p)``
-    returns the indices of phase ``p mod n_subsets``, so round-robin
-    traversal is just ``subset(0), subset(1), ...``.
+    The subsets are materialized once as read-only, ascending flat index
+    arrays; ``subset(p)`` returns the indices of phase ``p mod n_subsets``,
+    so round-robin traversal is just ``subset(0), subset(1), ...``.
     """
 
     def __init__(self, shape, n_subsets: int, strategy: str = "strided", seed: int = 0):
@@ -88,9 +88,12 @@ class SubsetSchedule:
             phase[perm] = (np.arange(n) % n_subsets).astype(np.int32)
         else:
             raise ConfigurationError(f"unknown subset strategy {strategy!r}")
-        self._subsets = [
-            np.flatnonzero(phase == p).astype(np.int64) for p in range(n_subsets)
-        ]
+        subsets = []
+        for p in range(n_subsets):
+            idx = np.flatnonzero(phase == p).astype(np.int64)
+            idx.flags.writeable = False  # shared by every frame of a geometry
+            subsets.append(idx)
+        self._subsets = tuple(subsets)
 
     def subset(self, phase: int) -> np.ndarray:
         """Flat pixel indices of subset ``phase mod n_subsets``."""

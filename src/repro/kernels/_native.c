@@ -1,5 +1,6 @@
-/* Native kernels: the CPA window scan, the PPA 9-candidate evaluation,
- * the fused fixed-point RGB->Lab conversion and code->Lab decode, the
+/* Native kernels: the CPA window scan, the fused PPA pass (9-candidate
+ * evaluation, label write and sigma accumulation in one call), the fused
+ * fixed-point RGB->Lab conversion and code->Lab decode, the
  * sigma-register accumulation, the two-pass union-find
  * connected-components pass, the small-component merge walk, and the
  * BR/USE metric inner loops (joint histogram, 3-4 chamfer) as plain C
@@ -25,22 +26,24 @@
  * the kernel inline on the calling thread, which is the serial case.
  * Parallelism is by *ownership partitioning*: each thread owns a
  * contiguous slice of the output (row bands for CPA, index ranges for
- * PPA / lab_from_codes, a private histogram for contingency, cluster
- * ranges for the sigma accumulation) and visits its slice in exactly the
- * serial order, so every output element is written by exactly one thread
- * with the serial operation order — no boundary ties can ever arise and
- * the results stay bit-identical to the one-thread run at any thread
- * count. The only cross-tile combines (the contingency histogram stitch
- * and the connected-components band seams + renumber) run sequentially,
- * in ascending tile id; union-by-minimal-root makes the component roots
- * independent of union order (see the CCL section). merge_small,
- * ccl_resolve and chamfer_i64 are inherently sequential and have no
- * `_mt` form.
+ * the PPA pass / lab_from_codes, a private histogram for contingency,
+ * cluster ranges for the sigma accumulation) and visits its slice in
+ * exactly the serial order, so every output element is written by
+ * exactly one thread with the serial operation order — no boundary ties
+ * can ever arise and the results stay bit-identical to the one-thread
+ * run at any thread count. The only cross-tile combines (the
+ * contingency histogram stitch, the connected-components band seams +
+ * renumber, and the PPA pass's clusters that straddle two index ranges)
+ * run sequentially, in ascending tile id or entry order;
+ * union-by-minimal-root makes the component roots independent of union
+ * order (see the CCL section). merge_small, ccl_resolve and chamfer_i64 are inherently
+ * sequential and have no `_mt` form.
  */
 
 #include <math.h>
 #include <pthread.h>
 #include <stdint.h>
+#include <stdlib.h>
 
 /* ------------------------------------------------------------------ */
 /* A tiny persistent pthread pool. mt_run(fn, ctx, n) runs              */
@@ -375,84 +378,6 @@ void cpa_assign_fixed_mt(
                          wfrac, sf, quantize, dshift, dmax, half, h, w,
                          dist, labels, touched};
     mt_run(cpa_fixed_band, &ctx, n_threads < h ? n_threads : h);
-}
-
-/* ------------------------------------------------------------------ */
-/* PPA: 9-candidate argmin per subset pixel, fully fused — no (M, 9, 3)
- * temporaries, one running minimum per pixel. Ties resolve to the
- * lowest candidate slot via the strict <, like the hardware 9:1 tree.
- *
- * Each subset pixel is independent, so the _mt entries split the
- * subset into contiguous [j0, j1) ranges — single-writer per output
- * element, serial evaluation order within each element.                */
-/* ------------------------------------------------------------------ */
-
-static void ppa_f64_range(
-    const double *lab_flat,   /* n*3 flat Lab                           */
-    const int64_t *xs,        /* n flat pixel x                         */
-    const int64_t *ys,        /* n flat pixel y                         */
-    const int64_t *tiles,     /* n tile index per pixel                 */
-    const int64_t *subset,    /* m flat indices to assign               */
-    int64_t j0, int64_t j1,
-    const int32_t *cands,     /* t*9 candidate clusters per tile        */
-    const double *centers,    /* k*5                                    */
-    double weight,
-    int32_t *out)             /* m chosen clusters                      */
-{
-    for (int64_t j = j0; j < j1; j++) {
-        int64_t i = subset[j];
-        const int32_t *cnd = cands + 9 * tiles[i];
-        const double *px = lab_flat + 3 * i;
-        double x = (double)xs[i];
-        double y = (double)ys[i];
-        double best = INFINITY;
-        int32_t bk = cnd[0];
-        for (int s = 0; s < 9; s++) {
-            const double *c = centers + 5 * cnd[s];
-            double dl = px[0] - c[0];
-            double da = px[1] - c[1];
-            double db = px[2] - c[2];
-            double dc2 = (dl * dl + da * da) + db * db;
-            double dx = x - c[3];
-            double dyv = y - c[4];
-            double d2 = dc2 + weight * (dx * dx + dyv * dyv);
-            if (d2 < best) {
-                best = d2;
-                bk = cnd[s];
-            }
-        }
-        out[j] = bk;
-    }
-}
-
-typedef struct {
-    const double *lab_flat;
-    const int64_t *xs, *ys, *tiles, *subset;
-    int64_t m;
-    const int32_t *cands;
-    const double *centers;
-    double weight;
-    int32_t *out;
-} ppa_f64_ctx;
-
-static void ppa_f64_chunk(void *vctx, int64_t tid, int64_t width)
-{
-    ppa_f64_ctx *c = (ppa_f64_ctx *)vctx;
-    ppa_f64_range(c->lab_flat, c->xs, c->ys, c->tiles, c->subset,
-                  mt_slice_lo(c->m, tid, width),
-                  mt_slice_hi(c->m, tid, width),
-                  c->cands, c->centers, c->weight, c->out);
-}
-
-void ppa_assign_f64_mt(
-    const double *lab_flat, const int64_t *xs, const int64_t *ys,
-    const int64_t *tiles, const int64_t *subset, int64_t m,
-    const int32_t *cands, const double *centers, double weight,
-    int32_t *out, int64_t n_threads)
-{
-    ppa_f64_ctx ctx = {lab_flat, xs, ys, tiles, subset, m, cands,
-                       centers, weight, out};
-    mt_run(ppa_f64_chunk, &ctx, n_threads < m ? n_threads : m);
 }
 
 /* ------------------------------------------------------------------ */
@@ -933,87 +858,6 @@ void chamfer_i64(
     }
 }
 
-static void ppa_fixed_range(
-    const int64_t *codes_flat, /* n*3 flat channel codes                */
-    const int64_t *xs,
-    const int64_t *ys,
-    const int64_t *tiles,
-    const int64_t *subset,
-    int64_t j0, int64_t j1,
-    const int32_t *cands,
-    const int64_t *c_codes,    /* k*5 encoded centers                   */
-    int64_t weight_raw,
-    int64_t wfrac,
-    int64_t sf,
-    int64_t quantize,
-    int64_t dshift,
-    int64_t dmax,
-    int32_t *out)
-{
-    for (int64_t j = j0; j < j1; j++) {
-        int64_t i = subset[j];
-        const int32_t *cnd = cands + 9 * tiles[i];
-        const int64_t *px = codes_flat + 3 * i;
-        int64_t xr = xs[i] << sf;
-        int64_t yr = ys[i] << sf;
-        int64_t best = INT64_MAX;
-        int32_t bk = cnd[0];
-        for (int s = 0; s < 9; s++) {
-            const int64_t *c = c_codes + 5 * cnd[s];
-            int64_t dl = px[0] - c[0];
-            int64_t da = px[1] - c[1];
-            int64_t db = px[2] - c[2];
-            int64_t dc2 = (dl * dl + da * da) + db * db;
-            int64_t dxv = xr - c[3];
-            int64_t dyv = yr - c[4];
-            int64_t ds2 = (dxv * dxv + dyv * dyv) >> (2 * sf);
-            int64_t d2 = dc2 + ((weight_raw * ds2) >> wfrac);
-            if (quantize) {
-                d2 >>= dshift;
-                if (d2 > dmax) d2 = dmax;
-            }
-            if (d2 < best) {
-                best = d2;
-                bk = cnd[s];
-            }
-        }
-        out[j] = bk;
-    }
-}
-
-typedef struct {
-    const int64_t *codes_flat;
-    const int64_t *xs, *ys, *tiles, *subset;
-    int64_t m;
-    const int32_t *cands;
-    const int64_t *c_codes;
-    int64_t weight_raw, wfrac, sf, quantize, dshift, dmax;
-    int32_t *out;
-} ppa_fixed_ctx;
-
-static void ppa_fixed_chunk(void *vctx, int64_t tid, int64_t width)
-{
-    ppa_fixed_ctx *c = (ppa_fixed_ctx *)vctx;
-    ppa_fixed_range(c->codes_flat, c->xs, c->ys, c->tiles, c->subset,
-                    mt_slice_lo(c->m, tid, width),
-                    mt_slice_hi(c->m, tid, width),
-                    c->cands, c->c_codes, c->weight_raw, c->wfrac,
-                    c->sf, c->quantize, c->dshift, c->dmax, c->out);
-}
-
-void ppa_assign_fixed_mt(
-    const int64_t *codes_flat, const int64_t *xs, const int64_t *ys,
-    const int64_t *tiles, const int64_t *subset, int64_t m,
-    const int32_t *cands, const int64_t *c_codes, int64_t weight_raw,
-    int64_t wfrac, int64_t sf, int64_t quantize, int64_t dshift,
-    int64_t dmax, int32_t *out, int64_t n_threads)
-{
-    ppa_fixed_ctx ctx = {codes_flat, xs, ys, tiles, subset, m, cands,
-                         c_codes, weight_raw, wfrac, sf, quantize,
-                         dshift, dmax, out};
-    mt_run(ppa_fixed_chunk, &ctx, n_threads < m ? n_threads : m);
-}
-
 /* ------------------------------------------------------------------ */
 /* Sigma accumulation: per-cluster [L, a, b, x, y] sums plus member
  * counts in one pass over the assigned entries — the software model of
@@ -1035,8 +879,42 @@ void ppa_assign_fixed_mt(
  * entry-range fold — the contingency_table pattern — would reorder
  * float additions and is NOT exact for float weights; it is only valid
  * for integer histograms.) Labels outside [k_lo, k_hi) are skipped, so
- * a label outside [0, K) is never written.                             */
+ * a label outside [0, K) would be silently dropped: the Python entry
+ * points reject such labels, and out-of-range indices, before calling. */
 /* ------------------------------------------------------------------ */
+
+/* One sigma-register update: entry at flat pixel i joins cluster k.  */
+static inline void sigma_add_f64(
+    const double *lab_flat, int64_t i, int64_t k, int64_t w,
+    double *sums, int64_t *counts)
+{
+    const double *px = lab_flat + 3 * i;
+    double *s = sums + 5 * k;
+    s[0] += px[0];
+    s[1] += px[1];
+    s[2] += px[2];
+    s[3] += (double)(i % w);
+    s[4] += (double)(i / w);
+    counts[k]++;
+}
+
+/* The code-domain update decodes inline — the same float64 cast and
+ * divide / subtract-divide expressions as LabEncoding.decode, so the
+ * accumulated values match the reference's decoded rows.               */
+static inline void sigma_add_codes(
+    const int64_t *codes_flat, int64_t i, int64_t k, int64_t w,
+    double l_scale, double ab_scale, double ab_offset,
+    double *sums, int64_t *counts)
+{
+    const int64_t *px = codes_flat + 3 * i;
+    double *s = sums + 5 * k;
+    s[0] += (double)px[0] / l_scale;
+    s[1] += ((double)px[1] - ab_offset) / ab_scale;
+    s[2] += ((double)px[2] - ab_offset) / ab_scale;
+    s[3] += (double)(i % w);
+    s[4] += (double)(i / w);
+    counts[k]++;
+}
 
 static void sigma_f64_rows(
     const double *lab_flat,   /* n*3 float Lab rows                     */
@@ -1051,15 +929,7 @@ static void sigma_f64_rows(
     for (int64_t j = 0; j < m; j++) {
         int64_t k = labels[j];
         if (k < k_lo || k >= k_hi) continue;
-        int64_t i = idx ? idx[j] : j;
-        const double *px = lab_flat + 3 * i;
-        double *s = sums + 5 * k;
-        s[0] += px[0];
-        s[1] += px[1];
-        s[2] += px[2];
-        s[3] += (double)(i % w);
-        s[4] += (double)(i / w);
-        counts[k]++;
+        sigma_add_f64(lab_flat, idx ? idx[j] : j, k, w, sums, counts);
     }
 }
 
@@ -1076,21 +946,11 @@ static void sigma_codes_rows(
     double *sums,
     int64_t *counts)
 {
-    /* Decode inline per entry — the same float64 cast and
-     * divide / subtract-divide expressions as LabEncoding.decode, so
-     * the accumulated values match the reference's decoded rows.       */
     for (int64_t j = 0; j < m; j++) {
         int64_t k = labels[j];
         if (k < k_lo || k >= k_hi) continue;
-        int64_t i = idx ? idx[j] : j;
-        const int64_t *px = codes_flat + 3 * i;
-        double *s = sums + 5 * k;
-        s[0] += (double)px[0] / l_scale;
-        s[1] += ((double)px[1] - ab_offset) / ab_scale;
-        s[2] += ((double)px[2] - ab_offset) / ab_scale;
-        s[3] += (double)(i % w);
-        s[4] += (double)(i / w);
-        counts[k]++;
+        sigma_add_codes(codes_flat, idx ? idx[j] : j, k, w, l_scale,
+                        ab_scale, ab_offset, sums, counts);
     }
 }
 
@@ -1145,4 +1005,253 @@ void sigma_acc_codes_mt(
                      l_scale, ab_scale, ab_offset, sums, counts};
     mt_run(sigma_codes_chunk, &ctx,
            n_threads < n_clusters ? n_threads : n_clusters);
+}
+
+/* ------------------------------------------------------------------ */
+/* PPA: one fused pass per subiteration — the Cluster Update Unit's
+ * distance -> 9:1 minimum -> sigma accumulate (Section 4.3), each entry
+ * read once.
+ *
+ * The subset is split into contiguous [j0, j1) ranges, one per
+ * participant. Each entry evaluates its tile's 9 candidates with one
+ * running minimum (ties go to the lowest slot via the strict <, like
+ * the hardware 9:1 tree), writes chosen[j] and, when a label map is
+ * given, labels[subset[j]], and adds the pixel to the chosen cluster's
+ * sigma registers. x/y come from the flat index (x = i % w, y = i / w)
+ * and the tile from the frame's int32 tile map, so no per-pixel
+ * coordinate array crosses the ctypes boundary. A duplicated subset
+ * index is written by both of its entries with the same value.
+ *
+ * Bit-identity of the partials: every register must receive its
+ * contributions in ascending entry order, starting from zero — the
+ * order of the reference's bincount folds. At width 1 the single loop
+ * does exactly that. At width >= 2 each participant adds into private
+ * registers. A cluster's head — the first participant that saw it —
+ * holds the exact serial fold of the cluster's entries up to the end of
+ * its range, because ranges are ordered and its registers started from
+ * zero; those registers are copied out. One serial scan of the later
+ * ranges, in entry order, then continues every cluster over its entries
+ * past its head's range. Nothing here depends on subset order or on the
+ * candidate map (dynamic neighbors included); an ascending subset only
+ * makes the clusters that straddle a range boundary few. The private
+ * registers take 48 bytes per cluster and participant; the width is
+ * capped to keep them under PPA_SCRATCH_MAX, and width 1 (or a failed
+ * allocation) runs the single loop.                                    */
+/* ------------------------------------------------------------------ */
+
+#define PPA_SCRATCH_MAX ((int64_t)64 << 20)
+
+static void ppa_f64_range(
+    const double *lab_flat,   /* n*3 flat Lab                           */
+    const int32_t *tiles,     /* n tile index per pixel                 */
+    const int64_t *subset,    /* m flat indices to assign               */
+    int64_t j0, int64_t j1,
+    int64_t w,
+    const int32_t *cands,     /* t*9 candidate clusters per tile        */
+    const double *centers,    /* k*5                                    */
+    double weight,
+    int32_t *chosen,          /* m chosen clusters                      */
+    int32_t *labels,          /* n frame label map, or NULL             */
+    double *sums,             /* k*5 sigma registers (zeroed)           */
+    int64_t *counts)          /* k member counts (zeroed)               */
+{
+    for (int64_t j = j0; j < j1; j++) {
+        int64_t i = subset[j];
+        const int32_t *cnd = cands + 9 * (int64_t)tiles[i];
+        const double *px = lab_flat + 3 * i;
+        double x = (double)(i % w);
+        double y = (double)(i / w);
+        double best = INFINITY;
+        int32_t bk = cnd[0];
+        for (int s = 0; s < 9; s++) {
+            const double *c = centers + 5 * cnd[s];
+            double dl = px[0] - c[0];
+            double da = px[1] - c[1];
+            double db = px[2] - c[2];
+            double dc2 = (dl * dl + da * da) + db * db;
+            double dx = x - c[3];
+            double dyv = y - c[4];
+            double d2 = dc2 + weight * (dx * dx + dyv * dyv);
+            if (d2 < best) {
+                best = d2;
+                bk = cnd[s];
+            }
+        }
+        chosen[j] = bk;
+        if (labels) labels[i] = bk;
+        sigma_add_f64(lab_flat, i, bk, w, sums, counts);
+    }
+}
+
+static void ppa_fixed_range(
+    const int64_t *codes_flat, /* n*3 flat channel codes                */
+    const int32_t *tiles,
+    const int64_t *subset,
+    int64_t j0, int64_t j1,
+    int64_t w,
+    const int32_t *cands,
+    const int64_t *c_codes,    /* k*5 encoded centers                   */
+    int64_t weight_raw,
+    int64_t wfrac,
+    int64_t sf,
+    int64_t quantize,
+    int64_t dshift,
+    int64_t dmax,
+    double l_scale, double ab_scale, double ab_offset,
+    int32_t *chosen,
+    int32_t *labels,
+    double *sums,
+    int64_t *counts)
+{
+    for (int64_t j = j0; j < j1; j++) {
+        int64_t i = subset[j];
+        const int32_t *cnd = cands + 9 * (int64_t)tiles[i];
+        const int64_t *px = codes_flat + 3 * i;
+        int64_t xr = (i % w) << sf;
+        int64_t yr = (i / w) << sf;
+        int64_t best = INT64_MAX;
+        int32_t bk = cnd[0];
+        for (int s = 0; s < 9; s++) {
+            const int64_t *c = c_codes + 5 * cnd[s];
+            int64_t dl = px[0] - c[0];
+            int64_t da = px[1] - c[1];
+            int64_t db = px[2] - c[2];
+            int64_t dc2 = (dl * dl + da * da) + db * db;
+            int64_t dxv = xr - c[3];
+            int64_t dyv = yr - c[4];
+            int64_t ds2 = (dxv * dxv + dyv * dyv) >> (2 * sf);
+            int64_t d2 = dc2 + ((weight_raw * ds2) >> wfrac);
+            if (quantize) {
+                d2 >>= dshift;
+                if (d2 > dmax) d2 = dmax;
+            }
+            if (d2 < best) {
+                best = d2;
+                bk = cnd[s];
+            }
+        }
+        chosen[j] = bk;
+        if (labels) labels[i] = bk;
+        sigma_add_codes(codes_flat, i, bk, w, l_scale, ab_scale, ab_offset,
+                        sums, counts);
+    }
+}
+
+typedef struct {
+    const double *lab_flat;    /* float path, or NULL                   */
+    const int64_t *codes_flat; /* fixed path, or NULL                   */
+    const int32_t *tiles;
+    const int64_t *subset;
+    int64_t m, w, k;
+    const int32_t *cands;
+    const double *centers;
+    double weight;
+    const int64_t *c_codes;
+    int64_t weight_raw, wfrac, sf, quantize, dshift, dmax;
+    double l_scale, ab_scale, ab_offset;
+    int32_t *chosen;
+    int32_t *labels;
+    /* Private registers, k per participant (width >= 2).              */
+    double *psums;
+    int64_t *pcounts;
+} ppa_ctx;
+
+static void ppa_range(const ppa_ctx *c, int64_t j0, int64_t j1,
+                      double *sums, int64_t *counts)
+{
+    if (c->lab_flat)
+        ppa_f64_range(c->lab_flat, c->tiles, c->subset, j0, j1, c->w,
+                      c->cands, c->centers, c->weight, c->chosen,
+                      c->labels, sums, counts);
+    else
+        ppa_fixed_range(c->codes_flat, c->tiles, c->subset, j0, j1, c->w,
+                        c->cands, c->c_codes, c->weight_raw, c->wfrac,
+                        c->sf, c->quantize, c->dshift, c->dmax, c->l_scale,
+                        c->ab_scale, c->ab_offset, c->chosen, c->labels,
+                        sums, counts);
+}
+
+static void ppa_chunk(void *vctx, int64_t tid, int64_t width)
+{
+    ppa_ctx *c = (ppa_ctx *)vctx;
+    int64_t off = tid * c->k;
+    ppa_range(c, mt_slice_lo(c->m, tid, width),
+              mt_slice_hi(c->m, tid, width), c->psums + 5 * off,
+              c->pcounts + off);
+}
+
+/* Run the pass into the zeroed sums / counts: the single loop at width
+ * 1, else the private-register ranges, the copy-out of each cluster's
+ * head registers, and the serial continuation past the head's range.  */
+static void ppa_run(ppa_ctx *c, double *sums, int64_t *counts,
+                    int64_t n_threads)
+{
+    int64_t k = c->k;
+    int64_t width = n_threads < c->m ? n_threads : c->m;
+    if (width > MT_MAX_THREADS) width = MT_MAX_THREADS;
+    if (k > 0 && width > PPA_SCRATCH_MAX / (48 * k))
+        width = PPA_SCRATCH_MAX / (48 * k);
+    /* Per participant and cluster: 5 sums and a count (48 B); per
+     * cluster: its head participant.                                   */
+    char *block = width > 1 ? calloc(1, (size_t)((48 * width + 8) * k))
+                            : 0;
+    if (!block) {
+        ppa_range(c, 0, c->m, sums, counts);
+        return;
+    }
+    c->psums = (double *)block;
+    c->pcounts = (int64_t *)(block + 40 * width * k);
+    int64_t *head = c->pcounts + width * k;
+    int64_t ran = mt_run(ppa_chunk, c, width);
+    for (int64_t q = 0; q < k; q++) {
+        int64_t t = 0;
+        while (t < ran && c->pcounts[t * k + q] == 0) t++;
+        head[q] = t;
+        if (t == ran) continue;
+        for (int f = 0; f < 5; f++)
+            sums[5 * q + f] = c->psums[5 * (t * k + q) + f];
+        counts[q] = c->pcounts[t * k + q];
+    }
+    for (int64_t t = 1; t < ran; t++) {
+        for (int64_t j = mt_slice_lo(c->m, t, ran);
+             j < mt_slice_hi(c->m, t, ran); j++) {
+            int64_t q = c->chosen[j];
+            if (head[q] >= t) continue;
+            if (c->lab_flat)
+                sigma_add_f64(c->lab_flat, c->subset[j], q, c->w, sums,
+                              counts);
+            else
+                sigma_add_codes(c->codes_flat, c->subset[j], q, c->w,
+                                c->l_scale, c->ab_scale, c->ab_offset,
+                                sums, counts);
+        }
+    }
+    free(block);
+}
+
+void ppa_assign_f64_mt(
+    const double *lab_flat, const int32_t *tiles, const int64_t *subset,
+    int64_t m, int64_t w, const int32_t *cands, const double *centers,
+    double weight, int64_t n_clusters, int32_t *chosen, int32_t *labels,
+    double *sums, int64_t *counts, int64_t n_threads)
+{
+    ppa_ctx ctx = {lab_flat, 0, tiles, subset, m, w, n_clusters, cands,
+                   centers, weight, 0, 0, 0, 0, 0, 0, 0, 0.0, 1.0, 0.0,
+                   chosen, labels, 0, 0};
+    ppa_run(&ctx, sums, counts, n_threads);
+}
+
+void ppa_assign_fixed_mt(
+    const int64_t *codes_flat, const int32_t *tiles, const int64_t *subset,
+    int64_t m, int64_t w, const int32_t *cands, const int64_t *c_codes,
+    int64_t weight_raw, int64_t wfrac, int64_t sf, int64_t quantize,
+    int64_t dshift, int64_t dmax, double l_scale, double ab_scale,
+    double ab_offset, int64_t n_clusters, int32_t *chosen, int32_t *labels,
+    double *sums, int64_t *counts, int64_t n_threads)
+{
+    ppa_ctx ctx = {0, codes_flat, tiles, subset, m, w, n_clusters, cands,
+                   0, 0.0, c_codes, weight_raw, wfrac, sf, quantize, dshift,
+                   dmax, l_scale, ab_scale, ab_offset, chosen, labels,
+                   0, 0};
+    ppa_run(&ctx, sums, counts, n_threads);
 }

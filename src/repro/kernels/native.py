@@ -145,9 +145,11 @@ def _declare(lib) -> None:
     u8 = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")
     ll = ctypes.c_int64
     dbl = ctypes.c_double
-    # The subset-index argument is nullable (NULL means "identity"), so
-    # it is a raw pointer rather than an ndpointer.
+    # The sigma subset-index argument (NULL means "identity") and the PPA
+    # label map (NULL means "do not scatter") are nullable, so they are
+    # raw pointers rather than ndpointers.
     i64p = ctypes.POINTER(ctypes.c_int64)
+    i32p = ctypes.POINTER(ctypes.c_int32)
 
     # name -> (restype, argtypes). Every ``_mt`` entry takes a trailing
     # n_threads; 1 runs the kernel inline on the calling thread.
@@ -160,11 +162,12 @@ def _declare(lib) -> None:
             f64, i32, u8, ll,
         ]),
         "ppa_assign_f64_mt": (None, [
-            f64, i64, i64, i64, i64, ll, i32, f64, dbl, i32, ll,
+            f64, i32, i64, ll, ll, i32, f64, dbl, ll, i32, i32p, f64, i64,
+            ll,
         ]),
         "ppa_assign_fixed_mt": (None, [
-            i64, i64, i64, i64, i64, ll, i32, i64, ll, ll, ll, ll, ll, ll,
-            i32, ll,
+            i64, i32, i64, ll, ll, i32, i64, ll, ll, ll, ll, ll, ll, dbl,
+            dbl, dbl, ll, i32, i32p, f64, i64, ll,
         ]),
         "lab_from_codes_u8_mt": (None, [
             u8, ll, i64, i64, ll, ll, ll, i64, ll, i64, i64, ll, ll, ll,

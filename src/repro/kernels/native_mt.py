@@ -15,13 +15,14 @@ compiled backend: benchmark configurations and recorded runs key on it.
 
 Bit-identity at any thread count comes from *ownership partitioning*
 (see the ``_native.c`` header): each thread owns a contiguous slice of
-the output — row bands for CPA, index ranges for PPA and
-``lab_from_codes``, cluster ranges for ``sigma_accumulate``, a private
+the output — row bands for CPA, index ranges for ``lab_from_codes``
+and the PPA pass, cluster ranges for ``sigma_accumulate``, a private
 histogram for ``contingency_table`` — and visits its slice in exactly
 the one-thread order. Every output element is written by exactly one
 thread, so no boundary ties can arise; the cross-tile combines (the
-contingency stitch, the connected-components band seams and renumber)
-run sequentially. ``connected_components`` tiles row bands with
+contingency stitch, the connected-components band seams and renumber,
+the PPA pass's clusters that straddle two index ranges) run
+sequentially. ``connected_components`` tiles row bands with
 per-band run decomposition and union-by-minimal-root, so component
 roots — and the canonical first-appearance renumbering — are
 independent of thread count (see the CCL section in ``_native.c``).
@@ -53,6 +54,8 @@ import os
 
 import numpy as np
 
+from ..core.accumulators import check_sigma_args
+from ..core.assignment import check_ppa_args
 from ..core.distance import WEIGHT_FRAC_BITS
 from ..types import validate_label_map
 from .dispatch import usable_cores
@@ -212,36 +215,57 @@ def ppa_assign(
     weight,
     compactness=None,
     grid_s=None,
+    labels_out=None,
     n_threads=None,
 ):
-    """Range-partitioned PPA 9-candidate argmin; see ``assign_ppa``."""
+    """One fused C pass per subiteration; see ``ppa_assign_reference``.
+
+    Each thread takes a contiguous range of the subset and, per entry,
+    picks the 9-candidate minimum, writes ``chosen`` (and ``labels_out``
+    in place, when given) and adds the pixel to private sigma registers.
+    Clusters whose entries straddle two ranges are then continued
+    serially in entry order, so the partials are bit-identical to the
+    reference at any thread count (see the PPA section in
+    ``_native.c``). Returns ``(chosen, sums, counts)``.
+    """
+    subset, cands, labels_flat = check_ppa_args(
+        pixels, subset_idx, candidates, centers, labels_out
+    )
+    n_clusters = len(centers)
+    m = len(subset)
+    chosen = np.empty(m, dtype=np.int32)
+    sums = np.zeros((n_clusters, 5), dtype=np.float64)
+    counts = np.zeros(n_clusters, dtype=np.int64)
+    if m == 0:
+        return chosen, sums, counts
     lib = load()
     nt = resolve_threads(n_threads)
-    subset = np.ascontiguousarray(subset_idx, dtype=np.int64)
-    out = np.empty(len(subset), dtype=np.int32)
-    if len(subset) == 0:
-        return out
-    cands = np.ascontiguousarray(candidates, dtype=np.int32)
+    w = pixels.shape[1]
+    labels_ptr = None
+    if labels_flat is not None:
+        labels_ptr = labels_flat.ctypes.data_as(ctypes.POINTER(ctypes.c_int32))
     dp = pixels.datapath
     if dp is None:
         lib.ppa_assign_f64_mt(
-            np.ascontiguousarray(pixels.lab_flat).reshape(-1),
-            pixels.x_flat, pixels.y_flat, pixels.tile_flat,
-            subset, len(subset), cands.reshape(-1),
+            pixels.lab_flat.reshape(-1), pixels.tiles, subset, m, w,
+            cands.reshape(-1),
             np.ascontiguousarray(centers, dtype=np.float64).reshape(-1),
-            float(weight), out, nt,
+            float(weight), n_clusters, chosen, labels_ptr,
+            sums.reshape(-1), counts, nt,
         )
     else:
+        enc = dp.encoding
         c_codes = np.ascontiguousarray(dp.encode_centers(centers))
         lib.ppa_assign_fixed_mt(
-            np.ascontiguousarray(pixels.codes_flat).reshape(-1),
-            pixels.x_flat, pixels.y_flat, pixels.tile_flat,
-            subset, len(subset), cands.reshape(-1), c_codes.reshape(-1),
+            pixels.codes_flat.reshape(-1), pixels.tiles, subset, m, w,
+            cands.reshape(-1), c_codes.reshape(-1),
             dp.weight_raw(compactness, grid_s), WEIGHT_FRAC_BITS,
             dp.spatial_frac_bits, int(dp.quantize_distance),
-            dp.effective_distance_shift, dp.distance_max_code, out, nt,
+            dp.effective_distance_shift, dp.distance_max_code,
+            float(enc.l_scale), float(enc.ab_scale), float(enc.ab_offset),
+            n_clusters, chosen, labels_ptr, sums.reshape(-1), counts, nt,
         )
-    return out
+    return chosen, sums, counts
 
 
 def lab_from_codes(converter, rgb, n_threads=None):
@@ -323,6 +347,9 @@ def sigma_accumulate(
     bit-identical at any thread count (see the sigma section in
     ``_native.c``).
     """
+    labels, idx = check_sigma_args(
+        labels, n_clusters, idx, lab_flat, codes_flat
+    )
     lib = load()
     nt = resolve_threads(n_threads)
     labels_c = np.ascontiguousarray(labels, dtype=np.int32)

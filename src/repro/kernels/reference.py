@@ -13,7 +13,7 @@ from ..core.accumulators import (
     sigma_accumulate_reference as sigma_accumulate,
 )
 from ..core.assignment import assign_cpa as cpa_assign
-from ..core.assignment import assign_ppa as ppa_assign
+from ..core.assignment import ppa_assign_reference as ppa_assign
 from ..core.connectivity import (
     connected_components_reference as connected_components,
 )

@@ -96,16 +96,17 @@ def self_test(name: str) -> None:
     """Run the known-answer kernel checks for backend ``name``.
 
     Exercises every kernel in the contract (CPA scan, fused Lab
-    conversion, sigma accumulation, merge walk, metric
+    conversion, sigma accumulation, the fused PPA pass on the float and
+    8-bit datapaths, connected components, merge walk, metric
     histogram/chamfer) on tiny fixed inputs and
     compares against the reference loops, raising
     :class:`ConfigurationError` with the mismatch detail on any
     difference. Cheap (a 6 x 9 image and a handful of components) —
     intended to run once per process. The ``native-mt`` vector runs the
     whole battery pinned to 2 threads (so the pool and the stitch are
-    genuinely exercised), plus one-thread and odd 3-thread CPA passes
-    that would catch a broken inline path or remainder-band partition
-    bugs.
+    genuinely exercised), plus one-thread and odd 3-thread passes of the
+    CPA scan and the fused PPA pass that would catch a broken inline
+    path or remainder-band partition bugs.
     """
     import contextlib
 
@@ -219,6 +220,57 @@ def self_test(name: str) -> None:
         )
         check("sigma_accumulate.sums@3t", odd_sums, want_sums)
         check("sigma_accumulate.counts@3t", odd_counts, want_counts)
+
+    # Fused PPA pass, float and 8-bit datapaths: the chosen labels, the
+    # sigma partials and the label map written in place. Six clusters
+    # on a 2x3 tile grid, colored one pixel right of their position so
+    # a quarter of the subset (every other pixel) leaves its own tile.
+    from ..core.assignment import PixelArrays
+    from ..core.distance import FixedDatapath
+    from ..core.neighbors import candidate_map, tile_map
+
+    ppa_tiles = tile_map((h, w), 2, 3)
+    ppa_cands = candidate_map(2, 3)
+    cy = np.repeat([1.0, 4.0], 3)
+    cx = np.tile([1.0, 4.0, 7.0], 2)
+    ppa_centers = np.column_stack([
+        lab[cy.astype(int), cx.astype(int) + 1] + [2.0, -1.0, 0.5],
+        cx + 0.3,
+        cy - 0.2,
+    ])
+    ppa_subset = np.arange(1, h * w, 2, dtype=np.int64)
+    dp = FixedDatapath(bits=8)
+    ppa_cases = {
+        "ppa_assign": (PixelArrays(lab, ppa_tiles), {}),
+        "ppa_assign.fixed": (
+            PixelArrays(lab, ppa_tiles, datapath=dp,
+                        codes=dp.encode_image(lab)),
+            {"compactness": 10.0, "grid_s": grid_s},
+        ),
+    }
+
+    def ppa_run(mod, pixels, **kwargs):
+        label_map = ppa_tiles.ravel().astype(np.int32)
+        chosen, sums, counts = mod.ppa_assign(
+            pixels, ppa_subset, ppa_cands, ppa_centers, weight,
+            labels_out=label_map, **kwargs,
+        )
+        return {"chosen": chosen, "sums": sums, "counts": counts,
+                "labels_out": label_map}
+
+    for kernel, (pixels, kwargs) in ppa_cases.items():
+        want = ppa_run(reference, pixels, **kwargs)
+        with pinned():
+            got = ppa_run(backend, pixels, **kwargs)
+        runs = [("", got)]
+        if name == "native-mt":
+            runs += [
+                (f"@{nt}t", ppa_run(backend, pixels, n_threads=nt, **kwargs))
+                for nt in (1, 3)
+            ]
+        for suffix, out in runs:
+            for field, value in want.items():
+                check(f"{kernel}.{field}{suffix}", out[field], value)
 
     # Connected components: nested ring + stray pixels + a label that
     # recurs in disjoint pieces, so run unions chain across many rows

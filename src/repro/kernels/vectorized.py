@@ -11,7 +11,9 @@ Portable optimized backend — no compiler required. The kernels:
   per process and reused across sweeps.
 * :func:`ppa_assign` — the 9-candidate evaluation fused over candidate
   slots: per-slot ``(M,)`` temporaries and a running minimum instead of
-  the reference's ``(M, 9, 3)`` intermediates.
+  the reference's ``(M, 9, 3)`` intermediates, then the label scatter
+  and the subset's sigma partials (the same bincount columns as
+  :func:`sigma_accumulate`).
 * :func:`connected_components` — union-find replaced by iterative
   min-label propagation with pointer jumping; no Python edge loop.
 * :func:`lab_from_codes` — the fixed-point RGB->Lab pipeline and its
@@ -34,7 +36,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..color.hw_convert import convert_codes_reference
-from ..core.assignment import _PPA_CHUNK, PixelArrays
+from ..core.accumulators import check_sigma_args
+from ..core.assignment import _PPA_CHUNK, PixelArrays, check_ppa_args
 from ..core.connectivity import (
     _min_propagate,
     _resolve_roots,
@@ -221,8 +224,16 @@ def ppa_assign(
     weight: float,
     compactness: float | None = None,
     grid_s: float | None = None,
-) -> np.ndarray:
-    """Fused PPA evaluation; same contract as ``assign_ppa``."""
+    labels_out: np.ndarray | None = None,
+):
+    """Fused PPA pass; same contract as ``ppa_assign_reference``.
+
+    Returns ``(chosen, sums, counts)`` and writes the chosen labels into
+    ``labels_out`` when given.
+    """
+    subset_idx, candidates, labels_flat = check_ppa_args(
+        pixels, subset_idx, candidates, centers, labels_out
+    )
     dp = pixels.datapath
     if dp is not None:
         c_codes_all = dp.encode_centers(centers)
@@ -276,7 +287,13 @@ def ppa_assign(
                 best_d[better] = d2[better]
                 best_k[better] = ck[better]
         out[start : start + len(idx)] = best_k
-    return out
+    if labels_flat is not None:
+        labels_flat[subset_idx] = out
+    sums, counts = _sigma_partials(
+        out, len(centers), pixels.shape[1], idx=subset_idx,
+        **pixels.sigma_source,
+    )
+    return out, sums, counts
 
 
 def connected_components(labels: np.ndarray):
@@ -348,7 +365,24 @@ def sigma_accumulate(
     performs column by column), and x/y weights come directly from the
     flat indices.
     """
-    labels = np.asarray(labels)
+    labels, idx = check_sigma_args(
+        labels, n_clusters, idx, lab_flat, codes_flat
+    )
+    return _sigma_partials(
+        labels, n_clusters, width, lab_flat, codes_flat, encoding, idx
+    )
+
+
+def _sigma_partials(
+    labels,
+    n_clusters,
+    width,
+    lab_flat=None,
+    codes_flat=None,
+    encoding=None,
+    idx=None,
+):
+    """The bincount columns behind :func:`sigma_accumulate`, unchecked."""
     counts = np.bincount(labels, minlength=n_clusters).astype(
         np.int64, copy=False
     )

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ImageError
+from .errors import ConfigurationError, ImageError
 
 __all__ = [
     "Resolution",
@@ -31,6 +31,7 @@ __all__ = [
     "as_uint8_rgb",
     "validate_rgb_image",
     "validate_label_map",
+    "check_index_range",
 ]
 
 
@@ -135,5 +136,34 @@ def validate_label_map(labels: np.ndarray, n_labels: int | None = None) -> np.nd
     if n_labels is not None and arr.max() >= n_labels:
         raise ImageError(
             f"label map contains label {arr.max()} >= n_labels {n_labels}"
+        )
+    return arr
+
+
+def check_index_range(values, upper: int, what: str) -> np.ndarray:
+    """Check that every entry of integer array ``values`` is in ``[0, upper)``.
+
+    Kernel entry points call this on labels, candidates and pixel indices
+    before compiled code dereferences them, so every backend rejects an
+    out-of-range index with the same typed error instead of reading or
+    writing out of bounds. One pass: viewed as unsigned, a negative entry
+    wraps above any bound, so a single ``max`` checks both ends. Raises
+    :class:`ConfigurationError`; returns the array (native byte order).
+    """
+    arr = np.asarray(values)
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise ConfigurationError(
+            f"{what} must be integer-typed, got dtype {arr.dtype}"
+        )
+    if not arr.dtype.isnative:
+        arr = arr.astype(arr.dtype.newbyteorder("="))
+    if arr.size == 0:
+        return arr
+    unsigned = arr
+    if arr.dtype.kind == "i":
+        unsigned = arr.view(f"u{arr.dtype.itemsize}")
+    if int(unsigned.max()) >= upper:
+        raise ConfigurationError(
+            f"{what} must be in [0, {upper}), got [{arr.min()}, {arr.max()}]"
         )
     return arr

@@ -1,8 +1,15 @@
-"""Backend parametrization shared by the kernel-identity suites."""
+"""Backend parametrization and PPA inputs shared by the kernel suites."""
 
+import numpy as np
 import pytest
 
-from repro.kernels import available_backends
+from repro.core.params import SUBSET_STRATEGIES
+from repro.core.subsampling import SubsetSchedule
+from repro.kernels import available_backends, reference
+
+#: Subsets the fused ``ppa_assign`` is checked on: one phase of every
+#: schedule strategy, plus an unsorted subset with a duplicated index.
+PPA_SUBSET_KINDS = SUBSET_STRATEGIES + ("unsorted-dup",)
 
 
 def kernel_cases(names=None):
@@ -30,3 +37,41 @@ def kernel_cases(names=None):
         else:
             cases.append(name)
     return cases
+
+
+def ppa_subset(kind, h, w, n_subsets, seed):
+    """Flat pixel indices for one ``PPA_SUBSET_KINDS`` entry.
+
+    A schedule kind returns phase ``seed % n_subsets`` of that strategy;
+    ``unsorted-dup`` returns a random permutation of ``1/n_subsets`` of
+    the pixels with its first index repeated at the end.
+    """
+    n_subsets = min(n_subsets, h * w)
+    if kind == "unsorted-dup":
+        rng = np.random.default_rng(seed)
+        idx = rng.permutation(h * w)[: max(1, h * w // n_subsets)]
+        return np.concatenate([idx, idx[:1]]).astype(np.int64)
+    sched = SubsetSchedule((h, w), n_subsets, strategy=kind, seed=seed)
+    return sched.subset(seed % n_subsets)
+
+
+def assert_ppa_matches_reference(ppa_assign, pixels, idx, cands, centers,
+                                 weight, **kw):
+    """Run ``ppa_assign`` and the reference on the same prior label map.
+
+    Asserts the fused contract: equal ``(chosen, sums, counts)`` and an
+    equal label map after the in-place scatter. Returns the reference
+    ``(chosen, sums, counts)``.
+    """
+    prior = (np.arange(pixels.n_pixels) % len(centers)).astype(np.int32)
+    want_map, got_map = prior.copy(), prior.copy()
+    want = reference.ppa_assign(
+        pixels, idx, cands, centers, weight, labels_out=want_map, **kw
+    )
+    got = ppa_assign(
+        pixels, idx, cands, centers, weight, labels_out=got_map, **kw
+    )
+    for name, a, b in zip(("chosen", "sums", "counts"), want, got):
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert np.array_equal(want_map, got_map), "labels_out"
+    return want

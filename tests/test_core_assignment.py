@@ -101,6 +101,23 @@ class TestAssignPpa:
         assert np.abs(vals[:, 0:3] - lab.reshape(-1, 3)[[0, 10, 100]]).max() <= 1.0
 
 
+    def test_pixel_arrays_view_the_frame(self, setup):
+        """Preparing a frame copies nothing: lab_flat views a
+        C-contiguous float64 image, the int32 tile map is kept as given,
+        and the coordinate arrays are built only when first read."""
+        lab, centers, tiles, cands, s, weight = setup
+        pixels = PixelArrays(lab, tiles)
+        assert np.shares_memory(pixels.lab_flat, lab)
+        assert np.shares_memory(pixels.tiles, tiles)
+        assert "x_flat" not in vars(pixels)
+        h, w = lab.shape[:2]
+        yy, xx = np.mgrid[0:h, 0:w]
+        assert np.array_equal(pixels.x_flat, xx.ravel())
+        assert np.array_equal(pixels.y_flat, yy.ravel())
+        assert np.array_equal(pixels.tile_flat, tiles.ravel())
+        assert pixels.tile_flat.dtype == np.int64
+
+
 class TestAssignCpa:
     def test_full_scan_assigns_everything(self, setup):
         lab, centers, tiles, cands, s, weight = setup

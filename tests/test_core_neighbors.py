@@ -4,6 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core import candidate_map, dynamic_candidate_map, tile_map
+from repro.core.neighbors import (
+    GEOMETRY_CACHE_SLOTS,
+    clear_geometry_cache,
+    ppa_geometry,
+)
 
 
 class TestTileMap:
@@ -119,3 +124,44 @@ class TestDynamicCandidates:
         dyn = dynamic_candidate_map(centers, 2, 2, (40, 40))
         assert dyn.shape == (4, 9)
         assert dyn.max() < 4
+
+
+class TestGeometryMemo:
+    """ppa_geometry: one shared, read-only, bounded entry per geometry."""
+
+    def test_built_once_and_equal_to_fresh_maps(self):
+        clear_geometry_cache()
+        a = ppa_geometry((40, 60), 4, 6, 4, "strided")
+        assert ppa_geometry((40, 60), 4, 6, 4, "strided") is a
+        assert np.array_equal(a.tiles, tile_map((40, 60), 4, 6))
+        assert np.array_equal(a.candidates, candidate_map(4, 6))
+        assert a.schedule.n_subsets == 4
+
+    def test_key_covers_every_input(self):
+        base = ppa_geometry((20, 30), 2, 3, 2, "random", seed=1)
+        for other in (
+            ppa_geometry((20, 30), 2, 3, 2, "random", seed=2),
+            ppa_geometry((20, 30), 2, 3, 2, "rows", seed=1),
+            ppa_geometry((20, 30), 2, 3, 3, "random", seed=1),
+            ppa_geometry((20, 30), 3, 3, 2, "random", seed=1),
+            ppa_geometry((21, 30), 2, 3, 2, "random", seed=1),
+        ):
+            assert other is not base
+        # The seed only matters to the random strategy.
+        assert ppa_geometry((20, 30), 2, 3, 2, "rows", seed=5) is \
+            ppa_geometry((20, 30), 2, 3, 2, "rows", seed=1)
+
+    def test_arrays_are_read_only(self):
+        g = ppa_geometry((40, 60), 4, 6, 4, "strided")
+        for arr in (g.tiles, g.candidates, g.schedule.subset(1)):
+            with pytest.raises(ValueError):
+                arr.flat[0] = 1
+
+    def test_bounded_least_recently_used(self):
+        clear_geometry_cache()
+        first = ppa_geometry((20, 30), 2, 3, 2, "strided")
+        for h in range(21, 21 + GEOMETRY_CACHE_SLOTS):
+            newest = ppa_geometry((h, 30), 2, 3, 2, "strided")
+        # The newer geometries filled every slot and pushed the first out.
+        assert ppa_geometry((h, 30), 2, 3, 2, "strided") is newest
+        assert ppa_geometry((20, 30), 2, 3, 2, "strided") is not first

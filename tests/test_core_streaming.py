@@ -72,6 +72,21 @@ class TestStreamSegmenter:
         assert result.labels.shape == (64, 96)
         assert not seg.history[1].warm_started
 
+    def test_geometry_memo_is_a_pure_cache(self):
+        # Rebuilding the per-geometry PPA structures before every frame
+        # must not change a single label or center.
+        from repro.core.neighbors import clear_geometry_cache
+
+        seq = VideoSequence(4, config=CFG, motion="shake", seed=3)
+        cached = StreamSegmenter(PARAMS)
+        rebuilt = StreamSegmenter(PARAMS)
+        for frame in seq:
+            a = cached.process(frame.image)
+            clear_geometry_cache()
+            b = rebuilt.process(frame.image)
+            assert np.array_equal(a.labels, b.labels)
+            assert np.array_equal(a.centers, b.centers)
+
     def test_mean_sweeps_empty(self):
         assert StreamSegmenter(PARAMS).mean_sweeps == 0.0
 

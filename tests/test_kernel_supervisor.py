@@ -82,13 +82,23 @@ class TestSelfTest:
             reset_supervision()
 
 
-    @pytest.mark.parametrize("kernel", ["sigma_accumulate", "lab_from_codes"])
+    @pytest.mark.parametrize(
+        "kernel", ["sigma_accumulate", "lab_from_codes", "ppa_assign"]
+    )
     def test_broken_new_kernels_fail_self_test(self, kernel, monkeypatch):
-        """A backend whose sigma/fused-color kernel returns garbage must
-        flunk its known-answer vector (the vectors are load-bearing)."""
+        """A backend whose sigma/fused-color/fused-PPA kernel returns
+        garbage must flunk its known-answer vector (the vectors are
+        load-bearing)."""
         from repro.kernels import vectorized
 
         def garbage(*args, **kwargs):
+            if kernel == "ppa_assign":
+                n = len(args[3])
+                return (
+                    np.zeros(len(args[1]), dtype=np.int32),
+                    np.ones((n, 5)),
+                    np.zeros(n, dtype=np.int64),
+                )
             if kernel == "sigma_accumulate":
                 n = args[1]
                 return (
@@ -105,7 +115,9 @@ class TestSelfTest:
         with pytest.raises(ConfigurationError, match=kernel.split(".")[0]):
             self_test("vectorized")
 
-    @pytest.mark.parametrize("kernel", ["sigma_accumulate", "lab_from_codes"])
+    @pytest.mark.parametrize(
+        "kernel", ["sigma_accumulate", "lab_from_codes", "ppa_assign"]
+    )
     def test_broken_new_kernel_demotes(self, kernel, monkeypatch):
         from repro.kernels import vectorized
 
@@ -113,7 +125,7 @@ class TestSelfTest:
 
         def garbage(*args, **kwargs):
             out = real(*args, **kwargs)
-            return (out[0] + 1, out[1])
+            return (out[0] + 1, *out[1:])
 
         monkeypatch.setattr(vectorized, kernel, garbage)
         verdict = supervised_resolve("vectorized")

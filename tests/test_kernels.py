@@ -11,7 +11,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.color import rgb_to_lab
@@ -19,6 +19,7 @@ from repro.core import (
     FixedDatapath,
     SlicParams,
     candidate_map,
+    dynamic_candidate_map,
     grid_geometry,
     initial_centers,
     spatial_weight,
@@ -36,7 +37,12 @@ from repro.kernels import (
 )
 from repro.kernels import native as native_mod
 
-from .kernel_cases import kernel_cases
+from .kernel_cases import (
+    PPA_SUBSET_KINDS,
+    assert_ppa_matches_reference,
+    kernel_cases,
+    ppa_subset,
+)
 
 H, W = 48, 64
 
@@ -201,50 +207,66 @@ class TestCpaIdentity:
 
 @pytest.mark.parametrize("backend", OPTIMIZED)
 class TestPpaIdentity:
+    """The fused pass: chosen labels, the in-place label map and the
+    subset's sigma partials all equal the reference."""
+
     @settings(max_examples=8, deadline=None)
     @given(
         seed=st.integers(0, 10_000),
         k=st.integers(8, 48),
         m=st.floats(1.0, 40.0),
         n_subsets=st.sampled_from([1, 2, 4]),
+        kind=st.sampled_from(PPA_SUBSET_KINDS),
+        dynamic=st.booleans(),
     )
-    def test_float64_bit_identical(self, backend, seed, k, m, n_subsets):
+    def test_float64_bit_identical(
+        self, backend, seed, k, m, n_subsets, kind, dynamic
+    ):
         lab, centers, tiles, cands, s, weight, _, _ = _setup(seed, k, m)
+        if dynamic:  # candidates recomputed from the moved centers
+            gh, gw, _, _ = grid_geometry((H, W), k)
+            cands = dynamic_candidate_map(centers, gh, gw, (H, W))
         pixels = PixelArrays(lab, tiles)
-        idx = np.arange(pixels.n_pixels)[::n_subsets]
-        ref = get_backend("reference").ppa_assign(
-            pixels, idx, cands, centers, weight
+        idx = ppa_subset(kind, H, W, n_subsets, seed)
+        assert_ppa_matches_reference(
+            get_backend(backend).ppa_assign, pixels, idx, cands, centers,
+            weight,
         )
-        opt = get_backend(backend).ppa_assign(
-            pixels, idx, cands, centers, weight
-        )
-        assert np.array_equal(ref, opt)
 
     @settings(max_examples=6, deadline=None)
-    @given(seed=st.integers(0, 10_000), k=st.integers(8, 32))
-    def test_fixed_datapath_bit_identical(self, backend, seed, k):
+    @given(
+        seed=st.integers(0, 10_000),
+        k=st.integers(8, 32),
+        n_subsets=st.sampled_from([1, 2, 4]),
+        kind=st.sampled_from(PPA_SUBSET_KINDS),
+    )
+    @example(seed=0, k=16, n_subsets=1, kind="strided")  # the whole frame
+    def test_fixed_datapath_bit_identical(
+        self, backend, seed, k, n_subsets, kind
+    ):
         lab, centers, tiles, cands, s, weight, dp, codes = _setup(
             seed, k, 10.0, fixed=True
         )
         pixels = PixelArrays(lab, tiles, datapath=dp, codes=codes)
-        idx = np.arange(pixels.n_pixels)
-        kw = dict(compactness=10.0, grid_s=s)
-        ref = get_backend("reference").ppa_assign(
-            pixels, idx, cands, centers, weight, **kw
+        idx = ppa_subset(kind, H, W, n_subsets, seed)
+        assert_ppa_matches_reference(
+            get_backend(backend).ppa_assign, pixels, idx, cands, centers,
+            weight, compactness=10.0, grid_s=s,
         )
-        opt = get_backend(backend).ppa_assign(
-            pixels, idx, cands, centers, weight, **kw
-        )
-        assert np.array_equal(ref, opt)
 
     def test_empty_subset(self, backend):
         lab, centers, tiles, cands, s, weight, _, _ = _setup(1, 12, 10.0)
         pixels = PixelArrays(lab, tiles)
-        out = get_backend(backend).ppa_assign(
-            pixels, np.array([], dtype=np.int64), cands, centers, weight
+        labels = tiles.ravel().astype(np.int32)
+        chosen, sums, counts = get_backend(backend).ppa_assign(
+            pixels, np.array([], dtype=np.int64), cands, centers, weight,
+            labels_out=labels,
         )
-        assert out.shape == (0,)
-        assert out.dtype == np.int32
+        assert chosen.shape == (0,)
+        assert chosen.dtype == np.int32
+        assert sums.shape == (len(centers), 5) and not sums.any()
+        assert counts.shape == (len(centers),) and not counts.any()
+        assert np.array_equal(labels, tiles.ravel())
 
 
 @pytest.mark.parametrize("backend", OPTIMIZED)
@@ -554,6 +576,72 @@ class TestSigmaAccumulateIdentity:
         )
         assert np.array_equal(got_s, acc.sums)
         assert np.array_equal(got_c, acc.counts)
+
+
+class TestIndexValidation:
+    """Out-of-range indices fail with ConfigurationError on every backend,
+    before any kernel reads or writes with them (the compiled kernels
+    would otherwise drop a label >= K or read past ``centers``)."""
+
+    SHAPE = (6, 8)
+
+    def _frame(self):
+        h, w = self.SHAPE
+        rng = np.random.default_rng(0)
+        lab = rgb_to_lab(rng.integers(0, 256, (h, w, 3), dtype=np.uint8))
+        centers = initial_centers(lab, 4)
+        gh, gw, _, _ = grid_geometry((h, w), 4)
+        assert len(centers) == 4
+        return lab, centers, tile_map((h, w), gh, gw), candidate_map(gh, gw)
+
+    @pytest.mark.parametrize("backend", kernel_cases())
+    @pytest.mark.parametrize(
+        "case", ["label-equals-k", "negative-label", "idx-past-end",
+                 "negative-idx"],
+    )
+    def test_sigma_accumulate(self, backend, case):
+        lab, _, _, _ = self._frame()
+        h, w = self.SHAPE
+        labels = (np.arange(h * w) % 4).astype(np.int32)
+        idx = np.arange(h * w, dtype=np.int64)
+        if case == "label-equals-k":
+            labels[5] = 4
+        elif case == "negative-label":
+            labels[0] = -1
+        elif case == "idx-past-end":
+            idx[-1] = h * w
+        else:
+            idx[3] = -2
+        with pytest.raises(ConfigurationError):
+            get_backend(backend).sigma_accumulate(
+                labels, 4, w, lab_flat=lab.reshape(-1, 3), idx=idx
+            )
+
+    @pytest.mark.parametrize("backend", kernel_cases())
+    @pytest.mark.parametrize(
+        "case", ["candidate-7", "negative-candidate", "subset-past-end",
+                 "negative-subset"],
+    )
+    def test_ppa_assign(self, backend, case):
+        lab, centers, tiles, cands = self._frame()
+        h, w = self.SHAPE
+        cands = cands.copy()
+        subset = np.arange(0, h * w, 2, dtype=np.int64)
+        if case == "candidate-7":
+            cands[0, 4] = 7
+        elif case == "negative-candidate":
+            cands[-1, 0] = -1
+        elif case == "subset-past-end":
+            subset[-1] = h * w
+        else:
+            subset[0] = -1
+        labels = tiles.ravel().astype(np.int32)
+        with pytest.raises(ConfigurationError):
+            get_backend(backend).ppa_assign(
+                PixelArrays(lab, tiles), subset, cands, centers, 0.5,
+                labels_out=labels,
+            )
+        assert np.array_equal(labels, tiles.ravel())  # nothing written
 
 
 class TestMergeSmallIdentity:

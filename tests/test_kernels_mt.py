@@ -19,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.color import rgb_to_lab
@@ -48,6 +48,12 @@ from repro.kernels import (
 from repro.kernels import native_mt
 from repro.kernels.native_mt import resolve_threads, thread_context
 
+from .kernel_cases import (
+    PPA_SUBSET_KINDS,
+    assert_ppa_matches_reference,
+    ppa_subset,
+)
+
 pytestmark = pytest.mark.skipif(
     "native-mt" not in available_backends(),
     reason="no C compiler in environment",
@@ -75,6 +81,15 @@ def _setup(seed, k, m, fixed=False, h=H, w=W):
     dp = FixedDatapath(bits=8) if fixed else None
     codes = dp.encode_image(lab) if fixed else None
     return lab, centers, tiles, cands, s, weight, dp, codes
+
+
+def _at(nt):
+    """``native_mt.ppa_assign`` pinned to ``nt`` threads."""
+
+    def ppa_assign(*args, **kwargs):
+        return native_mt.ppa_assign(*args, n_threads=nt, **kwargs)
+
+    return ppa_assign
 
 
 def _cpa_buffers(h, w):
@@ -135,33 +150,35 @@ class TestCpaDifferential:
 
 @pytest.mark.parametrize("nt", THREADS)
 class TestPpaDifferential:
+    """The fused pass at every width: chosen labels, the in-place label
+    map and the sigma partials equal the reference."""
+
     @settings(max_examples=5, deadline=None)
     @given(seed=st.integers(0, 10_000), k=st.integers(8, 40),
-           m=st.floats(1.0, 40.0), stride=st.sampled_from([1, 2, 5]))
-    def test_float64(self, nt, seed, k, m, stride):
+           m=st.floats(1.0, 40.0), stride=st.sampled_from([1, 2, 5]),
+           kind=st.sampled_from(PPA_SUBSET_KINDS))
+    def test_float64(self, nt, seed, k, m, stride, kind):
         lab, centers, tiles, cands, s, weight, _, _ = _setup(seed, k, m)
         pixels = PixelArrays(lab, tiles)
-        idx = np.arange(pixels.n_pixels)[::stride]
-        ref = reference.ppa_assign(pixels, idx, cands, centers, weight)
-        got = native_mt.ppa_assign(
-            pixels, idx, cands, centers, weight, n_threads=nt
+        idx = ppa_subset(kind, H, W, stride, seed)
+        assert_ppa_matches_reference(
+            _at(nt), pixels, idx, cands, centers, weight
         )
-        assert np.array_equal(ref, got)
 
     @settings(max_examples=4, deadline=None)
-    @given(seed=st.integers(0, 10_000), k=st.integers(8, 32))
-    def test_fixed_datapath(self, nt, seed, k):
+    @given(seed=st.integers(0, 10_000), k=st.integers(8, 32),
+           kind=st.sampled_from(PPA_SUBSET_KINDS))
+    @example(seed=0, k=16, kind="strided")  # one subset: the whole frame
+    def test_fixed_datapath(self, nt, seed, k, kind):
         lab, centers, tiles, cands, s, weight, dp, codes = _setup(
             seed, k, 10.0, fixed=True
         )
         pixels = PixelArrays(lab, tiles, datapath=dp, codes=codes)
-        idx = np.arange(pixels.n_pixels)
-        kw = dict(compactness=10.0, grid_s=s)
-        ref = reference.ppa_assign(pixels, idx, cands, centers, weight, **kw)
-        got = native_mt.ppa_assign(
-            pixels, idx, cands, centers, weight, n_threads=nt, **kw
+        idx = ppa_subset(kind, H, W, 1 + seed % 3, seed)
+        assert_ppa_matches_reference(
+            _at(nt), pixels, idx, cands, centers, weight,
+            compactness=10.0, grid_s=s,
         )
-        assert np.array_equal(ref, got)
 
     def test_subset_smaller_than_thread_count(self, nt):
         """Fewer pixels than threads: trailing chunks must be empty,
@@ -170,11 +187,27 @@ class TestPpaDifferential:
         pixels = PixelArrays(lab, tiles)
         for n in (0, 1, 3):
             idx = np.arange(pixels.n_pixels)[:n]
-            ref = reference.ppa_assign(pixels, idx, cands, centers, weight)
-            got = native_mt.ppa_assign(
-                pixels, idx, cands, centers, weight, n_threads=nt
+            assert_ppa_matches_reference(
+                _at(nt), pixels, idx, cands, centers, weight
             )
-            assert np.array_equal(ref, got)
+
+    @pytest.mark.parametrize("h,w,k", [(1, 40, 4), (40, 1, 4), (9, 11, 1)])
+    @pytest.mark.parametrize("fixed", [False, True])
+    def test_degenerate_frames(self, nt, h, w, k, fixed):
+        """1xN and Nx1 frames, a single cluster, and the empty subset."""
+        lab, centers, tiles, cands, s, weight, dp, codes = _setup(
+            h * w + k, k, 10.0, fixed=fixed, h=h, w=w
+        )
+        pixels = PixelArrays(lab, tiles, datapath=dp, codes=codes)
+        kw = dict(compactness=10.0, grid_s=s) if fixed else {}
+        for idx in (
+            np.arange(h * w, dtype=np.int64),
+            ppa_subset("unsorted-dup", h, w, 2, k),
+            np.array([], dtype=np.int64),
+        ):
+            assert_ppa_matches_reference(
+                _at(nt), pixels, idx, cands, centers, weight, **kw
+            )
 
 
 @pytest.mark.parametrize("nt", THREADS)
