@@ -19,6 +19,11 @@ operating point scaled to one sweep):
    On smaller machines the numbers are still recorded (with the thread
    count used) but the gate is reported as skipped — a 1-core container
    cannot exhibit the parallel speedup.
+
+Every row records ``ppa_lanes``: 8 when the compiled library runs the
+PPA pass's AVX-512 lane bodies on this CPU, 1 for its scalar loops, and
+``None`` for the numpy backends — so a PPA number recorded on one host
+can be explained on another.
 """
 
 import contextlib
@@ -84,9 +89,12 @@ def test_kernel_backends(setup, emit, bench_scale):
     # 4 threads when the cores exist, 2 on smaller machines so the pool
     # and stitch paths still execute (identity is checked regardless).
     mt_threads = min(cores, 4) if cores > 1 else 2
+    lanes = None
     if "native-mt" in backends:
+        from repro.kernels.native import ppa_lanes
         from repro.kernels.native_mt import thread_context
 
+        lanes = ppa_lanes()
         pin = thread_context(mt_threads)
     else:
         pin = contextlib.nullcontext()
@@ -137,15 +145,19 @@ def test_kernel_backends(setup, emit, bench_scale):
         ppa_t = {b: _best_of(lambda b=b: ppa_run(b), repeats) for b in backends}
 
     rows, records = [], []
-    header = f"{'backend':<12}{'CPA ms':>10}{'x':>7}{'PPA ms':>10}{'x':>7}"
+    header = (
+        f"{'backend':<12}{'CPA ms':>10}{'x':>7}{'PPA ms':>10}{'x':>7}"
+        f"{'lanes':>7}"
+    )
     rows.append(header)
     rows.append("-" * len(header))
     for b in backends:
         cx = cpa_t["reference"] / cpa_t[b]
         px = ppa_t["reference"] / ppa_t[b]
+        b_lanes = lanes if b == "native-mt" else None
         rows.append(
             f"{b:<12}{cpa_t[b] * 1e3:>10.2f}{cx:>7.2f}"
-            f"{ppa_t[b] * 1e3:>10.2f}{px:>7.2f}"
+            f"{ppa_t[b] * 1e3:>10.2f}{px:>7.2f}{b_lanes or '-':>7}"
         )
         record = {
             "backend": b,
@@ -153,6 +165,7 @@ def test_kernel_backends(setup, emit, bench_scale):
             "cpa_speedup": cx,
             "ppa_ms": ppa_t[b] * 1e3,
             "ppa_speedup": px,
+            "ppa_lanes": b_lanes,
             "bit_identical": True,
         }
         if b == "native-mt":
@@ -200,6 +213,7 @@ def test_kernel_backends(setup, emit, bench_scale):
                 "n_threads": mt_threads,
                 "cores": cores,
                 "eligible": mt_gate_eligible,
+                "ppa_lanes": lanes,
             }
         )
     emit("kernels", "\n".join(rows), records=records)

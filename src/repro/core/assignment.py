@@ -144,7 +144,9 @@ def check_ppa_args(pixels, subset_idx, candidates, centers, labels_out=None):
     indices must lie in ``[0, H*W)``, candidates in ``[0, K)``, the tile
     map in ``[0, T)`` for ``T`` candidate rows, and ``labels_out``, when
     given, must be a C-contiguous int32 map of ``H*W`` entries (it is
-    written in place).
+    written in place). Centers must be finite: a NaN distance is the
+    first minimum for ``np.argmin`` but never wins a strict ``<``, so the
+    backends would disagree on it.
 
     Returns ``(subset, candidates, labels_flat)``: the subset as a
     contiguous int64 vector, the (T, 9) candidates as contiguous int32,
@@ -156,6 +158,8 @@ def check_ppa_args(pixels, subset_idx, candidates, centers, labels_out=None):
         raise ConfigurationError(
             f"centers must be (K, 5), got shape {centers.shape}"
         )
+    if not np.isfinite(centers).all():
+        raise ConfigurationError("centers must be finite (NaN or inf found)")
     subset = check_index_range(subset_idx, n_pixels, "subset indices")
     if subset.ndim != 1:
         raise ConfigurationError(

@@ -125,14 +125,16 @@ def run_segmentation(
         # name-string dispatch site (color conversion, connectivity,
         # metrics) resolves through it, and it is context-local, so
         # concurrent engines in one process keep their own settings.
+        from ..kernels.native import ppa_lanes
         from ..kernels.native_mt import resolve_threads, thread_context
 
         n_threads = resolve_threads(params.n_threads)
+        lanes = ppa_lanes()
         thread_ctx = thread_context(n_threads)
     else:
         import contextlib
 
-        n_threads = None
+        n_threads = lanes = None
         thread_ctx = contextlib.nullcontext()
     with thread_ctx, tracer.span(
         "segmentation",
@@ -143,6 +145,7 @@ def run_segmentation(
         width=image.shape[1],
         kernel_backend=kernel_name,
         n_threads=n_threads,
+        ppa_lanes=lanes,
     ) as root:
         result = _run_instrumented(
             image, params, warm_centers, warm_labels, tracer, timer,
@@ -204,6 +207,10 @@ def _run_instrumented(
                     f"warm_centers must be ({n_clusters}, 5) — the "
                     f"grid-realized cluster count for this image/K (see "
                     f"expected_cluster_count) — got {warm_centers.shape}"
+                )
+            if not np.isfinite(warm_centers).all():
+                raise ConfigurationError(
+                    "warm_centers must be finite (NaN or inf found)"
                 )
             centers = warm_centers.copy()
         else:

@@ -15,7 +15,12 @@
  * contraction into FMA is disabled and the summation orders below mirror
  * numpy's add.reduce over the last axis ((x0 + x1) + x2). That is what
  * makes the native labels bit-identical to repro.core.assignment — the
- * property tests and benchmarks/bench_kernels.py assert it.
+ * property tests and benchmarks/bench_kernels.py assert it. The library
+ * targets the baseline ISA, except for the two lane-parallel bodies of
+ * the PPA pass: they carry a per-function AVX-512 target attribute and
+ * run only when the CPU has AVX-512 (picked once, at library load; see
+ * the PPA section). -ffp-contract=off holds lane-wise there too, so each
+ * lane performs the scalar loop's IEEE operations in the scalar order.
  *
  * Integer (FixedDatapath) variants take the code-domain image/centers and
  * replicate the shift/saturate pipeline of FixedDatapath.pairwise_d2 and
@@ -44,6 +49,19 @@
 #include <pthread.h>
 #include <stdint.h>
 #include <stdlib.h>
+
+/* The PPA lane bodies need x86-64-v4 (AVX-512 F/BW/CD/DQ/VL) and a gcc or
+ * clang that takes per-function target attributes. Elsewhere, and when
+ * built with -DPPA_SCALAR_ONLY (the scalar-path seam test), only the
+ * scalar loops exist.                                                  */
+#if !defined(PPA_SCALAR_ONLY) && defined(__x86_64__) &&                 \
+    ((defined(__clang__) && __clang_major__ >= 7) ||                    \
+     (!defined(__clang__) && defined(__GNUC__) && __GNUC__ >= 7))
+#define PPA_LANES 1
+#include <immintrin.h>
+#define PPA_LANES_TARGET                                                \
+    __attribute__((target("avx512f,avx512bw,avx512cd,avx512dq,avx512vl")))
+#endif
 
 /* ------------------------------------------------------------------ */
 /* A tiny persistent pthread pool. mt_run(fn, ctx, n) runs              */
@@ -1020,7 +1038,10 @@ void sigma_acc_codes_mt(
  * sigma registers. x/y come from the flat index (x = i % w, y = i / w)
  * and the tile from the frame's int32 tile map, so no per-pixel
  * coordinate array crosses the ctypes boundary. A duplicated subset
- * index is written by both of its entries with the same value.
+ * index is written by both of its entries with the same value. Each
+ * range runs the scalar loops below or, on CPUs with AVX-512, the lane
+ * bodies, which evaluate up to 8 same-tile entries at once with the
+ * same per-entry results (see ppa_pick).
  *
  * Bit-identity of the partials: every register must receive its
  * contributions in ascending entry order, starting from zero — the
@@ -1156,8 +1177,8 @@ typedef struct {
     int64_t *pcounts;
 } ppa_ctx;
 
-static void ppa_range(const ppa_ctx *c, int64_t j0, int64_t j1,
-                      double *sums, int64_t *counts)
+static void ppa_scalar(const ppa_ctx *c, int64_t j0, int64_t j1,
+                       double *sums, int64_t *counts)
 {
     if (c->lab_flat)
         ppa_f64_range(c->lab_flat, c->tiles, c->subset, j0, j1, c->w,
@@ -1169,6 +1190,211 @@ static void ppa_range(const ppa_ctx *c, int64_t j0, int64_t j1,
                         c->sf, c->quantize, c->dshift, c->dmax, c->l_scale,
                         c->ab_scale, c->ab_offset, c->chosen, c->labels,
                         sums, counts);
+}
+
+/* Set once, at library load: nonzero when the CPU runs the lane bodies. */
+static int ppa_use_lanes = 0;
+
+/* The body ppa_range runs: 8 (the lane bodies) or 1 (the scalar loops). */
+int64_t ppa_lanes(void)
+{
+    return ppa_use_lanes ? 8 : 1;
+}
+
+#ifdef PPA_LANES
+/* The lane bodies (ppa_f64_lanes, ppa_fixed_lanes) evaluate runs of up
+ * to 8 consecutive entries whose pixels share a tile at once, one entry
+ * per 64-bit lane, against the tile's 9 broadcast candidates. Each lane
+ * performs the scalar loop's operations in the scalar order, as
+ * separately rounded vector operations, and keeps the first strict
+ * minimum by a masked blend — ties stay with the lower slot, a NaN never
+ * wins — so every lane's choice equals the scalar loop's. chosen, the
+ * label and the sigma update are then written per entry in entry order
+ * through the same sigma_add_* helpers. ppa_pick chooses them over the
+ * scalar loops once, at library load, when the CPU has AVX-512
+ * F/BW/CD/DQ/VL (the runtime's check includes OS support for the
+ * AVX-512 register state).                                             */
+__attribute__((constructor)) static void ppa_pick(void)
+{
+    __builtin_cpu_init();
+    ppa_use_lanes = __builtin_cpu_supports("avx512f")
+                    && __builtin_cpu_supports("avx512bw")
+                    && __builtin_cpu_supports("avx512cd")
+                    && __builtin_cpu_supports("avx512dq")
+                    && __builtin_cpu_supports("avx512vl");
+}
+
+/* Length of the run of entries from j on (at most 8, within j1) whose
+ * pixels share the tile of entry j.                                    */
+static inline int64_t ppa_run_len(const ppa_ctx *c, int64_t j, int64_t j1)
+{
+    int32_t t = c->tiles[c->subset[j]];
+    int64_t n = 1;
+    while (n < 8 && j + n < j1 && c->tiles[c->subset[j + n]] == t) n++;
+    return n;
+}
+
+/* Runs of one take the scalar loop: the stretch of them from j on runs
+ * in one call, with the vector registers' upper halves cleared first —
+ * the scalar loop is baseline SSE code, which stalls on dirty AVX-512
+ * state. Returns the stretch length.                                   */
+PPA_LANES_TARGET static int64_t ppa_scalar_stretch(
+    const ppa_ctx *c, int64_t j, int64_t j1, double *sums, int64_t *counts)
+{
+    int64_t e = j + 1;
+    while (e < j1 && ppa_run_len(c, e, j1) == 1) e++;
+    _mm256_zeroupper();
+    ppa_scalar(c, j, e, sums, counts);
+    return e - j;
+}
+
+PPA_LANES_TARGET static void ppa_f64_lanes(
+    const ppa_ctx *c, int64_t j0, int64_t j1, double *sums, int64_t *counts)
+{
+    const double *lab_flat = c->lab_flat;
+    const int64_t *subset = c->subset;
+    int64_t w = c->w;
+    const __m512d weight = _mm512_set1_pd(c->weight);
+    int64_t n;
+    for (int64_t j = j0; j < j1; j += n) {
+        n = ppa_run_len(c, j, j1);
+        if (n == 1) {
+            n = ppa_scalar_stretch(c, j, j1, sums, counts);
+            continue;
+        }
+        /* Lane l holds entry j + l; lanes past the run compute on zeros
+         * and are never written back.                                   */
+        double pl[8] = {0}, pa[8] = {0}, pb[8] = {0}, px[8] = {0},
+               py[8] = {0};
+        for (int64_t l = 0; l < n; l++) {
+            int64_t i = subset[j + l];
+            const double *p = lab_flat + 3 * i;
+            pl[l] = p[0];
+            pa[l] = p[1];
+            pb[l] = p[2];
+            px[l] = (double)(i % w);
+            py[l] = (double)(i / w);
+        }
+        __m512d vl = _mm512_loadu_pd(pl), va = _mm512_loadu_pd(pa);
+        __m512d vb = _mm512_loadu_pd(pb), vx = _mm512_loadu_pd(px);
+        __m512d vy = _mm512_loadu_pd(py);
+        const int32_t *cnd = c->cands + 9 * (int64_t)c->tiles[subset[j]];
+        __m512d best = _mm512_set1_pd(INFINITY);
+        __m256i bk = _mm256_set1_epi32(cnd[0]);
+        for (int s = 0; s < 9; s++) {
+            const double *cc = c->centers + 5 * cnd[s];
+            __m512d dl = _mm512_sub_pd(vl, _mm512_set1_pd(cc[0]));
+            __m512d da = _mm512_sub_pd(va, _mm512_set1_pd(cc[1]));
+            __m512d db = _mm512_sub_pd(vb, _mm512_set1_pd(cc[2]));
+            __m512d dc2 = _mm512_add_pd(
+                _mm512_add_pd(_mm512_mul_pd(dl, dl), _mm512_mul_pd(da, da)),
+                _mm512_mul_pd(db, db));
+            __m512d dx = _mm512_sub_pd(vx, _mm512_set1_pd(cc[3]));
+            __m512d dy = _mm512_sub_pd(vy, _mm512_set1_pd(cc[4]));
+            __m512d d2 = _mm512_add_pd(
+                dc2, _mm512_mul_pd(weight, _mm512_add_pd(
+                         _mm512_mul_pd(dx, dx), _mm512_mul_pd(dy, dy))));
+            __mmask8 lt = _mm512_cmp_pd_mask(d2, best, _CMP_LT_OQ);
+            best = _mm512_mask_mov_pd(best, lt, d2);
+            bk = _mm256_mask_mov_epi32(bk, lt, _mm256_set1_epi32(cnd[s]));
+        }
+        int32_t k[8];
+        _mm256_storeu_si256((__m256i *)k, bk);
+        for (int64_t l = 0; l < n; l++) {
+            int64_t i = subset[j + l];
+            c->chosen[j + l] = k[l];
+            if (c->labels) c->labels[i] = k[l];
+            sigma_add_f64(lab_flat, i, k[l], w, sums, counts);
+        }
+    }
+}
+
+PPA_LANES_TARGET static void ppa_fixed_lanes(
+    const ppa_ctx *c, int64_t j0, int64_t j1, double *sums, int64_t *counts)
+{
+    const int64_t *codes_flat = c->codes_flat;
+    const int64_t *subset = c->subset;
+    int64_t w = c->w, sf = c->sf, quantize = c->quantize;
+    const __m128i sh_s = _mm_cvtsi64_si128(2 * sf);
+    const __m128i sh_w = _mm_cvtsi64_si128(c->wfrac);
+    const __m128i sh_d = _mm_cvtsi64_si128(c->dshift);
+    const __m512i weight_raw = _mm512_set1_epi64(c->weight_raw);
+    const __m512i dmax = _mm512_set1_epi64(c->dmax);
+    int64_t n;
+    for (int64_t j = j0; j < j1; j += n) {
+        n = ppa_run_len(c, j, j1);
+        if (n == 1) {
+            n = ppa_scalar_stretch(c, j, j1, sums, counts);
+            continue;
+        }
+        int64_t pl[8] = {0}, pa[8] = {0}, pb[8] = {0}, xr[8] = {0},
+                yr[8] = {0};
+        for (int64_t l = 0; l < n; l++) {
+            int64_t i = subset[j + l];
+            const int64_t *p = codes_flat + 3 * i;
+            pl[l] = p[0];
+            pa[l] = p[1];
+            pb[l] = p[2];
+            xr[l] = (i % w) << sf;
+            yr[l] = (i / w) << sf;
+        }
+        __m512i vl = _mm512_loadu_si512(pl), va = _mm512_loadu_si512(pa);
+        __m512i vb = _mm512_loadu_si512(pb), vx = _mm512_loadu_si512(xr);
+        __m512i vy = _mm512_loadu_si512(yr);
+        const int32_t *cnd = c->cands + 9 * (int64_t)c->tiles[subset[j]];
+        __m512i best = _mm512_set1_epi64(INT64_MAX);
+        __m256i bk = _mm256_set1_epi32(cnd[0]);
+        for (int s = 0; s < 9; s++) {
+            const int64_t *cc = c->c_codes + 5 * cnd[s];
+            __m512i dl = _mm512_sub_epi64(vl, _mm512_set1_epi64(cc[0]));
+            __m512i da = _mm512_sub_epi64(va, _mm512_set1_epi64(cc[1]));
+            __m512i db = _mm512_sub_epi64(vb, _mm512_set1_epi64(cc[2]));
+            __m512i dc2 = _mm512_add_epi64(
+                _mm512_add_epi64(_mm512_mullo_epi64(dl, dl),
+                                 _mm512_mullo_epi64(da, da)),
+                _mm512_mullo_epi64(db, db));
+            __m512i dx = _mm512_sub_epi64(vx, _mm512_set1_epi64(cc[3]));
+            __m512i dy = _mm512_sub_epi64(vy, _mm512_set1_epi64(cc[4]));
+            __m512i ds2 = _mm512_sra_epi64(
+                _mm512_add_epi64(_mm512_mullo_epi64(dx, dx),
+                                 _mm512_mullo_epi64(dy, dy)), sh_s);
+            __m512i d2 = _mm512_add_epi64(
+                dc2, _mm512_sra_epi64(_mm512_mullo_epi64(weight_raw, ds2),
+                                      sh_w));
+            if (quantize)
+                d2 = _mm512_min_epi64(_mm512_sra_epi64(d2, sh_d), dmax);
+            __mmask8 lt = _mm512_cmplt_epi64_mask(d2, best);
+            best = _mm512_mask_mov_epi64(best, lt, d2);
+            bk = _mm256_mask_mov_epi32(bk, lt, _mm256_set1_epi32(cnd[s]));
+        }
+        int32_t k[8];
+        _mm256_storeu_si256((__m256i *)k, bk);
+        for (int64_t l = 0; l < n; l++) {
+            int64_t i = subset[j + l];
+            c->chosen[j + l] = k[l];
+            if (c->labels) c->labels[i] = k[l];
+            sigma_add_codes(codes_flat, i, k[l], w, c->l_scale, c->ab_scale,
+                            c->ab_offset, sums, counts);
+        }
+    }
+}
+#endif
+
+/* The pass over entries [j0, j1) into the given registers, by the body
+ * picked at load.                                                      */
+static void ppa_range(const ppa_ctx *c, int64_t j0, int64_t j1,
+                      double *sums, int64_t *counts)
+{
+#ifdef PPA_LANES
+    if (ppa_use_lanes) {
+        if (c->lab_flat)
+            ppa_f64_lanes(c, j0, j1, sums, counts);
+        else
+            ppa_fixed_lanes(c, j0, j1, sums, counts);
+        return;
+    }
+#endif
+    ppa_scalar(c, j0, j1, sums, counts);
 }
 
 static void ppa_chunk(void *vctx, int64_t tid, int64_t width)

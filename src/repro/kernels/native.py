@@ -16,7 +16,10 @@ falls back to the pure-numpy ``vectorized`` backend.
 The ``native-mt`` backend (:mod:`repro.kernels.native_mt`) wraps the
 data-parallel entries. The kernels that have no threaded form live
 here: :func:`merge_small`, :func:`chamfer_distance`, and the
-incremental-connectivity helper :func:`resolve_runs`.
+incremental-connectivity helper :func:`resolve_runs`. So does
+:func:`ppa_lanes`, which reports the body of the fused PPA pass the
+library picked for this CPU at load: the AVX-512 lane bodies (8) or
+the scalar loops (1).
 
 Bit-identity with the reference implementations is a hard contract —
 see the header comment in ``_native.c`` for the compile flags that
@@ -26,6 +29,7 @@ guarantee it (``-ffp-contract=off``, no ``-ffast-math``).
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import shutil
@@ -41,6 +45,7 @@ from ..metrics.boundaries import chamfer_finalize, chamfer_init
 __all__ = [
     "is_available",
     "load",
+    "ppa_lanes",
     "resolve_runs",
     "merge_small",
     "chamfer_distance",
@@ -186,6 +191,7 @@ def _declare(lib) -> None:
             i64, i64, i64, i64, ll, i64, ll, ll, i64, i64, i64,
         ]),
         "chamfer_i64": (None, [i64, ll, ll]),
+        "ppa_lanes": (ll, []),
     }
     for name, (restype, argtypes) in signatures.items():
         fn = getattr(lib, name)
@@ -221,6 +227,18 @@ def is_available() -> bool:
         return True
     except ConfigurationError:
         return False
+
+
+@functools.cache
+def ppa_lanes() -> int:
+    """Entries the fused PPA pass evaluates at once on this CPU: 8 or 1.
+
+    8 when the library was built with the AVX-512 lane bodies and the
+    CPU has AVX-512 F/BW/CD/DQ/VL, else 1 (the scalar loops). The
+    library decides once, at load; raises like :func:`load` when the
+    library is unavailable.
+    """
+    return int(load().ppa_lanes())
 
 
 # ----------------------------------------------------------------------

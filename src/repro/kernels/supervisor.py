@@ -101,7 +101,8 @@ def self_test(name: str) -> None:
     histogram/chamfer) on tiny fixed inputs and
     compares against the reference loops, raising
     :class:`ConfigurationError` with the mismatch detail on any
-    difference. Cheap (a 6 x 9 image and a handful of components) —
+    difference. Cheap (a 6 x 9 image, extended by a 3-row strip that
+    fills the PPA pass's 8 lanes, and a handful of components) —
     intended to run once per process. The ``native-mt`` vector runs the
     whole battery pinned to 2 threads (so the pool and the stitch are
     genuinely exercised), plus one-thread and odd 3-thread passes of the
@@ -222,29 +223,55 @@ def self_test(name: str) -> None:
         check("sigma_accumulate.counts@3t", odd_counts, want_counts)
 
     # Fused PPA pass, float and 8-bit datapaths: the chosen labels, the
-    # sigma partials and the label map written in place. Six clusters
-    # on a 2x3 tile grid, colored one pixel right of their position so
-    # a quarter of the subset (every other pixel) leaves its own tile.
+    # sigma partials and the label map written in place. Rows 0-5: six
+    # clusters on a 2x3 tile grid, colored one pixel right of their
+    # position so a quarter of the subset (every other pixel) leaves its
+    # own tile. Rows 6-8: a strip in a seventh tile, whose 19 consecutive
+    # subset entries fill two 8-lane runs plus a tail. Its candidate
+    # slots 2 and 6 hold the same center, nearest to all but three strip
+    # pixels, so an exact tie must go to the lower slot in every lane
+    # position.
     from ..core.assignment import PixelArrays
     from ..core.distance import FixedDatapath
     from ..core.neighbors import candidate_map, tile_map
 
-    ppa_tiles = tile_map((h, w), 2, 3)
-    ppa_cands = candidate_map(2, 3)
+    strip_k = np.arange(3.0 * w)
+    strip = np.where(
+        np.isin(strip_k, [1, 13, 17])[:, None],
+        [70.0, -20.0, 30.0], [40.0, 10.0, -5.0],
+    ) + (strip_k / 8.0)[:, None]
+    ppa_lab = np.concatenate([lab, strip.reshape(3, w, 3)])
+    ppa_tiles = np.concatenate(
+        [tile_map((h, w), 2, 3), np.full((3, w), 6, dtype=np.int32)]
+    )
+    ppa_cands = np.concatenate(
+        [candidate_map(2, 3), np.arange(6, 15, dtype=np.int32)[None]]
+    )
     cy = np.repeat([1.0, 4.0], 3)
     cx = np.tile([1.0, 4.0, 7.0], 2)
-    ppa_centers = np.column_stack([
-        lab[cy.astype(int), cx.astype(int) + 1] + [2.0, -1.0, 0.5],
-        cx + 0.3,
-        cy - 0.2,
+    strip_centers = np.column_stack([
+        40.0 + 12.0 * np.arange(9.0), np.zeros(9), np.zeros(9),
+        np.full(9, 4.0), np.full(9, h + 1.0),
     ])
-    ppa_subset = np.arange(1, h * w, 2, dtype=np.int64)
+    strip_centers[[2, 6], :3] = [41.0, 10.5, -4.0]
+    strip_centers[4, :3] = [71.0, -19.5, 31.0]
+    ppa_centers = np.concatenate([
+        np.column_stack([
+            lab[cy.astype(int), cx.astype(int) + 1] + [2.0, -1.0, 0.5],
+            cx + 0.3,
+            cy - 0.2,
+        ]),
+        strip_centers,
+    ])
+    ppa_subset = np.concatenate(
+        [np.arange(1, h * w, 2), np.arange(h * w, h * w + 19)]
+    )
     dp = FixedDatapath(bits=8)
     ppa_cases = {
-        "ppa_assign": (PixelArrays(lab, ppa_tiles), {}),
+        "ppa_assign": (PixelArrays(ppa_lab, ppa_tiles), {}),
         "ppa_assign.fixed": (
-            PixelArrays(lab, ppa_tiles, datapath=dp,
-                        codes=dp.encode_image(lab)),
+            PixelArrays(ppa_lab, ppa_tiles, datapath=dp,
+                        codes=dp.encode_image(ppa_lab)),
             {"compactness": 10.0, "grid_s": grid_s},
         ),
     }

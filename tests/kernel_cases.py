@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from repro.core.params import SUBSET_STRATEGIES
 from repro.core.subsampling import SubsetSchedule
@@ -10,6 +11,31 @@ from repro.kernels import available_backends, reference
 #: Subsets the fused ``ppa_assign`` is checked on: one phase of every
 #: schedule strategy, plus an unsorted subset with a duplicated index.
 PPA_SUBSET_KINDS = SUBSET_STRATEGIES + ("unsorted-dup",)
+
+
+def ppa_cluster_counts(lo, hi):
+    """Cluster counts for a PPA draw: ``[lo, hi]``, or a coarse grid.
+
+    The coarse grid (K <= 4) gives same-tile runs of consecutive subset
+    entries up to 26-32 long on the suites' frames, so the compiled
+    pass's 8-lane groups fill twice over and leave a tail.
+    """
+    return st.integers(lo, hi) | st.integers(1, 4)
+
+
+def tie_centers(centers, cands):
+    """Copy one center onto another candidate cluster of the middle tile.
+
+    Pixels nearest the copied center then see an exact distance tie,
+    which every backend must give to the lower candidate slot. Returns
+    ``centers`` unchanged when the tile has a single distinct candidate.
+    """
+    distinct = np.unique(cands[len(cands) // 2])
+    if len(distinct) < 2:
+        return centers
+    centers = centers.copy()
+    centers[distinct[-1]] = centers[distinct[0]]
+    return centers
 
 
 def kernel_cases(names=None):

@@ -181,6 +181,16 @@ class TestWarmStart:
             sslic(small_scene.image, n_superpixels=24,
                   warm_centers=np.zeros((3, 5)))
 
+    def test_warm_centers_finite_validated(self, small_scene):
+        """A NaN warm center is rejected before any kernel, on CPA and
+        PPA alike: backends would otherwise disagree on NaN distances."""
+        first = sslic(small_scene.image, n_superpixels=24, max_iterations=1)
+        bad = first.centers.copy()
+        bad[2, 0] = np.nan
+        for run in (slic, sslic):
+            with pytest.raises(ConfigurationError, match="finite"):
+                run(small_scene.image, n_superpixels=24, warm_centers=bad)
+
     def test_warm_labels_range_validated(self, small_scene):
         bad = np.full(small_scene.image.shape[:2], 9999, dtype=np.int32)
         with pytest.raises(ConfigurationError):

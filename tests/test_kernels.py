@@ -41,7 +41,9 @@ from .kernel_cases import (
     PPA_SUBSET_KINDS,
     assert_ppa_matches_reference,
     kernel_cases,
+    ppa_cluster_counts,
     ppa_subset,
+    tie_centers,
 )
 
 H, W = 48, 64
@@ -213,19 +215,24 @@ class TestPpaIdentity:
     @settings(max_examples=8, deadline=None)
     @given(
         seed=st.integers(0, 10_000),
-        k=st.integers(8, 48),
+        k=ppa_cluster_counts(8, 48),
         m=st.floats(1.0, 40.0),
         n_subsets=st.sampled_from([1, 2, 4]),
         kind=st.sampled_from(PPA_SUBSET_KINDS),
         dynamic=st.booleans(),
+        ties=st.booleans(),
     )
+    @example(seed=1, k=3, m=10.0, n_subsets=1, kind="rows", dynamic=False,
+             ties=True)  # 32-entry same-tile runs, tied centers
     def test_float64_bit_identical(
-        self, backend, seed, k, m, n_subsets, kind, dynamic
+        self, backend, seed, k, m, n_subsets, kind, dynamic, ties
     ):
         lab, centers, tiles, cands, s, weight, _, _ = _setup(seed, k, m)
         if dynamic:  # candidates recomputed from the moved centers
             gh, gw, _, _ = grid_geometry((H, W), k)
             cands = dynamic_candidate_map(centers, gh, gw, (H, W))
+        if ties:
+            centers = tie_centers(centers, cands)
         pixels = PixelArrays(lab, tiles)
         idx = ppa_subset(kind, H, W, n_subsets, seed)
         assert_ppa_matches_reference(
@@ -236,17 +243,22 @@ class TestPpaIdentity:
     @settings(max_examples=6, deadline=None)
     @given(
         seed=st.integers(0, 10_000),
-        k=st.integers(8, 32),
+        k=ppa_cluster_counts(8, 32),
         n_subsets=st.sampled_from([1, 2, 4]),
         kind=st.sampled_from(PPA_SUBSET_KINDS),
+        ties=st.booleans(),
     )
-    @example(seed=0, k=16, n_subsets=1, kind="strided")  # the whole frame
+    @example(seed=0, k=16, n_subsets=1, kind="strided",
+             ties=False)  # the whole frame
+    @example(seed=1, k=3, n_subsets=1, kind="rows", ties=True)
     def test_fixed_datapath_bit_identical(
-        self, backend, seed, k, n_subsets, kind
+        self, backend, seed, k, n_subsets, kind, ties
     ):
         lab, centers, tiles, cands, s, weight, dp, codes = _setup(
             seed, k, 10.0, fixed=True
         )
+        if ties:
+            centers = tie_centers(centers, cands)
         pixels = PixelArrays(lab, tiles, datapath=dp, codes=codes)
         idx = ppa_subset(kind, H, W, n_subsets, seed)
         assert_ppa_matches_reference(
@@ -620,7 +632,7 @@ class TestIndexValidation:
     @pytest.mark.parametrize("backend", kernel_cases())
     @pytest.mark.parametrize(
         "case", ["candidate-7", "negative-candidate", "subset-past-end",
-                 "negative-subset"],
+                 "negative-subset", "nan-center"],
     )
     def test_ppa_assign(self, backend, case):
         lab, centers, tiles, cands = self._frame()
@@ -633,8 +645,11 @@ class TestIndexValidation:
             cands[-1, 0] = -1
         elif case == "subset-past-end":
             subset[-1] = h * w
-        else:
+        elif case == "negative-subset":
             subset[0] = -1
+        else:  # np.argmin picks a NaN distance, a strict < never does
+            centers = centers.copy()
+            centers[2, 0] = np.nan
         labels = tiles.ravel().astype(np.int32)
         with pytest.raises(ConfigurationError):
             get_backend(backend).ppa_assign(

@@ -12,7 +12,9 @@ one-thread calls from concurrent callers overlap, and that the
 supervisor's first-dispatch memo is race-free.
 """
 
+import ctypes
 import os
+import subprocess
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -45,13 +47,15 @@ from repro.kernels import (
     supervisor,
     usable_cores,
 )
-from repro.kernels import native_mt
+from repro.kernels import native, native_mt
 from repro.kernels.native_mt import resolve_threads, thread_context
 
 from .kernel_cases import (
     PPA_SUBSET_KINDS,
     assert_ppa_matches_reference,
+    ppa_cluster_counts,
     ppa_subset,
+    tie_centers,
 )
 
 pytestmark = pytest.mark.skipif(
@@ -154,11 +158,14 @@ class TestPpaDifferential:
     map and the sigma partials equal the reference."""
 
     @settings(max_examples=5, deadline=None)
-    @given(seed=st.integers(0, 10_000), k=st.integers(8, 40),
+    @given(seed=st.integers(0, 10_000), k=ppa_cluster_counts(8, 40),
            m=st.floats(1.0, 40.0), stride=st.sampled_from([1, 2, 5]),
-           kind=st.sampled_from(PPA_SUBSET_KINDS))
-    def test_float64(self, nt, seed, k, m, stride, kind):
+           kind=st.sampled_from(PPA_SUBSET_KINDS), ties=st.booleans())
+    @example(seed=2, k=2, m=10.0, stride=1, kind="blocks", ties=True)
+    def test_float64(self, nt, seed, k, m, stride, kind, ties):
         lab, centers, tiles, cands, s, weight, _, _ = _setup(seed, k, m)
+        if ties:
+            centers = tie_centers(centers, cands)
         pixels = PixelArrays(lab, tiles)
         idx = ppa_subset(kind, H, W, stride, seed)
         assert_ppa_matches_reference(
@@ -166,13 +173,17 @@ class TestPpaDifferential:
         )
 
     @settings(max_examples=4, deadline=None)
-    @given(seed=st.integers(0, 10_000), k=st.integers(8, 32),
-           kind=st.sampled_from(PPA_SUBSET_KINDS))
-    @example(seed=0, k=16, kind="strided")  # one subset: the whole frame
-    def test_fixed_datapath(self, nt, seed, k, kind):
+    @given(seed=st.integers(0, 10_000), k=ppa_cluster_counts(8, 32),
+           kind=st.sampled_from(PPA_SUBSET_KINDS), ties=st.booleans())
+    @example(seed=0, k=16, kind="strided",
+             ties=False)  # one subset: the whole frame
+    @example(seed=2, k=2, kind="blocks", ties=True)
+    def test_fixed_datapath(self, nt, seed, k, kind, ties):
         lab, centers, tiles, cands, s, weight, dp, codes = _setup(
             seed, k, 10.0, fixed=True
         )
+        if ties:
+            centers = tie_centers(centers, cands)
         pixels = PixelArrays(lab, tiles, datapath=dp, codes=codes)
         idx = ppa_subset(kind, H, W, 1 + seed % 3, seed)
         assert_ppa_matches_reference(
@@ -208,6 +219,49 @@ class TestPpaDifferential:
             assert_ppa_matches_reference(
                 _at(nt), pixels, idx, cands, centers, weight, **kw
             )
+
+
+@pytest.mark.skipif(
+    "native-mt" not in available_backends() or native.ppa_lanes() == 1,
+    reason="the library already runs the scalar PPA loops on this CPU",
+)
+def test_scalar_ppa_build_matches_lanes(tmp_path, monkeypatch):
+    """Where the library picks the lane bodies, the scalar loops that
+    every other host runs would go unexercised: a second build with the
+    lane bodies compiled out must agree with it on the fused contract."""
+    so = tmp_path / "scalar_only.so"
+    subprocess.run(
+        [native._compiler(), *native._CFLAGS, "-DPPA_SCALAR_ONLY",
+         "-o", str(so), str(native._SRC), "-lm"],
+        check=True, capture_output=True, timeout=120,
+    )
+    scalar = ctypes.CDLL(str(so))
+    native._declare(scalar)
+    assert scalar.ppa_lanes() == 1
+    libs = (native.load(), scalar)
+    for kind in PPA_SUBSET_KINDS:
+        for k, fixed in ((3, False), (16, True)):
+            lab, centers, tiles, cands, s, weight, dp, codes = _setup(
+                k, k, 10.0, fixed=fixed
+            )
+            pixels = PixelArrays(lab, tiles, datapath=dp, codes=codes)
+            kw = dict(compactness=10.0, grid_s=s) if fixed else {}
+            idx = ppa_subset(kind, H, W, 2, k)
+            prior = (np.arange(H * W) % len(centers)).astype(np.int32)
+            for nt in (1, 2, 3):
+                outs = []
+                for lib in libs:
+                    monkeypatch.setattr(native, "_lib", lib)
+                    label_map = prior.copy()
+                    out = native_mt.ppa_assign(
+                        pixels, idx, cands, centers, weight,
+                        labels_out=label_map, n_threads=nt, **kw,
+                    )
+                    outs.append((*out, label_map))
+                for field, a, b in zip(
+                    ("chosen", "sums", "counts", "labels_out"), *outs
+                ):
+                    assert np.array_equal(a, b), (kind, fixed, nt, field)
 
 
 @pytest.mark.parametrize("nt", THREADS)

@@ -10,6 +10,7 @@ from repro import AcceleratorConfig, AcceleratorModel, sslic
 from repro.cli import main
 from repro.core import PhaseTimer
 from repro.hw.cyclesim import AcceleratorSim, ClusterUnitSim
+from repro.kernels import native
 from repro.obs import MemorySink, Tracer, read_jsonl
 from repro.types import Resolution
 
@@ -32,6 +33,12 @@ class TestEngineTracing:
         (root,) = by_name["segmentation"]
         assert root["parent"] is None
         assert root["attrs"]["converged"] == result.converged
+        # Which PPA body ran: 8 lanes or the scalar loop, compiled only.
+        lanes = root["attrs"]["ppa_lanes"]
+        if root["attrs"]["kernel_backend"] == "native-mt":
+            assert lanes == native.ppa_lanes() and lanes in (1, 8)
+        else:
+            assert lanes is None
         assert len(by_name["sweep"]) == result.iterations
         assert len(by_name["subiteration"]) == result.subiterations
         # Every sweep is a child of the root segmentation span.
