@@ -1,10 +1,11 @@
-"""Fused color, sigma-accumulate and PPA identity smoke at VGA.
+"""Fused color, sigma-accumulate, PPA and connectivity identity smoke at VGA.
 
 Each kernel must match the reference bit for bit on every available
 backend, including native-mt at 2 threads. The fused PPA pass is checked
 on the float and 8-bit datapaths: chosen labels, sigma partials and the
-label map written in place. Run from the repository root with
-``PYTHONPATH=src``.
+label map written in place. The fused connectivity pass runs on the
+float pass's label map at the engine's default ``min_size``. Run from
+the repository root with ``PYTHONPATH=src``.
 """
 import numpy as np
 from repro.color.hw_convert import HwColorConverter
@@ -81,3 +82,17 @@ for dp_name, (pixels, kw) in datapaths.items():
             ("chosen", "sums", "counts", "labels_out"), got, want
         ):
             assert np.array_equal(a, b), f"{name}: {dp_name} {field}"
+# Connectivity on the float pass's label map, at SlicParams' default
+# min_size_factor of 0.25 of the nominal superpixel area.
+conn_map = ppa(reference.ppa_assign, *datapaths["float"])[3].reshape(480, 640)
+min_size = int(0.25 * grid_s * grid_s)
+want = reference.enforce_connectivity(conn_map, min_size)
+conn_runs = {
+    n: get_backend(n).enforce_connectivity for n in available_backends()
+}
+if "native-mt" in available_backends():
+    conn_runs["mt@2t"] = lambda *a: native_mt.enforce_connectivity(
+        *a, n_threads=2
+    )
+for name, fn in conn_runs.items():
+    assert np.array_equal(fn(conn_map, min_size), want), f"{name}: connectivity"

@@ -7,7 +7,7 @@ operating point scaled to one sweep):
 1. **Bit-identity** — every available optimized backend must reproduce
    the reference loops exactly: same labels, same distance buffers, same
    touched-pixel counts, same sigma partials and written label map from
-   the fused PPA pass, same component numbering.
+   the fused PPA pass, same output from the connectivity pass.
 2. **Speed** — the fastest available backend must beat the reference by
    at least 3x on the CPA sweep and 1.3x on the fused PPA pass
    (assignment, label write and sigma partials). The CPA gate
@@ -19,6 +19,11 @@ operating point scaled to one sweep):
    On smaller machines the numbers are still recorded (with the thread
    count used) but the gate is reported as skipped — a 1-core container
    cannot exhibit the parallel speedup.
+
+The table also times the whole connectivity pass (``conn ms``) on the
+PPA pass's label map with the engine's default ``min_size`` (a quarter
+of the nominal superpixel area). No gate reads it; it records which
+backends beat ``reference`` there.
 
 Every row records ``ppa_lanes``: 8 when the compiled library runs the
 PPA pass's AVX-512 lane bodies on this CPU, 1 for its scalar loops, and
@@ -119,9 +124,17 @@ def test_kernel_backends(setup, emit, bench_scale):
         # --- bit-identity across every available backend ---------------
         ref_cpa = cpa_run("reference")
         ref_ppa = ppa_run("reference")
-        ref_cc = get_backend("reference").connected_components(
-            ref_ppa[0].reshape(H, W)
-        )
+        # The connectivity pass runs on the PPA pass's label map, at
+        # SlicParams' default min_size_factor of 0.25.
+        conn_map = ref_ppa[0].reshape(H, W)
+        min_size = int(0.25 * s * s)
+
+        def conn_run(backend):
+            return get_backend(backend).enforce_connectivity(
+                conn_map, min_size
+            )
+
+        ref_conn = conn_run("reference")
         for b in optimized:
             got_l, got_d, got_n = cpa_run(b)
             assert np.array_equal(got_l, ref_cpa[0]), f"{b}: CPA labels differ"
@@ -133,31 +146,33 @@ def test_kernel_backends(setup, emit, bench_scale):
                 ref_ppa,
             ):
                 assert np.array_equal(got, want), f"{b}: PPA {field} differ"
-            got_c, got_k = get_backend(b).connected_components(
-                ref_ppa[0].reshape(H, W)
-            )
-            assert got_k == ref_cc[1] and np.array_equal(got_c, ref_cc[0]), (
-                f"{b}: components differ"
+            assert np.array_equal(conn_run(b), ref_conn), (
+                f"{b}: connectivity output differs"
             )
 
         # --- timings ---------------------------------------------------
         cpa_t = {b: _best_of(lambda b=b: cpa_run(b), repeats) for b in backends}
         ppa_t = {b: _best_of(lambda b=b: ppa_run(b), repeats) for b in backends}
+        conn_t = {
+            b: _best_of(lambda b=b: conn_run(b), repeats) for b in backends
+        }
 
     rows, records = [], []
     header = (
         f"{'backend':<12}{'CPA ms':>10}{'x':>7}{'PPA ms':>10}{'x':>7}"
-        f"{'lanes':>7}"
+        f"{'conn ms':>10}{'x':>7}{'lanes':>7}"
     )
     rows.append(header)
     rows.append("-" * len(header))
     for b in backends:
         cx = cpa_t["reference"] / cpa_t[b]
         px = ppa_t["reference"] / ppa_t[b]
+        kx = conn_t["reference"] / conn_t[b]
         b_lanes = lanes if b == "native-mt" else None
         rows.append(
             f"{b:<12}{cpa_t[b] * 1e3:>10.2f}{cx:>7.2f}"
-            f"{ppa_t[b] * 1e3:>10.2f}{px:>7.2f}{b_lanes or '-':>7}"
+            f"{ppa_t[b] * 1e3:>10.2f}{px:>7.2f}"
+            f"{conn_t[b] * 1e3:>10.2f}{kx:>7.2f}{b_lanes or '-':>7}"
         )
         record = {
             "backend": b,
@@ -165,6 +180,8 @@ def test_kernel_backends(setup, emit, bench_scale):
             "cpa_speedup": cx,
             "ppa_ms": ppa_t[b] * 1e3,
             "ppa_speedup": px,
+            "conn_ms": conn_t[b] * 1e3,
+            "conn_speedup": kx,
             "ppa_lanes": b_lanes,
             "bit_identical": True,
         }

@@ -17,35 +17,38 @@ The pass:
 4. each pixel takes the superpixel label of its component's final root, so
    labels remain comparable to the cluster centers.
 
-``connected_components`` dispatches through :mod:`repro.kernels` (the
-pure-Python union-find here is the ``reference`` backend; the optimized
-backends use a loop-free min-propagation pass or the native two-pass C
-kernel). All renumber components by first appearance — the minimal run
-id of each component — so backends are interchangeable bit for bit.
-
-For warm-started video, :class:`ConnectivityState` adds an incremental
-path: the label map is split into row bands ("tiles"), per-band run
-structures are cached, and a new frame rebuilds only the bands whose
-labels actually changed since the previous frame before the (cheap)
-global union-find resolve. The state is a pure cache — dropping it, or
-feeding it frames from the wrong stream, can never change the output,
-only the ``tiles_resolved`` telemetry and the speed — which is what
-keeps checkpoint replay and worker-pool scheduling bit-identical.
+:func:`enforce_connectivity` dispatches the whole pass through
+:mod:`repro.kernels` as one contract entry. :func:`enforce_connectivity_with`
+is its numpy body, parametrized by a component labeling and a merge walk:
+the ``reference`` backend binds it to the scalar loops here (the spec),
+``vectorized`` to its batched twins, and ``native-mt`` replaces it with one
+compiled call. Components are numbered by first appearance — the minimal
+run id of each component — so every backend merges in the same order and
+the labels match bit for bit. :func:`connected_components` is the
+reference labeling itself.
 """
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
+from ..errors import ConfigurationError, ImageError
 from ..types import validate_label_map
 
 __all__ = [
-    "ConnectivityState",
+    "check_connectivity_args",
     "connected_components",
     "connected_components_reference",
     "enforce_connectivity",
+    "enforce_connectivity_reference",
+    "enforce_connectivity_with",
     "merge_small_reference",
 ]
+
+#: Largest label the int32 output map can hold.
+_LABEL_MAX = np.iinfo(np.int32).max
 
 
 class _UnionFind:
@@ -93,28 +96,6 @@ def _resolve_roots(parent: np.ndarray, idx: np.ndarray) -> np.ndarray:
         roots = hop
 
 
-def _min_propagate(parent: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """Resolve union pairs ``(a, b)`` by iterative min-label propagation.
-
-    Repeated minimum-scatter plus pointer jumping until every pair
-    agrees; converges in O(log n) rounds. On return ``parent[i]`` is the
-    minimal element of ``i``'s component — the canonical representative
-    the reference renumbers by.
-    """
-    while True:
-        lo = np.minimum(parent[a], parent[b])
-        np.minimum.at(parent, a, lo)
-        np.minimum.at(parent, b, lo)
-        while True:  # pointer jumping to full compression
-            hop = parent[parent]
-            if np.array_equal(hop, parent):
-                break
-            parent = hop
-        if np.array_equal(parent[a], parent[b]):
-            break
-    return parent
-
-
 def connected_components_reference(labels: np.ndarray):
     """4-connected components of a label map (sequential union-find).
 
@@ -148,175 +129,9 @@ def connected_components_reference(labels: np.ndarray):
     return components.astype(np.int32), int(len(uniq))
 
 
-def connected_components(labels: np.ndarray, backend: str | None = None):
-    """4-connected components, dispatched through :mod:`repro.kernels`.
-
-    ``backend`` selects the kernel backend by name (``None`` honours the
-    ``REPRO_KERNEL_BACKEND`` environment variable, then ``auto``).
-    """
-    from ..kernels import get_backend  # lazy: kernels imports this module
-
-    return get_backend(backend).connected_components(labels)
-
-
-def _resolve_runs(
-    pair_a: np.ndarray,
-    pair_b: np.ndarray,
-    n_runs: int,
-    backend: str | None = None,
-):
-    """Dense first-appearance component ids per run: ``(dense, n_comps)``.
-
-    The union-find resolve behind the incremental path. The native-mt
-    backend uses the C ``ccl_resolve`` entry point; everything else uses
-    :func:`_min_propagate`. Both renumber components ascending by
-    minimal run id, so the choice never changes the result.
-    """
-    from ..errors import ConfigurationError
-    from ..kernels import resolve_name  # lazy: kernels imports this module
-
-    if resolve_name(backend) == "native-mt":
-        from ..kernels import native
-
-        try:
-            return native.resolve_runs(pair_a, pair_b, n_runs)
-        except ConfigurationError:
-            pass  # compiler vanished since resolve_name probed: fall back
-    parent = np.arange(n_runs, dtype=np.int64)
-    if len(pair_a):
-        parent = _min_propagate(parent, pair_a, pair_b)
-    uniq, dense = np.unique(parent, return_inverse=True)
-    return dense.astype(np.int64), int(len(uniq))
-
-
-class ConnectivityState:
-    """Per-stream cache enabling incremental connectivity enforcement.
-
-    Rows are grouped into bands of ``band_rows`` (the "tiles" of the
-    ``connectivity.tiles_resolved`` counter). For each band the run
-    decomposition and intra-band vertical adjacencies of the previous
-    frame's label map are kept; a new frame recomputes them only for
-    bands whose labels changed (band-local runs + prefix-sum offsets
-    equal the global decomposition because runs never cross rows). A
-    frame whose labels are byte-identical to the previous one returns
-    the cached output without resolving anything.
-
-    The state is a *pure cache*: every code path produces exactly the
-    labels the stateless path would, so callers may drop, reset, or
-    cold-start it at any point (checkpoint resume, worker recycling)
-    without affecting bit-identity.
-    """
-
-    def __init__(self, band_rows: int = 64):
-        self.band_rows = max(1, int(band_rows))
-        self.shape: tuple | None = None
-        self.prev_labels: np.ndarray | None = None
-        self.prev_output: np.ndarray | None = None
-        self._min_size: int | None = None
-        self._band_runs: list | None = None
-        #: Telemetry for the last call: bands re-resolved / total bands.
-        self.tiles_resolved = 0
-        self.tiles_total = 0
-
-    def _bands(self, h: int) -> list:
-        step = self.band_rows
-        return [(y, min(y + step, h)) for y in range(0, h, step)]
-
-    def reset(self) -> None:
-        """Drop all cached frame state (stream restart / reanchor)."""
-        self.shape = None
-        self.prev_labels = None
-        self.prev_output = None
-        self._min_size = None
-        self._band_runs = None
-        self.tiles_resolved = 0
-        self.tiles_total = 0
-
-    def components(
-        self,
-        labels: np.ndarray,
-        min_size: int,
-        backend: str | None = None,
-    ):
-        """Incremental ``(comps, n_comps, shortcut)`` for ``labels``.
-
-        ``shortcut`` is the finished connectivity output when the frame
-        is byte-identical to the previous one and was enforced with the
-        same ``min_size`` (``comps`` is ``None`` in that case);
-        otherwise ``None`` and the caller proceeds with the returned
-        component map.
-        """
-        h, w = labels.shape
-        bands = self._bands(h)
-        self.tiles_total = len(bands)
-        if self.shape != labels.shape or self._band_runs is None:
-            self.shape = labels.shape
-            self._band_runs = [None] * len(bands)
-            dirty = [True] * len(bands)
-        else:
-            prev = self.prev_labels
-            dirty = [
-                self._band_runs[i] is None
-                or not np.array_equal(labels[y0:y1], prev[y0:y1])
-                for i, (y0, y1) in enumerate(bands)
-            ]
-        self.tiles_resolved = int(sum(dirty))
-        if (
-            self.tiles_resolved == 0
-            and self.prev_output is not None
-            and self._min_size == int(min_size)
-        ):
-            return None, 0, self.prev_output.copy()
-        # Disarm the shortcut for any frame that takes the resolve path:
-        # only a *completed* enforce_connectivity re-arms it via
-        # record_output(). Without this, a merge that raises mid-way and
-        # is retried with the same state would see tiles_resolved == 0
-        # (prev_labels below already matches) next to a prev_output from
-        # an older, different label map — and return stale output.
-        self.prev_output = None
-        for i, (y0, y1) in enumerate(bands):
-            if not dirty[i]:
-                continue
-            band = labels[y0:y1]
-            rid, nr = _run_ids(band)
-            same_up = band[1:, :] == band[:-1, :]
-            self._band_runs[i] = (
-                rid, nr, rid[1:, :][same_up], rid[:-1, :][same_up]
-            )
-        run_global = np.empty((h, w), dtype=np.int64)
-        offsets = []
-        n_runs = 0
-        for i, (y0, y1) in enumerate(bands):
-            rid, nr, _, _ = self._band_runs[i]
-            run_global[y0:y1] = rid
-            run_global[y0:y1] += n_runs
-            offsets.append(n_runs)
-            n_runs += nr
-        pair_a, pair_b = [], []
-        for i, (y0, y1) in enumerate(bands):
-            _, _, pa, pb = self._band_runs[i]
-            if len(pa):
-                pair_a.append(pa + offsets[i])
-                pair_b.append(pb + offsets[i])
-            if y0 > 0:  # seam row against the band above
-                same = labels[y0] == labels[y0 - 1]
-                if same.any():
-                    pair_a.append(run_global[y0][same])
-                    pair_b.append(run_global[y0 - 1][same])
-        empty = np.empty(0, dtype=np.int64)
-        dense, n_comps = _resolve_runs(
-            np.concatenate(pair_a) if pair_a else empty,
-            np.concatenate(pair_b) if pair_b else empty,
-            n_runs,
-            backend=backend,
-        )
-        self.prev_labels = labels.copy()
-        return dense[run_global].astype(np.int32), n_comps, None
-
-    def record_output(self, min_size: int, output: np.ndarray) -> None:
-        """Remember the finished output for the identical-frame shortcut."""
-        self._min_size = int(min_size)
-        self.prev_output = output.copy()
+#: The public labeling is the reference union-find; the property tests
+#: use it as their oracle.
+connected_components = connected_components_reference
 
 
 def merge_small_reference(
@@ -368,55 +183,51 @@ def merge_small_reference(
     return _resolve_roots(uf.parent, np.arange(n_comps, dtype=np.int64))
 
 
-def enforce_connectivity(
-    labels: np.ndarray,
-    min_size: int,
-    backend: str | None = None,
-    state: ConnectivityState | None = None,
-) -> np.ndarray:
-    """Absorb connected fragments smaller than ``min_size`` pixels.
+def check_connectivity_args(labels: np.ndarray, min_size):
+    """Validate ``enforce_connectivity`` inputs before any kernel runs.
 
-    See module docstring for the algorithm. The returned map reuses the
-    superpixel labels of the absorbing components; a lone image smaller
-    than ``min_size`` is returned unchanged (nothing to merge into).
-    The greedy merge walk dispatches through :mod:`repro.kernels`
-    (``merge_small``); all backends match the reference bit for bit.
-
-    No-op semantics, shared by every early return and the main path:
-    when nothing merges, the output is exactly ``labels`` (as a fresh
-    int32 copy). This is not an approximation — components are
-    label-pure, so an identity merge relabels each pixel with its own
-    component's superpixel label — and it holds on every degenerate
-    shape (uniform maps, 1×1, single rows); the tests lock it in.
-
-    ``state`` (a :class:`ConnectivityState`) enables the incremental
-    video path: only row bands whose labels changed since the previous
-    frame are re-resolved, and an unchanged frame short-circuits to the
-    cached output. Results are bit-identical with or without a state.
+    Returns ``(labels, min_size)``: the map as a C-contiguous int32 array
+    (``labels`` itself when it already is one) and ``min_size`` as an int
+    clamped to ``h*w + 1`` — no component is larger than the frame, so
+    the clamp never changes which components count as small. Raises
+    :class:`ImageError` for a malformed map or a label the int32 output
+    cannot hold (checked before the cast, which would wrap it), and
+    :class:`ConfigurationError` when ``min_size`` is not an integer.
     """
-    from ..kernels import get_backend  # lazy: kernels imports this module
-
-    labels = validate_label_map(labels).astype(np.int32)
-    if min_size <= 1:
-        # Pure no-op: leave the state untouched (its caches still match
-        # the last real resolve) but zero the telemetry for this call.
-        if state is not None:
-            state.tiles_resolved = 0
-            state.tiles_total = len(state._bands(labels.shape[0]))
-        return labels.copy()
-    if state is not None:
-        comps, n_comps, shortcut = state.components(
-            labels, min_size, backend=backend
+    labels = validate_label_map(labels)
+    if labels.max() > _LABEL_MAX:
+        raise ImageError(
+            f"label map contains label {labels.max()} > {_LABEL_MAX}; "
+            "connectivity output is int32"
         )
-        if shortcut is not None:
-            return shortcut
-    else:
-        comps, n_comps = connected_components(labels, backend=backend)
+    try:
+        min_size = operator.index(min_size)
+    except TypeError:
+        raise ConfigurationError(
+            f"min_size must be an integer, got {type(min_size).__name__}"
+        ) from None
+    labels = np.ascontiguousarray(labels, dtype=np.int32)
+    return labels, min(min_size, labels.size + 1)
+
+
+def enforce_connectivity_with(
+    labels: np.ndarray, min_size, components, merge_small
+) -> np.ndarray:
+    """The numpy body of :func:`enforce_connectivity`.
+
+    ``components(labels) -> (comps, n_comps)`` labels the 4-connected
+    components in first-appearance order and ``merge_small`` is the
+    greedy walk with the contract of :func:`merge_small_reference`; the
+    ``reference`` and ``vectorized`` backends bind their own pair. The
+    adjacency graph, the processing order and the final relabel are
+    built here, once, for both.
+    """
+    labels, min_size = check_connectivity_args(labels, min_size)
+    if min_size <= 1:
+        return labels.copy()
+    comps, n_comps = components(labels)
     if n_comps == 1:
-        out = labels.copy()
-        if state is not None:
-            state.record_output(min_size, out)
-        return out
+        return labels.copy()
     flat_c = comps.ravel()
     sizes = np.bincount(flat_c, minlength=n_comps).astype(np.int64)
 
@@ -426,7 +237,9 @@ def enforce_connectivity(
     first_idx[flat_c[::-1]] = np.arange(flat_c.size - 1, -1, -1)
     comp_label = labels.ravel()[first_idx]
 
-    # Adjacency with shared-border weights, built once.
+    # Adjacency with shared-border weights, built once. Two or more
+    # components on a connected grid always share a border, so there is
+    # at least one pair.
     horiz = comps[:, 1:] != comps[:, :-1]
     vert = comps[1:, :] != comps[:-1, :]
     pairs = np.concatenate(
@@ -436,14 +249,6 @@ def enforce_connectivity(
         ],
         axis=0,
     )
-    if len(pairs) == 0:
-        # Unreachable for n_comps > 1 on a connected grid (two or more
-        # components always share a boundary), but kept as a defensive
-        # no-op with the same semantics as the paths above.
-        out = labels.copy()
-        if state is not None:
-            state.record_output(min_size, out)
-        return out
     both = np.concatenate([pairs, pairs[:, ::-1]], axis=0)
     fused = both[:, 0].astype(np.int64) * n_comps + both[:, 1]
     fused_unique, border_len = np.unique(fused, return_counts=True)
@@ -462,10 +267,43 @@ def enforce_connectivity(
     # large enough never start a merge, so only the small ones are walked.
     size_order = np.argsort(sizes, kind="stable")
     small = size_order[sizes[size_order] < min_size]
-    final_root = get_backend(backend).merge_small(
+    final_root = merge_small(
         sizes, starts, ends, dst, border_len, min_size, small
     )
-    out = comp_label[final_root][comps].astype(np.int32)
-    if state is not None:
-        state.record_output(min_size, out)
-    return out
+    return comp_label[final_root][comps].astype(np.int32)
+
+
+def enforce_connectivity_reference(labels: np.ndarray, min_size):
+    """The connectivity pass on the scalar union-find and merge walk —
+    the spec every backend's ``enforce_connectivity`` must match."""
+    return enforce_connectivity_with(
+        labels, min_size, connected_components_reference,
+        merge_small_reference,
+    )
+
+
+def enforce_connectivity(
+    labels: np.ndarray,
+    min_size: int,
+    backend: str | None = None,
+) -> np.ndarray:
+    """Absorb connected fragments smaller than ``min_size`` pixels.
+
+    See module docstring for the algorithm. The returned map reuses the
+    superpixel labels of the absorbing components; a lone image smaller
+    than ``min_size`` is returned unchanged (nothing to merge into).
+    ``backend`` selects the kernel backend by name (``None`` honours the
+    ``REPRO_KERNEL_BACKEND`` environment variable, then ``auto``); all
+    backends match the reference bit for bit, and all validate their
+    input with :func:`check_connectivity_args` first.
+
+    No-op semantics, shared by every early return and the main path:
+    when nothing merges, the output is exactly ``labels`` (as a fresh
+    int32 copy). This is not an approximation — components are
+    label-pure, so an identity merge relabels each pixel with its own
+    component's superpixel label — and it holds on every degenerate
+    shape (uniform maps, 1×1, single rows); the tests lock it in.
+    """
+    from ..kernels import get_backend  # lazy: kernels imports this module
+
+    return get_backend(backend).enforce_connectivity(labels, min_size)

@@ -93,7 +93,6 @@ def run_segmentation(
     warm_centers: np.ndarray | None = None,
     warm_labels: np.ndarray | None = None,
     tracer=None,
-    connectivity_state=None,
 ) -> SegmentationResult:
     """Segment ``image`` according to ``params``; see module docstring.
 
@@ -106,15 +105,6 @@ def run_segmentation(
     run emits the span tree and counters described in the module
     docstring. When ``None`` the shared disabled tracer is used and the
     instrumentation cost is a handful of attribute checks per sweep.
-
-    ``connectivity_state`` is an optional
-    :class:`~repro.core.connectivity.ConnectivityState` owned by the
-    caller (one per video stream): connectivity enforcement then reuses
-    the previous frame's run structures and re-resolves only the row
-    bands whose labels changed, reporting the work done through the
-    ``connectivity.tiles_resolved`` counter and
-    ``SegmentationResult.tiles_resolved``. The state is a pure cache —
-    results are bit-identical with or without it.
     """
     validate_rgb_image(image)
     tracer = tracer if tracer is not None else NULL_TRACER
@@ -149,7 +139,7 @@ def run_segmentation(
     ) as root:
         result = _run_instrumented(
             image, params, warm_centers, warm_labels, tracer, timer,
-            kernel_name, connectivity_state,
+            kernel_name,
         )
         root.set(
             sweeps=result.iterations,
@@ -162,7 +152,6 @@ def run_segmentation(
 
 def _run_instrumented(
     image, params, warm_centers, warm_labels, tracer, timer, kernel_name,
-    connectivity_state=None,
 ):
     """The engine body; always runs inside the root ``segmentation`` span."""
     kernels = get_backend(kernel_name)
@@ -395,19 +384,11 @@ def _run_instrumented(
         labels = labels_flat.reshape(h, w)
     else:
         labels = labels_buf
-    tiles_resolved = None
     if params.enforce_connectivity:
         with timer.phase("connectivity"):
             min_size = max(1, int(params.min_size_factor * s * s))
             labels = enforce_connectivity(
-                labels, min_size, backend=kernel_name,
-                state=connectivity_state,
-            )
-        if connectivity_state is not None:
-            tiles_resolved = connectivity_state.tiles_resolved
-            tracer.count("connectivity.tiles_resolved", tiles_resolved)
-            tracer.count(
-                "connectivity.tiles_total", connectivity_state.tiles_total
+                labels, min_size, backend=kernel_name
             )
 
     return SegmentationResult(
@@ -420,5 +401,4 @@ def _run_instrumented(
         movement_history=movement_history,
         timings=timer.as_dict(),
         params=params,
-        tiles_resolved=tiles_resolved,
     )

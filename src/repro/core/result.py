@@ -40,11 +40,6 @@ class SegmentationResult:
         ``center_update``, ``connectivity``, ``other``.
     params:
         The :class:`~repro.core.params.SlicParams` used.
-    tiles_resolved:
-        Row bands re-resolved by incremental connectivity enforcement
-        (``None`` when the run had no
-        :class:`~repro.core.connectivity.ConnectivityState`, i.e. every
-        stateless or connectivity-disabled run).
     """
 
     labels: np.ndarray
@@ -56,7 +51,6 @@ class SegmentationResult:
     movement_history: list = field(default_factory=list)
     timings: dict = field(default_factory=dict)
     params: object = None
-    tiles_resolved: int | None = None
 
     @property
     def total_time(self) -> float:

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigurationError, StreamError
-from .connectivity import ConnectivityState
 from .engine import expected_cluster_count, run_segmentation
 from .params import SlicParams
 from .result import SegmentationResult
@@ -64,11 +63,6 @@ class FramePlan:
     mean_drift_px: float
     warm_centers: np.ndarray | None = None
     warm_labels: np.ndarray | None = None
-    #: The stream's incremental-connectivity cache (pure cache: safe to
-    #: drop or ignore — bit-identity never depends on it). In-process
-    #: executors pass it to run_segmentation; the parallel runner ships
-    #: frames to workers instead, which keep their own per-stream caches.
-    connectivity_state: ConnectivityState | None = None
 
 
 class StreamSegmenter:
@@ -119,7 +113,6 @@ class StreamSegmenter:
         self._home_xy = None
         self._shape = None
         self._frame_index = 0
-        self._conn_state = ConnectivityState()
         self.history = []
 
     # ------------------------------------------------------------------
@@ -134,7 +127,6 @@ class StreamSegmenter:
         self._labels = None
         self._home_xy = None
         self._shape = None
-        self._conn_state.reset()
 
     def _mean_drift(self) -> float:
         if self._centers is None or self._home_xy is None:
@@ -180,7 +172,6 @@ class StreamSegmenter:
             mean_drift_px=drift,
             warm_centers=self._centers if warm else None,
             warm_labels=self._labels if warm else None,
-            connectivity_state=self._conn_state,
         )
 
     def commit(self, plan: FramePlan, result: SegmentationResult) -> None:
@@ -218,7 +209,6 @@ class StreamSegmenter:
             warm_centers=plan.warm_centers,
             warm_labels=plan.warm_labels,
             tracer=tracer,
-            connectivity_state=plan.connectivity_state,
         )
         self.commit(plan, result)
         return result

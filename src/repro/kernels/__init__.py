@@ -1,10 +1,11 @@
 """Dispatchable kernels for the assignment/connectivity hot paths.
 
 The engine's inner loops — the CPA window scan, the PPA 9-candidate
-evaluation, connected-component labeling, the fused fixed-point
-RGB->Lab conversion, the sigma accumulation, the small-component merge
-walk, and the BR/USE metric histograms/distance transform — are
-implemented three times behind one contract:
+evaluation, the connectivity pass (component labeling, border
+adjacency, small-component merge walk and relabel), the fused
+fixed-point RGB->Lab conversion, the sigma accumulation, and the BR/USE
+metric histograms/distance transform — are implemented three times
+behind one contract:
 
 * ``reference`` — the readable loops in :mod:`repro.core` (semantics
   ground truth);

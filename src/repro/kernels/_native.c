@@ -1,10 +1,10 @@
 /* Native kernels: the CPA window scan, the fused PPA pass (9-candidate
  * evaluation, label write and sigma accumulation in one call), the fused
  * fixed-point RGB->Lab conversion and code->Lab decode, the
- * sigma-register accumulation, the two-pass union-find
- * connected-components pass, the small-component merge walk, and the
- * BR/USE metric inner loops (joint histogram, 3-4 chamfer) as plain C
- * loops.
+ * sigma-register accumulation, the fused connectivity pass (two-pass
+ * union-find components, border adjacency, the small-component merge
+ * walk and the relabel in one call), and the BR/USE metric inner loops
+ * (joint histogram, 3-4 chamfer) as plain C loops.
  *
  * Compiled on demand by repro.kernels.native with
  *
@@ -41,8 +41,9 @@
  * renumber, and the PPA pass's clusters that straddle two index ranges)
  * run sequentially, in ascending tile id or entry order;
  * union-by-minimal-root makes the component roots independent of union
- * order (see the CCL section). merge_small, ccl_resolve and chamfer_i64 are inherently
- * sequential and have no `_mt` form.
+ * order (see the CCL section). The fused connectivity entry threads only
+ * its CCL and its final relabel; its adjacency build and merge walk run
+ * serially. chamfer_i64 is inherently sequential and has no `_mt` form.
  */
 
 #include <math.h>
@@ -554,62 +555,6 @@ void lab_from_codes_u8_mt(
 }
 
 /* ------------------------------------------------------------------ */
-/* Connectivity: the greedy small-component merge walk over the CSR
- * adjacency graph. Semantics and tie rule match merge_small_reference
- * exactly: longest shared border wins, ties to the lowest neighbor
- * component id; chained merges follow union-find roots.                */
-/* ------------------------------------------------------------------ */
-
-static int64_t uf_find(int64_t *parent, int64_t i)
-{
-    while (parent[i] != i) {        /* path halving */
-        parent[i] = parent[parent[i]];
-        i = parent[i];
-    }
-    return i;
-}
-
-void merge_small(
-    const int64_t *starts,     /* n_comps CSR slice starts              */
-    const int64_t *ends,       /* n_comps CSR slice ends                */
-    const int64_t *dst,        /* edge target component ids             */
-    const int64_t *border_len, /* edge shared-border weights            */
-    int64_t min_size,
-    const int64_t *order,      /* small components, increasing size     */
-    int64_t n_order,
-    int64_t n_comps,
-    int64_t *parent,           /* n_comps, pre-set to identity          */
-    int64_t *merged_size,      /* n_comps, pre-set to sizes             */
-    int64_t *final_root)       /* n_comps output roots                  */
-{
-    for (int64_t i = 0; i < n_order; i++) {
-        int64_t c = order[i];
-        int64_t root_c = uf_find(parent, c);
-        if (merged_size[root_c] >= min_size) continue;
-        int64_t lo = starts[c], hi = ends[c];
-        if (lo == hi) continue;   /* isolated: whole image is one label */
-        int64_t best_w = -1, best_nb = -1, best_root = -1;
-        for (int64_t e = lo; e < hi; e++) {
-            int64_t nb = dst[e];
-            int64_t root_nb = uf_find(parent, nb);
-            if (root_nb == root_c) continue;
-            int64_t wgt = border_len[e];
-            if (wgt > best_w || (wgt == best_w && nb < best_nb)) {
-                best_w = wgt;
-                best_nb = nb;
-                best_root = root_nb;
-            }
-        }
-        if (best_root < 0) continue;
-        parent[root_c] = best_root;
-        int64_t new_root = uf_find(parent, best_root);
-        merged_size[new_root] = merged_size[root_c] + merged_size[best_root];
-    }
-    for (int64_t i = 0; i < n_comps; i++)
-        final_root[i] = uf_find(parent, i);
-}
-
-/* ------------------------------------------------------------------ */
 /* Connected components: two-pass union-find over row runs.
  *
  * Pass 1 decomposes the label map into maximal horizontal runs (runs
@@ -619,6 +564,11 @@ void merge_small(
  * component's final root is its minimal run id — its first appearance
  * in raster order. An ascending renumber of the roots then reproduces
  * the reference's canonical first-appearance component ids exactly.
+ *
+ * A pixel is unioned with the one above it only where the run pair
+ * changes (x == 0, or the run or the run above starts at x): elsewhere
+ * both runs continue from x - 1, so the pair was unioned already, and
+ * union-by-minimum makes the roots a function of the pair set alone.
  *
  * ccl_i32_mt gives each thread a contiguous row band. Runs are
  * counted per band, offset by a serial prefix sum (band-local run
@@ -630,6 +580,15 @@ void merge_small(
  * result is bit-identical to the one-band pass (ccl_i32, the width-1
  * fallback) at any thread count.                                       */
 /* ------------------------------------------------------------------ */
+
+static int64_t uf_find(int64_t *parent, int64_t i)
+{
+    while (parent[i] != i) {        /* path halving */
+        parent[i] = parent[parent[i]];
+        i = parent[i];
+    }
+    return i;
+}
 
 /* Attach the larger of the two roots under the smaller. */
 static void uf_union_min(int64_t *parent, int64_t a, int64_t b)
@@ -654,15 +613,18 @@ static int64_t ccl_rows(
     int64_t next = base;
     for (int64_t y = y0; y < y1; y++) {
         const int32_t *row = labels + y * w;
+        int unions = parent && y > union_y0;
+        const int32_t *up = unions ? row - w : row;
         int32_t *crow = comps + y * w;
         for (int64_t x = 0; x < w; x++) {
-            if (x == 0 || row[x] != row[x - 1]) {
+            int new_run = x == 0 || row[x] != row[x - 1];
+            if (new_run) {
                 if (parent) parent[next] = next;
                 next++;
             }
             crow[x] = (int32_t)(next - 1);
-            if (parent && y > union_y0 && row[x] == labels[(y - 1) * w + x])
-                uf_union_min(parent, crow[x], comps[(y - 1) * w + x]);
+            if (unions && row[x] == up[x] && (new_run || up[x] != up[x - 1]))
+                uf_union_min(parent, crow[x], crow[x - w]);
         }
     }
     return next - base;
@@ -728,7 +690,7 @@ static void ccl_relabel_band(void *vctx, int64_t tid, int64_t width)
         c->comps[i] = (int32_t)c->parent[c->comps[i]];
 }
 
-int64_t ccl_i32_mt(
+static int64_t ccl_i32_mt(
     const int32_t *labels, int64_t h, int64_t w,
     int32_t *comps, int64_t *parent, int64_t n_threads)
 {
@@ -780,23 +742,295 @@ int64_t ccl_i32_mt(
     return n_comps;
 }
 
-/* Resolve pre-decomposed runs against an explicit union pair list into
- * canonical dense component ids (the incremental-connectivity path:
- * Python rebuilds run structures only for dirty row bands and ships the
- * vertical adjacencies here). parent[r] holds run r's dense id on
- * return; the return value is the component count.                     */
-int64_t ccl_resolve(
-    const int64_t *pair_a,     /* n_pairs union endpoints               */
-    const int64_t *pair_b,
-    int64_t n_pairs,
-    int64_t n_runs,
-    int64_t *parent)           /* n_runs, overwritten                   */
+/* ------------------------------------------------------------------ */
+/* The greedy small-component merge walk over the CSR adjacency graph.
+ * Semantics and tie rule match merge_small_reference exactly: longest
+ * shared border wins, ties to the lowest neighbor component id; chained
+ * merges follow union-find roots. The choice for a component depends
+ * only on the *set* of (neighbor, border length) pairs in its row, so
+ * the order of entries inside a row is free.                           */
+/* ------------------------------------------------------------------ */
+
+static void merge_small(
+    const int64_t *starts,     /* n_comps CSR row starts                */
+    const int64_t *ends,       /* n_comps CSR row ends                  */
+    const int32_t *dst,        /* edge target component ids             */
+    const int64_t *border_len, /* edge shared-border weights            */
+    int64_t min_size,
+    const int64_t *order,      /* small components, increasing size     */
+    int64_t n_order,
+    int64_t *parent,           /* n_comps, pre-set to identity          */
+    int64_t *merged_size)      /* n_comps, pre-set to sizes             */
 {
-    for (int64_t r = 0; r < n_runs; r++)
-        parent[r] = r;
-    for (int64_t i = 0; i < n_pairs; i++)
-        uf_union_min(parent, pair_a[i], pair_b[i]);
-    return ccl_renumber(parent, n_runs);
+    for (int64_t i = 0; i < n_order; i++) {
+        int64_t c = order[i];
+        int64_t root_c = uf_find(parent, c);
+        if (merged_size[root_c] >= min_size) continue;
+        int64_t lo = starts[c], hi = ends[c];
+        if (lo == hi) continue;   /* isolated: whole image is one label */
+        int64_t best_w = -1, best_nb = -1, best_root = -1;
+        for (int64_t e = lo; e < hi; e++) {
+            int64_t nb = dst[e];
+            int64_t root_nb = uf_find(parent, nb);
+            if (root_nb == root_c) continue;
+            int64_t wgt = border_len[e];
+            if (wgt > best_w || (wgt == best_w && nb < best_nb)) {
+                best_w = wgt;
+                best_nb = nb;
+                best_root = root_nb;
+            }
+        }
+        if (best_root < 0) continue;
+        parent[root_c] = best_root;
+        int64_t new_root = uf_find(parent, best_root);
+        merged_size[new_root] = merged_size[root_c] + merged_size[best_root];
+    }
+}
+
+/* ------------------------------------------------------------------ */
+/* The fused connectivity entry: enforce_connectivity in one call.
+ *
+ *   1. ccl_i32_mt: dense first-appearance component ids in `comps`;
+ *   2. one pass over the runs of every row: each component's size, its
+ *      superpixel label (the label at its first pixel — components are
+ *      label-pure), and the number of its adjacency entries;
+ *   3. the border-weighted adjacency in CSR form: the counts are
+ *      prefix-summed, a second pass over the runs fills the rows, and
+ *      each row is deduplicated in place with a marker array that also
+ *      adds up the shared-border lengths. An entry is one differing
+ *      right neighbour pair (a run boundary) or one stretch of differing
+ *      down neighbour pairs between the same two components, weighted
+ *      by its length. Only the rows of small components (size <
+ *      min_size) are filled: the walk reads no other row;
+ *   4. a counting sort of the small components by size, stable by id —
+ *      np.argsort(sizes, kind="stable") filtered to size < min_size;
+ *   5. merge_small;
+ *   6. lut[c] = label of root(c), then out[i] = lut[comps[i]], row-banded
+ *      over the pool.
+ *
+ * Bit-identity with the numpy spec: the walk's choice depends only on
+ * each row's set of (neighbor, border length) pairs, the processing
+ * order is (size, id) ascending as in the spec, and the relabel reads
+ * the same first-pixel label the spec gathers. With no small component
+ * the output is the input (an identity merge relabels each component
+ * with its own label), so that case copies `labels` and stops after 2.
+ *
+ * `comps` and `parent` are h*w scratch from the caller; the
+ * per-component and per-edge arrays, whose sizes are known only after
+ * the CCL and the count, are allocated here. Returns 0, or -1 when an
+ * allocation fails (`out` is then unspecified).                        */
+/* ------------------------------------------------------------------ */
+
+/* The runs of one row of the component map: run r covers columns
+ * [x0[r], x0[r + 1]) and belongs to component comp[r]. x0 has room for
+ * w + 1 entries, the last being w. Returns the number of runs.        */
+static int64_t conn_row_runs(const int32_t *row, int64_t w, int64_t *x0,
+                             int32_t *comp)
+{
+    int64_t r = 0;
+    for (int64_t x = 0; x < w;) {
+        int32_t c = row[x];
+        x0[r] = x;
+        comp[r++] = c;
+        while (++x < w && row[x] == c) {}
+    }
+    x0[r] = w;
+    return r;
+}
+
+typedef struct {
+    int64_t *size;             /* n: component sizes                    */
+    int32_t *label_of;         /* n: label at each first pixel          */
+    int64_t min_size;
+    int64_t *slot;             /* count: entries per component; fill:
+                                  each row's next free entry            */
+    int32_t *dst;              /* entry neighbour ids; NULL: count pass */
+    int64_t *border;           /* entry border lengths                  */
+} conn_adj;
+
+/* One adjacency entry between components c and d, of border length
+ * len: counted at both ends in the count pass, written into the row of
+ * each small end in the fill pass.                                     */
+static void conn_entry(conn_adj *a, int32_t c, int32_t d, int64_t len)
+{
+    if (!a->dst) {
+        a->slot[c]++;
+        a->slot[d]++;
+        return;
+    }
+    if (a->size[c] < a->min_size) {
+        a->dst[a->slot[c]] = d;
+        a->border[a->slot[c]++] = len;
+    }
+    if (a->size[d] < a->min_size) {
+        a->dst[a->slot[d]] = c;
+        a->border[a->slot[d]++] = len;
+    }
+}
+
+/* One raster pass over the runs of the component map. Each run
+ * boundary is a differing right neighbour pair, and each maximal
+ * segment where the components of two consecutive rows differ is a
+ * stretch of differing down neighbour pairs between the same two
+ * components; both become one weighted entry. `runs` is scratch for
+ * two rows of runs (3 * (w + 1) int64). The count pass also takes each
+ * component's size and the label at its first pixel.                  */
+static void conn_adjacency(
+    const int32_t *comps, const int32_t *labels, int64_t h, int64_t w,
+    int64_t *runs, conn_adj *a)
+{
+    int64_t *px = runs, *cx = runs + (w + 1);
+    int32_t *pc = (int32_t *)(runs + 2 * (w + 1)), *cc = pc + (w + 1);
+    for (int64_t y = 0; y < h; y++) {
+        int64_t nc = conn_row_runs(comps + y * w, w, cx, cc);
+        for (int64_t r = 0; r < nc; r++) {
+            int32_t c = cc[r];
+            if (!a->dst) {
+                if (a->size[c] == 0) a->label_of[c] = labels[y * w + cx[r]];
+                a->size[c] += cx[r + 1] - cx[r];
+            }
+            if (r > 0) conn_entry(a, cc[r - 1], c, 1);
+        }
+        if (y > 0) {              /* merge this row's runs with the above */
+            int64_t i = 0, j = 0;
+            for (int64_t x = 0; x < w;) {
+                int64_t end = px[i + 1] < cx[j + 1] ? px[i + 1] : cx[j + 1];
+                if (pc[i] != cc[j]) conn_entry(a, pc[i], cc[j], end - x);
+                x = end;
+                if (px[i + 1] == end) i++;
+                if (cx[j + 1] == end) j++;
+            }
+        }
+        int64_t *tx = px; px = cx; cx = tx;
+        int32_t *tc = pc; pc = cc; cc = tc;
+    }
+}
+
+typedef struct {
+    const int32_t *comps;
+    const int32_t *lut;
+    int32_t *out;
+    int64_t h, w;
+} conn_relabel_ctx;
+
+static void conn_relabel_band(void *vctx, int64_t tid, int64_t width)
+{
+    conn_relabel_ctx *c = (conn_relabel_ctx *)vctx;
+    int64_t lo = mt_slice_lo(c->h, tid, width) * c->w;
+    int64_t hi = mt_slice_hi(c->h, tid, width) * c->w;
+    for (int64_t i = lo; i < hi; i++)
+        c->out[i] = c->lut[c->comps[i]];
+}
+
+int64_t enforce_connectivity_i32_mt(
+    const int32_t *labels,     /* h*w label map                         */
+    int64_t h, int64_t w,
+    int64_t min_size,          /* 2 <= min_size <= h*w + 1              */
+    int32_t *out,              /* h*w output label map                  */
+    int32_t *comps,            /* h*w scratch: component ids            */
+    int64_t *parent,           /* h*w scratch: CCL runs, then the walk  */
+    int64_t n_threads)
+{
+    int64_t n_pix = h * w;
+    int64_t n = ccl_i32_mt(labels, h, w, comps, parent, n_threads);
+    int64_t status = -1;
+    int64_t *size = 0, *runs = 0, *border = 0, *bucket = 0;
+    int32_t *lut = 0, *dst = 0;
+
+    /* Per-component arrays: size, starts (n + 1), ends, marker, order;
+     * label and lut (int32). Two rows of runs: 3 * (w + 1) int64.     */
+    size = malloc((size_t)(5 * n + 1) * sizeof(int64_t));
+    lut = malloc((size_t)(2 * n) * sizeof(int32_t));
+    runs = malloc((size_t)(3 * (w + 1)) * sizeof(int64_t));
+    if (!size || !lut || !runs) goto done;
+    int64_t *starts = size + n, *ends = starts + n + 1, *mark = ends + n;
+    int64_t *order = mark + n;
+    int32_t *label_of = lut + n;
+
+    /* 2 and the count half of 3: sizes, first-pixel labels, and each
+     * component's entry count in starts[c + 1].                        */
+    for (int64_t c = 0; c < n; c++) size[c] = 0;
+    for (int64_t c = 0; c <= n; c++) starts[c] = 0;
+    conn_adj adj = {size, label_of, min_size, starts + 1, 0, 0};
+    conn_adjacency(comps, labels, h, w, runs, &adj);
+    int64_t n_small = 0, top = 0;
+    for (int64_t c = 0; c < n; c++) {
+        if (size[c] < min_size) {
+            n_small++;
+            if (size[c] > top) top = size[c];
+        }
+    }
+    if (n_small == 0 || n == 1) {
+        for (int64_t i = 0; i < n_pix; i++) out[i] = labels[i];
+        status = 0;
+        goto done;
+    }
+
+    /* 3. Prefix-sum the counts into row offsets, fill the rows of the
+     * small components only (the walk reads no other row), then dedupe
+     * each row in place: mark[d] is d's slot in the row being compacted,
+     * or an index below the row start when d is new to it. The border
+     * lengths of repeated entries add up.                              */
+    for (int64_t c = 0; c < n; c++) starts[c + 1] += starts[c];
+    int64_t n_edges = starts[n] ? starts[n] : 1;
+    dst = malloc((size_t)n_edges * sizeof(int32_t));
+    border = malloc((size_t)n_edges * sizeof(int64_t));
+    if (!dst || !border) goto done;
+    for (int64_t c = 0; c < n; c++) ends[c] = starts[c];
+    adj.slot = ends;
+    adj.dst = dst;
+    adj.border = border;
+    conn_adjacency(comps, labels, h, w, runs, &adj);
+    for (int64_t c = 0; c < n; c++) mark[c] = -1;
+    for (int64_t c = 0; c < n; c++) {
+        int64_t lo = starts[c], k = lo;
+        for (int64_t e = lo; e < ends[c]; e++) {
+            int32_t d = dst[e];
+            if (mark[d] >= lo) {
+                border[mark[d]] += border[e];
+            } else {
+                mark[d] = k;
+                dst[k] = d;
+                border[k++] = border[e];
+            }
+        }
+        ends[c] = k;
+    }
+
+    /* 4. Counting sort of the small components by size, stable by id. */
+    bucket = malloc((size_t)(top + 1) * sizeof(int64_t));
+    if (!bucket) goto done;
+    for (int64_t s = 0; s <= top; s++) bucket[s] = 0;
+    for (int64_t c = 0; c < n; c++)
+        if (size[c] < min_size) bucket[size[c]]++;
+    for (int64_t s = 0, pos = 0; s <= top; s++) {
+        int64_t cnt = bucket[s];
+        bucket[s] = pos;
+        pos += cnt;
+    }
+    for (int64_t c = 0; c < n; c++)
+        if (size[c] < min_size) order[bucket[size[c]]++] = c;
+
+    /* 5. The walk, on the CCL's parent scratch (n <= h*w) and on the
+     * sizes, which it updates as merged sizes.                         */
+    for (int64_t c = 0; c < n; c++) parent[c] = c;
+    merge_small(starts, ends, dst, border, min_size, order, n_small,
+                parent, size);
+
+    /* 6. Relabel through the per-component label table. */
+    for (int64_t c = 0; c < n; c++)
+        lut[c] = label_of[uf_find(parent, c)];
+    conn_relabel_ctx ctx = {comps, lut, out, h, w};
+    mt_run(conn_relabel_band, &ctx, n_threads < h ? n_threads : h);
+    status = 0;
+done:
+    free(size);
+    free(lut);
+    free(runs);
+    free(dst);
+    free(border);
+    free(bucket);
+    return status;
 }
 
 /* ------------------------------------------------------------------ */

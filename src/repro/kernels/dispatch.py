@@ -1,9 +1,9 @@
 """Backend selection for the kernel layer.
 
 Three backends implement the same kernel contract (``cpa_assign``,
-``ppa_assign``, ``connected_components``, ``lab_from_codes``,
-``sigma_accumulate``, ``merge_small``, ``contingency_table``,
-``chamfer_distance``; see ``docs/kernels.md``):
+``ppa_assign``, ``enforce_connectivity``, ``lab_from_codes``,
+``sigma_accumulate``, ``contingency_table``, ``chamfer_distance``; see
+``docs/kernels.md``):
 
 * ``reference`` — the original loops in :mod:`repro.core`;
 * ``vectorized`` — batched pure numpy, always available;

@@ -14,12 +14,10 @@ raises. When no compiler exists the dispatch layer's ``auto`` selection
 falls back to the pure-numpy ``vectorized`` backend.
 
 The ``native-mt`` backend (:mod:`repro.kernels.native_mt`) wraps the
-data-parallel entries. The kernels that have no threaded form live
-here: :func:`merge_small`, :func:`chamfer_distance`, and the
-incremental-connectivity helper :func:`resolve_runs`. So does
-:func:`ppa_lanes`, which reports the body of the fused PPA pass the
-library picked for this CPU at load: the AVX-512 lane bodies (8) or
-the scalar loops (1).
+data-parallel entries. The one kernel that has no threaded form,
+:func:`chamfer_distance`, lives here. So does :func:`ppa_lanes`, which
+reports the body of the fused PPA pass the library picked for this CPU
+at load: the AVX-512 lane bodies (8) or the scalar loops (1).
 
 Bit-identity with the reference implementations is a hard contract —
 see the header comment in ``_native.c`` for the compile flags that
@@ -46,8 +44,6 @@ __all__ = [
     "is_available",
     "load",
     "ppa_lanes",
-    "resolve_runs",
-    "merge_small",
     "chamfer_distance",
 ]
 
@@ -185,10 +181,8 @@ def _declare(lib) -> None:
             i64, i64p, i32, ll, ll, dbl, dbl, dbl, ll, f64, i64, ll,
         ]),
         "contingency_i64_mt": (None, [i64, i64, ll, ll, ll, i64, ll, i64]),
-        "ccl_i32_mt": (ll, [i32, ll, ll, i32, i64, ll]),
-        "ccl_resolve": (ll, [i64, i64, ll, ll, i64]),
-        "merge_small": (None, [
-            i64, i64, i64, i64, ll, i64, ll, ll, i64, i64, i64,
+        "enforce_connectivity_i32_mt": (ll, [
+            i32, ll, ll, ll, i32, i32, i64, ll,
         ]),
         "chamfer_i64": (None, [i64, ll, ll]),
         "ppa_lanes": (ll, []),
@@ -242,44 +236,8 @@ def ppa_lanes() -> int:
 
 
 # ----------------------------------------------------------------------
-# Sequential kernels (no threaded form)
+# Sequential kernel (no threaded form)
 # ----------------------------------------------------------------------
-
-def resolve_runs(pair_a, pair_b, n_runs):
-    """Union run-id pairs and renumber: ``dense_ids, n_comps``.
-
-    The incremental-connectivity helper: run decomposition happens in
-    numpy (only dirty row bands are rebuilt), the union-find resolve
-    happens here. Dense ids are in first-appearance (minimal run id)
-    order, identical to the full CCL kernels.
-    """
-    lib = load()
-    pair_a = np.ascontiguousarray(pair_a, dtype=np.int64)
-    pair_b = np.ascontiguousarray(pair_b, dtype=np.int64)
-    parent = np.empty(int(n_runs), dtype=np.int64)
-    n = lib.ccl_resolve(pair_a, pair_b, len(pair_a), int(n_runs), parent)
-    return parent, int(n)
-
-
-def merge_small(sizes, starts, ends, dst, border_len, min_size, order):
-    """Greedy small-component merge walk; see ``merge_small_reference``."""
-    lib = load()
-    n_comps = len(sizes)
-    parent = np.arange(n_comps, dtype=np.int64)
-    merged_size = np.ascontiguousarray(sizes, dtype=np.int64).copy()
-    final_root = np.empty(n_comps, dtype=np.int64)
-    order = np.ascontiguousarray(order, dtype=np.int64)
-    lib.merge_small(
-        np.ascontiguousarray(starts, dtype=np.int64),
-        np.ascontiguousarray(ends, dtype=np.int64),
-        np.ascontiguousarray(dst, dtype=np.int64),
-        np.ascontiguousarray(border_len, dtype=np.int64),
-        int(min_size),
-        order, len(order),
-        n_comps, parent, merged_size, final_root,
-    )
-    return final_root
-
 
 def chamfer_distance(mask):
     """3-4 chamfer transform; see ``chamfer_distance_reference``.

@@ -22,13 +22,13 @@ the one-thread order. Every output element is written by exactly one
 thread, so no boundary ties can arise; the cross-tile combines (the
 contingency stitch, the connected-components band seams and renumber,
 the PPA pass's clusters that straddle two index ranges) run
-sequentially. ``connected_components`` tiles row bands with
-per-band run decomposition and union-by-minimal-root, so component
-roots — and the canonical first-appearance renumbering — are
-independent of thread count (see the CCL section in ``_native.c``).
-The inherently sequential kernels (``merge_small``'s greedy walk, the
-raster-ordered chamfer sweeps) have no threaded form and come from
-:mod:`repro.kernels.native`.
+sequentially. ``enforce_connectivity`` threads its component labeling
+and its final relabel only: the labeling tiles row bands with per-band
+run decomposition and union-by-minimal-root, so component roots — and
+the canonical first-appearance renumbering — are independent of thread
+count (see the CCL section in ``_native.c``), while its adjacency build
+and greedy merge walk run serially. The raster-ordered chamfer sweeps
+have no threaded form and come from :mod:`repro.kernels.native`.
 
 Thread-count resolution, per call site, first match wins:
 
@@ -56,10 +56,10 @@ import numpy as np
 
 from ..core.accumulators import check_sigma_args
 from ..core.assignment import check_ppa_args
+from ..core.connectivity import check_connectivity_args
 from ..core.distance import WEIGHT_FRAC_BITS
-from ..types import validate_label_map
 from .dispatch import usable_cores
-from .native import chamfer_distance, is_available, load, merge_small  # noqa: F401
+from .native import chamfer_distance, is_available, load  # noqa: F401
 
 __all__ = [
     "is_available",
@@ -68,10 +68,9 @@ __all__ = [
     "thread_context",
     "cpa_assign",
     "ppa_assign",
-    "connected_components",
+    "enforce_connectivity",
     "lab_from_codes",
     "sigma_accumulate",
-    "merge_small",
     "contingency_table",
     "chamfer_distance",
 ]
@@ -379,33 +378,40 @@ def sigma_accumulate(
     return sums, counts
 
 
-def connected_components(labels, n_threads=None):
-    """Row-banded two-pass union-find CCL; see ``connected_components``.
+def enforce_connectivity(labels, min_size, n_threads=None):
+    """The whole connectivity pass in one C call; see
+    ``enforce_connectivity_reference``.
 
-    Each thread decomposes its own row band into runs (offset by a
-    serial prefix sum) and unions within the band's disjoint parent
-    range; the band seams and the ascending renumber run serially.
-    Union-by-minimal-root makes the component roots independent of the
-    union order, so labels are bit-identical at any thread count, and
-    component ids come out in the reference's canonical first-appearance
-    order. Maps too large for the int32 run-id scratch fall back to the
-    vectorized backend.
+    ``_native.c`` labels the components (row-banded over the pool),
+    takes their sizes and first-pixel labels, builds the small
+    components' border-weighted adjacency, sorts them by size, runs the
+    greedy merge walk and relabels every pixel (row-banded) — no numpy
+    between the steps. Bit-identical to the reference at any thread
+    count. Maps of 2^31 pixels or more, beyond the int32 component ids,
+    fall back to the vectorized backend.
     """
-    labels = validate_label_map(labels)
+    labels, min_size = check_connectivity_args(labels, min_size)
+    if min_size <= 1:
+        return labels.copy()
     h, w = labels.shape
     if h * w >= 2**31:
         from . import vectorized
 
-        return vectorized.connected_components(labels)
+        return vectorized.enforce_connectivity(labels, min_size)
     lib = load()
     nt = resolve_threads(n_threads)
-    lab_c = np.ascontiguousarray(labels, dtype=np.int32)
-    comps = np.empty((h, w), dtype=np.int32)
+    out = np.empty((h, w), dtype=np.int32)
+    comps = np.empty(h * w, dtype=np.int32)
     parent = np.empty(h * w, dtype=np.int64)
-    n = lib.ccl_i32_mt(
-        lab_c.reshape(-1), h, w, comps.reshape(-1), parent, nt
+    status = lib.enforce_connectivity_i32_mt(
+        labels.reshape(-1), h, w, min_size, out.reshape(-1), comps, parent,
+        nt,
     )
-    return comps, int(n)
+    if status != 0:
+        raise MemoryError(
+            f"enforce_connectivity: allocation failed on a {h}x{w} map"
+        )
+    return out
 
 
 def contingency_table(a_flat, b_flat, n_a, n_b, n_threads=None):

@@ -15,9 +15,8 @@ from ..core.accumulators import (
 from ..core.assignment import assign_cpa as cpa_assign
 from ..core.assignment import ppa_assign_reference as ppa_assign
 from ..core.connectivity import (
-    connected_components_reference as connected_components,
+    enforce_connectivity_reference as enforce_connectivity,
 )
-from ..core.connectivity import merge_small_reference as merge_small
 from ..metrics.boundaries import (
     chamfer_distance_reference as chamfer_distance,
 )
@@ -28,10 +27,9 @@ from ..metrics.boundaries import (
 __all__ = [
     "cpa_assign",
     "ppa_assign",
-    "connected_components",
+    "enforce_connectivity",
     "lab_from_codes",
     "sigma_accumulate",
-    "merge_small",
     "contingency_table",
     "chamfer_distance",
     "is_available",

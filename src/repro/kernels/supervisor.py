@@ -97,7 +97,7 @@ def self_test(name: str) -> None:
 
     Exercises every kernel in the contract (CPA scan, fused Lab
     conversion, sigma accumulation, the fused PPA pass on the float and
-    8-bit datapaths, connected components, merge walk, metric
+    8-bit datapaths, the fused connectivity pass, metric
     histogram/chamfer) on tiny fixed inputs and
     compares against the reference loops, raising
     :class:`ConfigurationError` with the mismatch detail on any
@@ -106,8 +106,8 @@ def self_test(name: str) -> None:
     intended to run once per process. The ``native-mt`` vector runs the
     whole battery pinned to 2 threads (so the pool and the stitch are
     genuinely exercised), plus one-thread and odd 3-thread passes of the
-    CPA scan and the fused PPA pass that would catch a broken inline
-    path or remainder-band partition bugs.
+    CPA scan, the fused PPA pass and the connectivity pass that would
+    catch a broken inline path or remainder-band partition bugs.
     """
     import contextlib
 
@@ -299,35 +299,32 @@ def self_test(name: str) -> None:
             for field, value in want.items():
                 check(f"{kernel}.{field}{suffix}", out[field], value)
 
-    # Connected components: nested ring + stray pixels + a label that
-    # recurs in disjoint pieces, so run unions chain across many rows
-    # and the canonical first-appearance renumbering is load-bearing.
-    ring = np.zeros((7, 8), dtype=np.int32)
+    # Connectivity: a nested ring with strays and a label that recurs
+    # in disjoint pieces (rows 0-6), so run unions chain across many
+    # rows and the first-appearance numbering is load-bearing; below it
+    # a 4-px fragment of label 3 whose two longest borders (3 px each,
+    # to the 4 and 5 regions) tie, so the lowest-id rule decides. At
+    # min_size 12 the 5 region is small as well and ties again (3 px to
+    # the merged fragment and to the outside 0): a chained merge.
+    ring = np.zeros((10, 8), dtype=np.int32)
     ring[1:6, 1:7] = 1
     ring[2:5, 2:6] = 0
     ring[3, 3] = 2
     ring[0, 7] = 2
     ring[6, 0] = 1
-    want_comps, want_n = reference.connected_components(ring)
-    with pinned():
-        got_comps, got_n = backend.connected_components(ring)
-    check("connected_components", got_comps, want_comps)
-    check("connected_components.n", got_n, want_n)
-    if name == "native-mt":
-        # Odd thread count: band seams fall mid-ring.
-        odd_comps, odd_n = backend.connected_components(ring, n_threads=3)
-        check("connected_components@3t", odd_comps, want_comps)
-        check("connected_components.n@3t", odd_n, want_n)
-
-    # Merge walk: 4 components, CSR adjacency with a weight tie (1<->3).
-    sizes = np.array([2, 9, 1, 8], dtype=np.int64)
-    starts = np.array([0, 2, 5, 7], dtype=np.int64)
-    ends = np.array([2, 5, 7, 9], dtype=np.int64)
-    dst = np.array([1, 2, 0, 2, 3, 0, 1, 1, 2], dtype=np.int64)
-    border = np.array([3, 1, 3, 2, 4, 1, 2, 4, 2], dtype=np.int64)
-    order = np.array([2, 0], dtype=np.int64)
-    args = (sizes, starts, ends, dst, border, 4, order)
-    check("merge_small", backend.merge_small(*args), reference.merge_small(*args))
+    ring[7:9, :3] = ring[9, :4] = 4
+    ring[7:9, 5:] = ring[9, 4:] = 5
+    ring[7:9, 3:5] = 3
+    for min_size in (5, 12):
+        want = reference.enforce_connectivity(ring, min_size)
+        with pinned():
+            got = backend.enforce_connectivity(ring, min_size)
+        check(f"enforce_connectivity/{min_size}", got, want)
+        if name == "native-mt":
+            # One thread runs inline; three put band seams mid-ring.
+            for nt in (1, 3):
+                got = backend.enforce_connectivity(ring, min_size, n_threads=nt)
+                check(f"enforce_connectivity/{min_size}@{nt}t", got, want)
 
     # Metrics: joint histogram and chamfer transform on tiny maps.
     a_flat = np.array([0, 0, 1, 2, 1, 0], dtype=np.int64)

@@ -14,14 +14,16 @@ Portable optimized backend — no compiler required. The kernels:
   the reference's ``(M, 9, 3)`` intermediates, then the label scatter
   and the subset's sigma partials (the same bincount columns as
   :func:`sigma_accumulate`).
-* :func:`connected_components` — union-find replaced by iterative
-  min-label propagation with pointer jumping; no Python edge loop.
+* :func:`enforce_connectivity` — the shared numpy body of
+  :func:`repro.core.connectivity.enforce_connectivity_with`, bound to
+  two batched helpers: a component labeling whose union-find is
+  replaced by iterative min-label propagation with pointer jumping (no
+  Python edge loop), and the greedy small-component merge walk with the
+  per-component neighbor scan batched (vectorized root resolution and
+  ``np.lexsort`` best-neighbor selection).
 * :func:`lab_from_codes` — the fixed-point RGB->Lab pipeline and its
   decode run once per *unique* 24-bit color and gathered back,
   exploiting that real frames use a small fraction of the color cube.
-* :func:`merge_small` — the greedy small-component merge walk with the
-  per-component neighbor scan batched (vectorized root resolution and
-  ``np.lexsort`` best-neighbor selection).
 * ``contingency_table`` / ``chamfer_distance`` — the numpy reference
   implementations are already batched; aliased as-is.
 
@@ -39,10 +41,10 @@ from ..color.hw_convert import convert_codes_reference
 from ..core.accumulators import check_sigma_args
 from ..core.assignment import _PPA_CHUNK, PixelArrays, check_ppa_args
 from ..core.connectivity import (
-    _min_propagate,
     _resolve_roots,
     _run_ids,
     _UnionFind,
+    enforce_connectivity_with,
 )
 from ..core.distance import WEIGHT_FRAC_BITS, FixedDatapath
 from ..metrics.boundaries import (  # noqa: F401 — numpy-bound, reference is optimal
@@ -51,15 +53,13 @@ from ..metrics.boundaries import (  # noqa: F401 — numpy-bound, reference is o
 from ..metrics.boundaries import (  # noqa: F401
     contingency_table_reference as contingency_table,
 )
-from ..types import validate_label_map
 
 __all__ = [
     "cpa_assign",
     "ppa_assign",
-    "connected_components",
+    "enforce_connectivity",
     "lab_from_codes",
     "sigma_accumulate",
-    "merge_small",
     "contingency_table",
     "chamfer_distance",
     "is_available",
@@ -296,7 +296,29 @@ def ppa_assign(
     return out, sums, counts
 
 
-def connected_components(labels: np.ndarray):
+def _min_propagate(parent: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Resolve union pairs ``(a, b)`` by iterative min-label propagation.
+
+    Repeated minimum-scatter plus pointer jumping until every pair
+    agrees; converges in O(log n) rounds. On return ``parent[i]`` is the
+    minimal element of ``i``'s component — the canonical representative
+    the reference renumbers by.
+    """
+    while True:
+        lo = np.minimum(parent[a], parent[b])
+        np.minimum.at(parent, a, lo)
+        np.minimum.at(parent, b, lo)
+        while True:  # pointer jumping to full compression
+            hop = parent[parent]
+            if np.array_equal(hop, parent):
+                break
+            parent = hop
+        if np.array_equal(parent[a], parent[b]):
+            break
+    return parent
+
+
+def _connected_components(labels: np.ndarray):
     """4-connected components via iterative min-label propagation.
 
     Same run decomposition and dense first-appearance renumbering as the
@@ -304,7 +326,6 @@ def connected_components(labels: np.ndarray):
     minimum-scatter plus pointer jumping, which converges in
     O(log n_runs) rounds.
     """
-    labels = validate_label_map(labels)
     run_id, n_runs = _run_ids(labels)
     parent = np.arange(n_runs, dtype=np.int64)
     same_up = labels[1:, :] == labels[:-1, :]
@@ -418,7 +439,7 @@ def _sigma_partials(
     return sums, counts
 
 
-def merge_small(
+def _merge_small(
     sizes: np.ndarray,
     starts: np.ndarray,
     ends: np.ndarray,
@@ -461,3 +482,10 @@ def merge_small(
         new_root = uf.find(target_root)
         merged_size[new_root] = merged_size[root_c] + merged_size[target_root]
     return _resolve_roots(uf.parent, np.arange(n_comps, dtype=np.int64))
+
+
+def enforce_connectivity(labels: np.ndarray, min_size) -> np.ndarray:
+    """The connectivity pass on the batched labeling and merge walk."""
+    return enforce_connectivity_with(
+        labels, min_size, _connected_components, _merge_small
+    )

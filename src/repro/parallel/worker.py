@@ -24,14 +24,6 @@ Two resilience hooks live here:
 Workers are deliberately stateless: a frame's output is a pure function
 of ``(image, params, warm_centers, warm_labels)``, which is what makes
 parallel output bit-identical to serial (see ``docs/parallel.md``).
-The one exception is a per-process *cache*: each worker keeps a
-:class:`~repro.core.connectivity.ConnectivityState` per stream so
-warm-started frames re-resolve only the connectivity tiles whose labels
-changed. A continuity guard (the cached state must expect exactly this
-frame index) makes retries, rescheduling across workers, and pool
-rebuilds fall back to a cold resolve — and because the state is a pure
-cache, a hit and a miss produce bit-identical labels, preserving the
-stateless contract.
 """
 
 from __future__ import annotations
@@ -51,40 +43,6 @@ __all__ = ["run_frame"]
 #: (Superseded by ``repro.resilience.FaultPlan`` crash faults, kept for
 #: env-only contexts.)
 CRASH_ENV = "REPRO_PARALLEL_CRASH_FRAME"
-
-#: Per-process incremental-connectivity caches:
-#: ``stream_id -> (expected_frame_index, ConnectivityState)``. Pure
-#: caches — an eviction or a continuity miss costs one cold resolve,
-#: never a different result. Bounded so long many-stream batches cannot
-#: accumulate per-stream frame buffers without limit.
-_CONN_STATES: dict = {}
-_CONN_STATES_MAX = 16
-
-
-def _connectivity_state(task):
-    """The stream's cached state, or a fresh one on a continuity miss.
-
-    A cold start (no warm state on the task) always begins a fresh
-    cache; a warm frame reuses the cached state only when it expects
-    exactly this frame index — otherwise the frame was rescheduled,
-    retried after a mid-frame failure, or landed on a different worker,
-    and a fresh cold-resolving state keeps the output bit-identical.
-    """
-    from ..core.connectivity import ConnectivityState
-
-    cold = task.warm_centers is None and task.warm_labels is None
-    if not cold:
-        entry = _CONN_STATES.get(task.stream_id)
-        if entry is not None and entry[0] == task.frame_index:
-            return entry[1]
-    return ConnectivityState()
-
-
-def _store_connectivity_state(task, state) -> None:
-    _CONN_STATES[task.stream_id] = (task.frame_index + 1, state)
-    while len(_CONN_STATES) > _CONN_STATES_MAX:
-        _CONN_STATES.pop(next(iter(_CONN_STATES)))
-
 
 def _collecting_tracer(task):
     """An in-memory tracer that joins the parent's trace.
@@ -154,16 +112,13 @@ def run_frame(task: FrameTask, in_worker: bool = True) -> FrameRecord:
             from ..kernels.native_mt import resolve_threads
 
             n_threads = resolve_threads(params.n_threads)
-        conn_state = _connectivity_state(task)
         result = run_segmentation(
             image,
             params,
             warm_centers=task.warm_centers,
             warm_labels=task.warm_labels,
             tracer=tracer,
-            connectivity_state=conn_state,
         )
-        _store_connectivity_state(task, conn_state)
     except (ReproError, ValueError, TypeError) as exc:
         return FrameRecord(
             stream_id=task.stream_id,

@@ -99,7 +99,6 @@ def record_to_json(record) -> dict:
             "converged": bool(res.converged),
             "movement_history": [float(m) for m in res.movement_history],
             "timings": {k: float(v) for k, v in res.timings.items()},
-            "tiles_resolved": res.tiles_resolved,
         }
     return payload
 
@@ -122,7 +121,6 @@ def record_from_json(payload: dict, params=None):
             movement_history=list(res["movement_history"]),
             timings=dict(res["timings"]),
             params=params,
-            tiles_resolved=res.get("tiles_resolved"),
         )
     return FrameRecord(
         stream_id=payload["stream_id"],

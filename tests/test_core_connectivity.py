@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core import connected_components, enforce_connectivity
-from repro.core.connectivity import ConnectivityState
 
 from .kernel_cases import kernel_cases
 
@@ -128,17 +127,34 @@ def _ring(h=12, w=12):
     return labels
 
 
+def _assert_matches_reference(labels, backend):
+    """The backend's connectivity pass equals the reference at a small,
+    a mid and an everything-is-small ``min_size``: a component the
+    backend split or joined by mistake changes its size, and so what
+    merges where."""
+    area = labels.size
+    for min_size in (2, max(2, area // 4), area + 1):
+        want = enforce_connectivity(labels, min_size, backend="reference")
+        got = enforce_connectivity(labels, min_size, backend=backend)
+        assert np.array_equal(got, want), min_size
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestEdgeCases:
     """Shapes that have historically broken union-find renumbering."""
 
     def test_ring_splits_enclosed_island(self, backend):
         labels = _ring()
-        comps, n = connected_components(labels, backend=backend)
+        comps, n = connected_components(labels)
         # Outside 0, the ring of 1, and the enclosed 0 island: 3 comps.
         assert n == 3
         assert comps[0, 0] != comps[6, 6]
         assert labels[comps == comps[6, 6]].sum() == 0
+        # Only a separate island (16 px) falls below 17 and joins the
+        # ring; the outside 0 (80 px) stays.
+        out = enforce_connectivity(labels, 17, backend=backend)
+        assert (out[4:-4, 4:-4] == 1).all() and (out[0] == 0).all()
+        _assert_matches_reference(labels, backend)
 
     def test_thin_ring_and_island_collapse(self, backend):
         # Ring (24 px) below min_size merges into the outside (longest
@@ -155,7 +171,7 @@ class TestEdgeCases:
         # so it must take the ring's label, not the outside's.
         labels = _ring()
         out = enforce_connectivity(labels, 20, backend=backend)
-        comps, n = connected_components(out, backend=backend)
+        comps, n = connected_components(out)
         assert n == 2
         assert (out[4:-4, 4:-4] == 1).all()
         assert (out[0] == 0).all()
@@ -176,13 +192,18 @@ class TestEdgeCases:
         assert np.array_equal(out, labels)
 
     def test_single_row_and_column(self, backend):
+        # Three components (2, 2 and 1 px): the lone trailing 0 joins
+        # its only neighbour, the 1s, whether the map is a row or a
+        # column.
         row = np.array([[0, 0, 1, 1, 0]], dtype=np.int32)
-        comps, n = connected_components(row, backend=backend)
-        assert n == 3
+        out = enforce_connectivity(row, 2, backend=backend)
+        assert np.array_equal(out, [[0, 0, 1, 1, 1]])
         col = row.T.copy()
-        comps_t, n_t = connected_components(col, backend=backend)
-        assert n_t == 3
-        assert np.array_equal(comps_t, comps.T)
+        assert np.array_equal(
+            enforce_connectivity(col, 2, backend=backend), out.T
+        )
+        for labels in (row, col):
+            _assert_matches_reference(labels, backend)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -217,8 +238,7 @@ class TestNoOpSemantics:
         labels = np.array([[5]], dtype=np.int32)
         out = enforce_connectivity(labels, 10, backend=backend)
         assert np.array_equal(out, labels)
-        comps, n = connected_components(labels, backend=backend)
-        assert n == 1 and comps[0, 0] == 0
+        assert out is not labels
 
     def test_single_row_merge_ties_to_lowest_component(self, backend):
         # One-row maps exercise width-only runs (no vertical unions);
@@ -237,130 +257,3 @@ class TestNoOpSemantics:
         labels[:, 4:] = 1
         out = enforce_connectivity(labels, 4, backend=backend)
         assert np.array_equal(out, labels)
-
-
-def _frames(h=64, w=48, patch=None):
-    """A base label map and a copy with a small patch of motion."""
-    rng = np.random.default_rng(21)
-    base = rng.integers(0, 6, (h, w)).astype(np.int32)
-    warm = base.copy()
-    if patch is not None:
-        y, x = patch
-        warm[y:y + 4, x:x + 4] = 5
-    return base, warm
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-class TestConnectivityState:
-    """Incremental video connectivity: the state is a pure cache —
-    dropping it, evicting it, or feeding it any frame sequence never
-    changes the output, only ``tiles_resolved``."""
-
-    def test_warm_output_bit_identical_to_stateless(self, backend):
-        base, warm = _frames(patch=(30, 20))
-        state = ConnectivityState(band_rows=16)
-        cold = enforce_connectivity(base, 8, backend=backend, state=state)
-        hot = enforce_connectivity(warm, 8, backend=backend, state=state)
-        assert np.array_equal(
-            cold, enforce_connectivity(base, 8, backend=backend)
-        )
-        assert np.array_equal(
-            hot, enforce_connectivity(warm, 8, backend=backend)
-        )
-
-    def test_warm_frame_resolves_strictly_fewer_tiles(self, backend):
-        # The ISSUE's acceptance counter: a warm frame with small motion
-        # must re-resolve strictly fewer bands than the cold frame.
-        base, warm = _frames(patch=(30, 20))
-        state = ConnectivityState(band_rows=16)
-        enforce_connectivity(base, 8, backend=backend, state=state)
-        cold_tiles = state.tiles_resolved
-        assert cold_tiles == state.tiles_total  # cold = everything dirty
-        enforce_connectivity(warm, 8, backend=backend, state=state)
-        assert state.tiles_resolved < cold_tiles
-        assert state.tiles_resolved >= 1
-
-    def test_identical_frame_shortcut_zero_tiles(self, backend):
-        base, _ = _frames()
-        state = ConnectivityState(band_rows=16)
-        first = enforce_connectivity(base, 8, backend=backend, state=state)
-        second = enforce_connectivity(base, 8, backend=backend, state=state)
-        assert state.tiles_resolved == 0
-        assert np.array_equal(first, second)
-        assert first is not second  # still a caller-owned buffer
-
-    def test_min_size_change_invalidates_shortcut(self, backend):
-        # Same labels, different min_size: the cached output is for the
-        # old policy and must not be replayed.
-        base = np.zeros((32, 32), dtype=np.int32)
-        base[10:12, 10:12] = 1  # 4-px fragment
-        state = ConnectivityState(band_rows=16)
-        kept = enforce_connectivity(base, 2, backend=backend, state=state)
-        assert 1 in kept
-        merged = enforce_connectivity(base, 8, backend=backend, state=state)
-        assert 1 not in merged
-        assert np.array_equal(
-            merged, enforce_connectivity(base, 8, backend=backend)
-        )
-
-    def test_failed_merge_retry_does_not_replay_stale_output(self, backend):
-        # If enforce_connectivity dies between state.components() and
-        # record_output() (kernel error mid-merge) and the frame is
-        # retried with the same state, the retry sees zero dirty tiles —
-        # the identical-frame shortcut must NOT hand back the previous
-        # frame's output.
-        base, warm = _frames(patch=(30, 20))
-        state = ConnectivityState(band_rows=16)
-        enforce_connectivity(base, 8, backend=backend, state=state)
-        # Simulate the failure: components() runs for the new frame, but
-        # the merge never completes, so record_output() is never called.
-        comps, n_comps, shortcut = state.components(warm, 8, backend=backend)
-        assert shortcut is None
-        retry = enforce_connectivity(warm, 8, backend=backend, state=state)
-        assert state.tiles_resolved == 0  # the dangerous path: all clean
-        assert np.array_equal(
-            retry, enforce_connectivity(warm, 8, backend=backend)
-        )
-
-    def test_shape_change_resets_cleanly(self, backend):
-        big, _ = _frames(h=64, w=48)
-        small = big[:32, :24].copy()
-        state = ConnectivityState(band_rows=16)
-        enforce_connectivity(big, 8, backend=backend, state=state)
-        out = enforce_connectivity(small, 8, backend=backend, state=state)
-        assert state.tiles_resolved == state.tiles_total
-        assert np.array_equal(
-            out, enforce_connectivity(small, 8, backend=backend)
-        )
-
-    def test_min_size_leq_one_leaves_cache_consistent(self, backend):
-        base, warm = _frames(patch=(10, 10))
-        state = ConnectivityState(band_rows=16)
-        enforce_connectivity(base, 8, backend=backend, state=state)
-        # A min_size<=1 call is a pure no-op: counters zero, caches
-        # untouched, and the next real call still resolves correctly.
-        out = enforce_connectivity(warm, 1, backend=backend, state=state)
-        assert np.array_equal(out, warm)
-        assert state.tiles_resolved == 0
-        after = enforce_connectivity(warm, 8, backend=backend, state=state)
-        assert np.array_equal(
-            after, enforce_connectivity(warm, 8, backend=backend)
-        )
-
-    def test_long_sequence_matches_stateless(self, backend):
-        # Arbitrary mixed sequence (moving patch, repeats, big jumps):
-        # every stateful output equals the stateless one.
-        rng = np.random.default_rng(33)
-        state = ConnectivityState(band_rows=8)
-        frame = rng.integers(0, 5, (40, 32)).astype(np.int32)
-        for step in range(6):
-            if step % 3 == 2:
-                frame = rng.integers(0, 5, (40, 32)).astype(np.int32)
-            elif step % 3 == 1:
-                frame = frame.copy()
-                frame[12:18, 8:14] = step % 5
-            stateful = enforce_connectivity(
-                frame, 6, backend=backend, state=state
-            )
-            stateless = enforce_connectivity(frame, 6, backend=backend)
-            assert np.array_equal(stateful, stateless)

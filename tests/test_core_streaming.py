@@ -97,51 +97,6 @@ class TestStreamSegmenter:
             StreamSegmenter(PARAMS, drift_limit=0.0)
 
 
-class TestIncrementalConnectivity:
-    """The segmenter threads one ConnectivityState through its frames."""
-
-    def test_tiles_resolved_populated_only_with_state(self):
-        seg, results = _run("static", n=2)
-        for r in results:
-            assert isinstance(r.tiles_resolved, int)
-            assert r.tiles_resolved >= 0
-        seq = VideoSequence(1, config=CFG, motion="static", seed=3)
-        assert run_segmentation(seq[0].image, PARAMS).tiles_resolved is None
-
-    def test_state_is_a_pure_cache_bit_identical(self):
-        # Forcing a cold connectivity resolve on every frame must not
-        # change a single label — the state is a cache, not an input.
-        seq = VideoSequence(4, config=CFG, motion="shake", seed=3)
-        warm = StreamSegmenter(PARAMS)
-        cold = StreamSegmenter(PARAMS)
-        for frame in seq:
-            a = warm.process(frame.image)
-            cold._conn_state.reset()  # evict before every frame
-            b = cold.process(frame.image)
-            assert np.array_equal(a.labels, b.labels)
-            assert np.array_equal(a.centers, b.centers)
-
-    def test_repeated_warm_frame_resolves_zero_tiles(self):
-        # Identical image + identical warm state => identical
-        # pre-connectivity labels => the second call proves every band
-        # clean and replays the cached output without resolving a tile.
-        from repro.core.connectivity import ConnectivityState
-
-        img = VideoSequence(1, config=CFG, motion="static", seed=3)[0].image
-        cold = run_segmentation(img, PARAMS)
-        state = ConnectivityState(band_rows=16)
-        kwargs = dict(
-            warm_centers=cold.centers,
-            warm_labels=cold.labels,
-            connectivity_state=state,
-        )
-        first = run_segmentation(img, PARAMS, **kwargs)
-        assert first.tiles_resolved == state.tiles_total  # cold cache
-        second = run_segmentation(img, PARAMS, **kwargs)
-        assert second.tiles_resolved == 0  # strictly fewer than cold
-        assert np.array_equal(first.labels, second.labels)
-
-
 class TestWarmStartEdgeCases:
     """ISSUE-2 satellite: the inputs that used to die in numpy must now
     either re-anchor cleanly or raise a repro.errors error."""

@@ -37,9 +37,10 @@ from repro.core import (
     tile_map,
 )
 from repro.core.assignment import PixelArrays, assign_cpa, assign_ppa
-from repro.core.connectivity import ConnectivityState, enforce_connectivity
+from repro.core.connectivity import enforce_connectivity
 from repro.core.subsampling import make_schedule
 from repro.data import SceneConfig, generate_scene
+from repro.errors import ConfigurationError, ImageError
 from repro.kernels import available_backends, get_backend
 from repro.kernels import reference as reference_kernels
 
@@ -256,51 +257,107 @@ def _random_labels(seed, h, w, k):
     return rng.integers(0, k, (h, w)).astype(np.int32)
 
 
-class TestCclDifferential:
-    """The two-pass union-find CCL kernel vs the reference labeling.
+#: ``min_size`` draws by name: the no-op values, the smallest real
+#: merge, a mid value, the area and just above it (everything is
+#: small), one far beyond any frame (clamped before C), and a float
+#: (a typed error).
+_MIN_SIZES = {
+    "0": lambda area: 0,
+    "1": lambda area: 1,
+    "2": lambda area: 2,
+    "mid": lambda area: max(2, area // 4),
+    "area": lambda area: area,
+    "area+1": lambda area: area + 1,
+    "1e12": lambda area: 10**12,
+    "float": lambda area: 2.0,
+}
 
-    Every backend — including the tiled native-mt variant at 1/2/4/7
-    threads, so band seams land everywhere — must reproduce the
-    reference's component map *bit for bit*: same dense ids, same
-    first-appearance (row-major) numbering.
+
+def _boundary_labels(seed, h, w, k, dtype, layout):
+    """A random map in ``dtype`` and memory ``layout``; ``int64-wide``
+    holds labels past the int32 range."""
+    labels = _random_labels(seed, h, w, k).astype(np.int64)
+    if dtype == "int64-wide":
+        labels += 2**31
+    else:
+        labels = labels.astype(dtype)
+    if layout == "F":
+        return np.asfortranarray(labels)
+    if layout == "strided":  # the same values, as a non-contiguous view
+        return np.repeat(np.repeat(labels, 2, axis=0), 2, axis=1)[::2, ::2]
+    return labels
+
+
+class TestCclDifferential:
+    """The fused connectivity entry vs the reference pass.
+
+    The compiled entry runs the two-pass union-find CCL, the border
+    adjacency, the merge walk and the relabel in one call. Every backend
+    — including native-mt at 1/2/4/7 threads, so band seams land
+    everywhere — must reproduce the reference's output bit for bit. A
+    wrongly split or joined component changes its size, and so what
+    merges where, which the small, mid and ``area + 1`` draws expose.
+    Inputs the contract rejects must raise the same typed error on
+    every backend, before any kernel runs.
     """
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 10_000),
         h=st.integers(1, 24),
         w=st.integers(1, 24),
         k=st.integers(1, 6),
+        shape=st.sampled_from(["any", "row", "column"]),
+        dtype=st.sampled_from(
+            ["int32", "uint8", "uint16", "int64", "int64-wide"]
+        ),
+        layout=st.sampled_from(["C", "F", "strided"]),
+        min_size=st.sampled_from(sorted(_MIN_SIZES)),
     )
-    def test_all_backends_bit_identical(self, seed, h, w, k):
-        labels = _random_labels(seed, h, w, k)
-        want, want_n = reference_kernels.connected_components(labels)
+    def test_all_backends_bit_identical(
+        self, seed, h, w, k, shape, dtype, layout, min_size
+    ):
+        h = 1 if shape == "row" else h
+        w = 1 if shape == "column" else w
+        labels = _boundary_labels(seed, h, w, k, dtype, layout)
+        before = labels.copy()
+        size = _MIN_SIZES[min_size](h * w)
+        error = ImageError if dtype == "int64-wide" else (
+            ConfigurationError if min_size == "float" else None
+        )
         for name in available_backends():
-            got, got_n = get_backend(name).connected_components(labels)
-            assert got_n == want_n, name
+            if error is not None:
+                with pytest.raises(error):
+                    get_backend(name).enforce_connectivity(labels, size)
+                continue
+            want = reference_kernels.enforce_connectivity(labels, size)
+            got = get_backend(name).enforce_connectivity(labels, size)
+            assert got.dtype == np.int32 and got.flags.c_contiguous, name
             assert np.array_equal(got, want), name
+        assert np.array_equal(labels, before)
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=30, deadline=None)
     @given(
         seed=st.integers(0, 10_000),
         h=st.integers(1, 40),
         w=st.integers(1, 24),
         k=st.integers(1, 6),
         n_threads=st.sampled_from([1, 2, 4, 7]),
+        min_size=st.sampled_from(["2", "mid", "area+1"]),
     )
     def test_native_mt_identical_at_any_thread_count(
-        self, seed, h, w, k, n_threads
+        self, seed, h, w, k, n_threads, min_size
     ):
         if "native-mt" not in available_backends():
             pytest.skip("backend 'native-mt' unavailable")
         from repro.kernels import native_mt
 
         labels = _random_labels(seed, h, w, k)
-        want, want_n = reference_kernels.connected_components(labels)
-        got, got_n = native_mt.connected_components(
-            labels, n_threads=n_threads
+        size = _MIN_SIZES[min_size](h * w)
+        want = reference_kernels.enforce_connectivity(labels, size)
+        got = native_mt.enforce_connectivity(
+            labels, size, n_threads=n_threads
         )
-        assert got_n == want_n
         assert np.array_equal(got, want)
 
 
@@ -358,33 +415,6 @@ class TestMergeChainSemantics:
         got = enforce_connectivity(labels, min_size, backend=backend)
         want = enforce_connectivity(labels, min_size, backend="reference")
         assert np.array_equal(got, want)
-
-
-class TestIncrementalConnectivityDifferential:
-    """The warm-started incremental path vs the stateless resolve."""
-
-    @settings(max_examples=12, deadline=None)
-    @given(
-        seed=st.integers(0, 10_000),
-        k=st.integers(2, 6),
-        min_size=st.integers(2, 24),
-        py=st.integers(0, 28),
-        px=st.integers(0, 18),
-    )
-    def test_patched_frame_sequence_bit_identical(
-        self, seed, k, min_size, py, px
-    ):
-        base = _random_labels(seed, 36, 24, k)
-        moved = base.copy()
-        moved[py:py + 5, px:px + 4] = (seed + 1) % k
-        for name in available_backends():
-            state = ConnectivityState(band_rows=8)
-            for frame in (base, moved, moved, base):
-                got = enforce_connectivity(
-                    frame, min_size, backend=name, state=state
-                )
-                want = enforce_connectivity(frame, min_size, backend=name)
-                assert np.array_equal(got, want), name
 
 
 def _point_d2(lab, centers, weight, k, x, y):

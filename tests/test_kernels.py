@@ -26,7 +26,7 @@ from repro.core import (
     tile_map,
 )
 from repro.core.assignment import PixelArrays
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ImageError
 from repro.kernels import (
     BACKEND_NAMES,
     DEMOTION_CHAIN,
@@ -121,11 +121,19 @@ class TestDispatch:
         assert resolve_name("vectorized") == "vectorized"
 
     def test_get_backend_has_kernel_surface(self):
+        """Every backend exports the seven-entry contract, and only it."""
+        contract = {
+            "cpa_assign", "ppa_assign", "enforce_connectivity",
+            "lab_from_codes", "sigma_accumulate", "contingency_table",
+            "chamfer_distance",
+        }
         for name in available_backends():
             mod = get_backend(name)
-            assert callable(mod.cpa_assign)
-            assert callable(mod.ppa_assign)
-            assert callable(mod.connected_components)
+            assert set(mod.__all__) - {"is_available"} >= contract, name
+            for kernel in contract:
+                assert callable(getattr(mod, kernel)), (name, kernel)
+            assert not hasattr(mod, "connected_components"), name
+            assert not hasattr(mod, "merge_small"), name
 
     def test_params_validate_backend_name(self):
         assert SlicParams(kernel_backend="Vectorized").kernel_backend == (
@@ -281,8 +289,21 @@ class TestPpaIdentity:
         assert np.array_equal(labels, tiles.ravel())
 
 
+def _connectivity_matches_reference(backend, labels):
+    """The fused connectivity entry equals the reference at a small, a
+    mid and an everything-is-small ``min_size``: a component the backend
+    split or joined by mistake changes what merges where."""
+    area = labels.size
+    for min_size in (2, max(2, area // 4), area + 1):
+        want = get_backend("reference").enforce_connectivity(labels, min_size)
+        got = get_backend(backend).enforce_connectivity(labels, min_size)
+        assert np.array_equal(got, want), min_size
+
+
 @pytest.mark.parametrize("backend", OPTIMIZED)
 class TestConnectedComponentsIdentity:
+    """Component labeling inside the fused connectivity entry."""
+
     @settings(max_examples=10, deadline=None)
     @given(
         seed=st.integers(0, 10_000),
@@ -293,10 +314,7 @@ class TestConnectedComponentsIdentity:
     def test_random_maps_identical(self, backend, seed, n_labels, h, w):
         rng = np.random.default_rng(seed)
         labels = rng.integers(0, n_labels, size=(h, w)).astype(np.int32)
-        ref_c, ref_n = get_backend("reference").connected_components(labels)
-        opt_c, opt_n = get_backend(backend).connected_components(labels)
-        assert ref_n == opt_n
-        assert np.array_equal(ref_c, opt_c)
+        _connectivity_matches_reference(backend, labels)
 
     def test_spiral_chain_identical(self, backend):
         """A single long snaking component — worst case for propagation
@@ -306,10 +324,7 @@ class TestConnectedComponentsIdentity:
         # Comb pattern: vertical teeth connected only along the top row.
         for x in range(1, w, 2):
             labels[1:, x] = 0
-        ref_c, ref_n = get_backend("reference").connected_components(labels)
-        opt_c, opt_n = get_backend(backend).connected_components(labels)
-        assert ref_n == opt_n
-        assert np.array_equal(ref_c, opt_c)
+        _connectivity_matches_reference(backend, labels)
 
 
 class TestEngineBackendEquivalence:
@@ -593,7 +608,9 @@ class TestSigmaAccumulateIdentity:
 class TestIndexValidation:
     """Out-of-range indices fail with ConfigurationError on every backend,
     before any kernel reads or writes with them (the compiled kernels
-    would otherwise drop a label >= K or read past ``centers``)."""
+    would otherwise drop a label >= K or read past ``centers``). The
+    connectivity pass rejects what its int32 map cannot hold the same
+    way."""
 
     SHAPE = (6, 8)
 
@@ -657,6 +674,29 @@ class TestIndexValidation:
                 labels_out=labels,
             )
         assert np.array_equal(labels, tiles.ravel())  # nothing written
+
+
+    @pytest.mark.parametrize("backend", kernel_cases())
+    @pytest.mark.parametrize(
+        "case", ["label-2^32", "label-2^31", "float-min-size"]
+    )
+    def test_enforce_connectivity(self, backend, case):
+        # Label 0 in columns 0-2 and a wide label in columns 3-5: an
+        # int32 cast would wrap 2^32 to 0 and join the two regions.
+        labels = np.zeros((4, 6), dtype=np.int64)
+        min_size, error = 2, ImageError
+        if case == "label-2^32":
+            labels[:, 3:] = 2**32
+        elif case == "label-2^31":
+            labels[:, 3:] = 2**31
+        else:
+            labels[:, 3:] = 1
+            min_size, error = 2.0, ConfigurationError
+        with pytest.raises(error):
+            get_backend(backend).enforce_connectivity(labels, min_size)
+        labels[:, 3:] = 2**31 - 1  # the widest label int32 holds
+        out = get_backend(backend).enforce_connectivity(labels, 2)
+        assert np.array_equal(out, labels)
 
 
 class TestMergeSmallIdentity:

@@ -437,19 +437,30 @@ class TestDegenerateShapes:
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
 
+    @pytest.mark.parametrize("h,w", SHAPES)
+    def test_enforce_connectivity(self, h, w):
+        rng = np.random.default_rng(h * 10 + w + 3)
+        labels = rng.integers(0, 3, size=(h, w)).astype(np.int32)
+        for min_size in (2, max(2, h * w // 4), h * w + 1):
+            want = reference.enforce_connectivity(labels, min_size)
+            got = native_mt.enforce_connectivity(
+                labels, min_size, n_threads=7
+            )
+            assert np.array_equal(got, want), min_size
+
     def test_serial_delegates_unaffected_by_ambient_threads(self):
         """A pinned ambient thread count must not change the output of
-        the row-banded CC or of chamfer, which has no threaded form."""
+        the fused connectivity pass (row-banded CCL and relabel) or of
+        chamfer, which has no threaded form."""
         rng = np.random.default_rng(4)
         labels = rng.integers(0, 6, size=(20, 24)).astype(np.int32)
         mask = rng.random((20, 24)) < 0.1
-        want_cc = reference.connected_components(labels)
+        want_ec = reference.enforce_connectivity(labels, 5)
         want_ch = reference.chamfer_distance(mask)
         with thread_context(7):
-            got_cc = native_mt.connected_components(labels)
+            got_ec = native_mt.enforce_connectivity(labels, 5)
             got_ch = native_mt.chamfer_distance(mask)
-        assert want_cc[1] == got_cc[1]
-        assert np.array_equal(want_cc[0], got_cc[0])
+        assert np.array_equal(want_ec, got_ec)
         assert np.array_equal(want_ch, got_ch)
 
 
