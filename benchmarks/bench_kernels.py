@@ -13,7 +13,7 @@ operating point scaled to one sweep):
    (assignment, label write and sigma partials). The CPA gate
    needs the compiled ``native-mt`` backend; when no compiler is present
    the gate is reported as skipped rather than failed, because the
-   pure-numpy fallback intentionally trades speed for portability.
+   pure-numpy fallback runs the reference CPA loop.
 3. **Threading** — on a machine with >= 4 cores, ``native-mt`` on its
    thread pool must beat ``native-mt`` at one thread on the CPA sweep.
    On smaller machines the numbers are still recorded (with the thread

@@ -29,9 +29,9 @@ sockets against a :class:`~repro.serve.BackgroundServer`:
    report clean.
 
 Artifacts: the shared ``emit`` fixture writes
-``benchmarks/output/bench_serve.{txt,jsonl}`` and the committed
-``BENCH_serve.json`` lands at the repo root for ``repro regress``
-(``p*_ms`` flatten as lower-is-better, ``*rps`` as higher-is-better).
+``benchmarks/output/bench_serve.{txt,jsonl}``; the JSONL carries one
+``bench.record`` per latency phase and one per gate (its rule, its
+numbers and its result).
 
 The first ``hold_s`` of the overload phase runs at full quality by
 design (the degradation dwell must elapse first), so the accepted-
@@ -40,22 +40,16 @@ state — the warmup tail is recorded separately, not hidden.
 """
 
 import json
-import platform
 import threading
 import time
-from pathlib import Path
 
 import pytest
 
 from repro.core import SlicParams
 from repro.kernels import usable_cores
-from repro.obs.regress import BENCH_SCHEMA_VERSION
 from repro.serve import BackgroundServer, ServeConfig
 
 pytestmark = pytest.mark.slow
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-BENCH_JSON = REPO_ROOT / "BENCH_serve.json"
 
 #: Offered load during the open-loop phase, as a multiple of measured
 #: capacity (the ISSUE's ">= 2x measured capacity" bar).
@@ -227,7 +221,7 @@ def _open_loop_overload(port, offered_rps, duration_s):
     return asyncio.run(drive())
 
 
-def test_serve_under_load(emit, bench_scale, bench_trace_id):
+def test_serve_under_load(emit, bench_scale):
     cores = usable_cores()
 
     n_uncontended = 40 if bench_scale == "full" else 15
@@ -311,6 +305,7 @@ def test_serve_under_load(emit, bench_scale, bench_trace_id):
 
     rows = [
         {"phase": "uncontended", **uncontended},
+        {"phase": "capacity", "rps": round(capacity_rps, 2)},
         {
             "phase": "overload_steady",
             **steady_stats,
@@ -321,75 +316,52 @@ def test_serve_under_load(emit, bench_scale, bench_trace_id):
             ) if accepted else 0.0,
         },
     ]
-    payload = {
-        "bench": "bench_serve",
-        "schema": BENCH_SCHEMA_VERSION,
-        "trace": bench_trace_id,
-        "scale": bench_scale,
-        "cores": cores,
-        "platform": platform.platform(),
-        "python": platform.python_version(),
-        "params": {
-            "n_superpixels": PARAMS.n_superpixels,
-            "max_iterations": PARAMS.max_iterations,
-            "subsample_ratio": PARAMS.subsample_ratio,
+    gates = {
+        "shed": {
+            "rule": (
+                f"at {OVERLOAD_FACTOR}x capacity the server sheds "
+                "429s and outstanding never exceeds max_queue"
+            ),
+            "shed_count": len(shed),
+            "shed_rate": round(shed_rate, 4),
+            "peak_outstanding": peak_outstanding,
+            "result": shed_gate,
         },
-        "config": {
-            "n_workers": config.n_workers,
-            "max_queue": config.max_queue,
-            "exec_mode": config.exec_mode,
-            "degrade_hold_s": config.degrade_hold_s,
+        "latency": {
+            "rule": (
+                "steady-state accepted p99 under overload <= "
+                f"{LATENCY_BLOWUP_CEILING}x uncontended p99 "
+                f"(first {OVERLOAD_WARMUP_S}s excluded as "
+                "degradation-dwell warmup)"
+            ),
+            "uncontended_p99_ms": uncontended["p99_ms"],
+            "overload_p99_ms": steady_stats["p99_ms"],
+            "blowup": round(blowup, 3) if steady else None,
+            "warmup_samples_excluded": len(accepted) - len(steady),
+            "result": latency_gate,
         },
-        "max_sustained_rps": round(capacity_rps, 2),
-        "gate": {
-            "shed": {
-                "rule": (
-                    f"at {OVERLOAD_FACTOR}x capacity the server sheds "
-                    "429s and outstanding never exceeds max_queue"
-                ),
-                "cores": cores,
-                "shed_count": len(shed),
-                "shed_rate": round(shed_rate, 4),
-                "peak_outstanding": peak_outstanding,
-                "result": shed_gate,
-            },
-            "latency": {
-                "rule": (
-                    "steady-state accepted p99 under overload <= "
-                    f"{LATENCY_BLOWUP_CEILING}x uncontended p99 "
-                    f"(first {OVERLOAD_WARMUP_S}s excluded as "
-                    "degradation-dwell warmup)"
-                ),
-                "cores": cores,
-                "uncontended_p99_ms": uncontended["p99_ms"],
-                "overload_p99_ms": steady_stats["p99_ms"],
-                "blowup": round(blowup, 3) if steady else None,
-                "warmup_samples_excluded": len(accepted) - len(steady),
-                "result": latency_gate,
-            },
-            "degradation": {
-                "rule": (
-                    "overload produces degraded responses and every one "
-                    "carries the explicit marker (body + header)"
-                ),
-                "cores": cores,
-                "degraded_count": len(degraded),
-                "marker_consistent": marker_consistent,
-                "result": degrade_gate,
-            },
-            "drain": {
-                "rule": (
-                    "drain with a frame in flight completes it (200) "
-                    "and reports clean"
-                ),
-                "cores": cores,
-                "inflight_status": drained_status,
-                "result": drain_gate,
-            },
+        "degradation": {
+            "rule": (
+                "overload produces degraded responses and every one "
+                "carries the explicit marker (body + header)"
+            ),
+            "degraded_count": len(degraded),
+            "marker_consistent": marker_consistent,
+            "result": degrade_gate,
         },
-        "rows": rows,
+        "drain": {
+            "rule": (
+                "drain with a frame in flight completes it (200) "
+                "and reports clean"
+            ),
+            "inflight_status": drained_status,
+            "result": drain_gate,
+        },
     }
-    BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
+    records = rows + [
+        {"gate": name, "cores": cores, **block}
+        for name, block in gates.items()
+    ]
 
     lines = [
         f"serving front end under load — K={PARAMS.n_superpixels}, "
@@ -413,12 +385,8 @@ def test_serve_under_load(emit, bench_scale, bench_trace_id):
         f"  gate degradation: {degrade_gate} "
         f"(degraded={len(degraded)}, markers={marker_consistent})",
         f"  gate drain:       {drain_gate} (status={drained_status})",
-        "",
-        f"wrote {BENCH_JSON}",
     ]
-    emit("bench_serve", "\n".join(lines), records=rows)
+    emit("bench_serve", "\n".join(lines), records=records)
 
-    assert shed_gate == "pass", payload["gate"]["shed"]
-    assert latency_gate == "pass", payload["gate"]["latency"]
-    assert degrade_gate == "pass", payload["gate"]["degradation"]
-    assert drain_gate == "pass", payload["gate"]["drain"]
+    for name, block in gates.items():
+        assert block["result"] == "pass", (name, block)

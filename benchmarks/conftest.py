@@ -7,8 +7,13 @@ pytest capture. Each emit additionally writes
 ``benchmarks/output/<name>.jsonl`` through :class:`repro.obs.JsonlSink` —
 a ``bench`` event with the report text plus one ``bench.record`` event per
 structured row when the bench provides them — so downstream tooling
-(``python -m repro stats``, the markdown report, regression dashboards)
-can consume benchmark numbers without scraping text.
+(``python -m repro stats``, the markdown report) can consume benchmark
+numbers without scraping text.
+
+These benches regenerate the paper's tables and gate per-kernel and
+serving behaviour; they are not the repo's performance record. End-to-end
+throughput is measured by ``perfbench/`` against the bounds declared in
+``BENCHMARK.json``.
 
 Scale: set ``REPRO_BENCH_SCALE=full`` for paper-sized corpora (slower);
 the default ``quick`` keeps every bench CI-friendly.
@@ -23,9 +28,12 @@ from pathlib import Path
 import pytest
 
 from repro.obs import JsonlSink, new_trace_id
-from repro.obs.regress import BENCH_SCHEMA_VERSION
 
 OUTPUT_DIR = Path(__file__).parent / "output"
+
+#: Version stamped into every JSONL event: v2 added the session ``trace``
+#: id; files without a ``schema`` field are v1 and otherwise identical.
+BENCH_SCHEMA_VERSION = 2
 
 
 @pytest.fixture(scope="session")
@@ -40,9 +48,9 @@ def bench_scale() -> str:
 def bench_trace_id() -> str:
     """One trace id per benchmark session.
 
-    Stamped into every JSONL event and the ``BENCH_*.json`` artifacts so
-    all numbers from one run are correlatable with each other (and with
-    any ``--trace`` telemetry collected alongside).
+    Stamped into every JSONL event so all numbers from one run are
+    correlatable with each other (and with any ``--trace`` telemetry
+    collected alongside).
     """
     return new_trace_id()
 
@@ -55,8 +63,8 @@ def emit(bench_trace_id):
     ``emit(name, text, records=[{...}, ...])`` additionally writes each
     record as a ``bench.record`` JSONL event; the text itself always goes
     into a ``bench`` event so every artifact has a machine-readable twin.
-    Every event carries the artifact schema version and the session's
-    trace id (see ``repro.obs.regress``).
+    Every event carries the artifact schema version
+    (``BENCH_SCHEMA_VERSION``) and the session's trace id.
     """
     OUTPUT_DIR.mkdir(exist_ok=True)
 

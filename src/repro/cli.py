@@ -23,9 +23,6 @@ Commands
     Aggregate the benchmark artifacts into a single markdown report.
 ``stats``
     Summarize a JSONL telemetry trace written with ``--trace``.
-``regress``
-    Compare benchmark artifacts (``BENCH_*.json``) against a baseline
-    and exit nonzero on performance regressions.
 
 Observability: ``segment`` and ``experiment`` accept ``--trace PATH``
 (JSONL span/metric telemetry, see ``docs/observability.md``) and
@@ -463,50 +460,6 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _cmd_regress(args) -> int:
-    import glob
-    import json
-
-    from .errors import ConfigurationError
-    from .obs import check_regressions
-    from .obs.regress import DEFAULT_TOLERANCE
-
-    patterns = args.baseline or ["BENCH_*.json"]
-    baselines = sorted(p for pattern in patterns for p in glob.glob(pattern))
-    if not baselines:
-        print(
-            f"regress: no baseline artifacts match {patterns!r}",
-            file=sys.stderr,
-        )
-        return 2
-    currents = None
-    if args.current:
-        currents = sorted(
-            p for pattern in args.current for p in glob.glob(pattern)
-        )
-        if not currents:
-            print(
-                f"regress: no current artifacts match {args.current!r}",
-                file=sys.stderr,
-            )
-            return 2
-    tolerance = (
-        args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
-    )
-    try:
-        report = check_regressions(baselines, currents, tolerance=tolerance)
-    except (ConfigurationError, ValueError, OSError) as exc:
-        print(f"regress: {exc}", file=sys.stderr)
-        return 2
-    print(report.format_text())
-    if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote regression report to {args.report}")
-    return 0 if report.ok else 1
-
-
 def _cmd_report_md(args) -> int:
     from .analysis.report import generate_report
 
@@ -728,26 +681,6 @@ def build_parser() -> argparse.ArgumentParser:
     sts = sub.add_parser("stats", help="summarize a JSONL telemetry trace")
     sts.add_argument("trace", help="trace file written with --trace")
     sts.set_defaults(func=_cmd_stats)
-
-    rgr = sub.add_parser(
-        "regress",
-        help="compare benchmark artifacts against a baseline; exit 1 on "
-             "performance regressions",
-    )
-    rgr.add_argument("--baseline", action="append", metavar="GLOB",
-                     default=None,
-                     help="baseline artifact glob(s) (default BENCH_*.json — "
-                          "the committed history)")
-    rgr.add_argument("--current", action="append", metavar="GLOB",
-                     default=None,
-                     help="current-run artifact glob(s); omitted = compare "
-                          "the baseline against itself (sanity check)")
-    rgr.add_argument("--tolerance", type=float, default=None,
-                     help="allowed relative slack before a delta counts as "
-                          "a regression (default 0.25)")
-    rgr.add_argument("--report", metavar="PATH",
-                     help="write the full delta report as JSON to PATH")
-    rgr.set_defaults(func=_cmd_regress)
 
     rep = sub.add_parser("report", help="accelerator report for a configuration")
     rep.add_argument("--width", type=int, default=1920)

@@ -55,7 +55,7 @@ import os
 import numpy as np
 
 from ..core.accumulators import check_sigma_args
-from ..core.assignment import check_ppa_args
+from ..core.assignment import assign_cpa, check_ppa_args
 from ..core.connectivity import check_connectivity_args
 from ..core.distance import WEIGHT_FRAC_BITS
 from .dispatch import usable_cores
@@ -122,9 +122,9 @@ def thread_context(n_threads):
 # ----------------------------------------------------------------------
 
 #: Per-process reusable ``touched`` masks for the CPA kernels, keyed by
-#: pixel count — the same checkout/checkin protocol as the vectorized
-#: backend's CPA scratch (buffers are popped while in use, so concurrent
-#: engines race harmlessly to fresh allocations).
+#: pixel count. Buffers are popped while in use and stored back only
+#: after a clean call, so concurrent engines race harmlessly to fresh
+#: allocations and an exception never leaves a dirty buffer behind.
 _TOUCHED_POOL: dict = {}
 
 
@@ -158,15 +158,14 @@ def cpa_assign(
     """Row-banded CPA window scan; see ``assign_cpa`` for semantics.
 
     Returns the number of distinct pixels scanned. Falls back to the
-    vectorized backend for non-float64 distance buffers (the engine
-    always passes float64; only direct callers pass int64 buffers).
+    reference loop for non-float64 or non-contiguous buffers (the
+    engine always passes contiguous float64; only direct callers pass
+    others).
     """
     if dist_buf.dtype != np.float64 or not (
         dist_buf.flags.c_contiguous and labels_buf.flags.c_contiguous
     ):
-        from . import vectorized
-
-        return vectorized.cpa_assign(
+        return assign_cpa(
             lab, centers, weight, grid_s, dist_buf, labels_buf,
             cluster_indices=cluster_indices, datapath=datapath,
             compactness=compactness, codes=codes,

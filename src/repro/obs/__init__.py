@@ -33,13 +33,6 @@ from .tracer import NULL_TRACER, Span, Tracer, new_trace_id
 from .manifest import RunManifest, git_describe
 from .export import TelemetryServer, render_prometheus, span_forest
 from .profile import ResourceProfiler
-from .regress import (
-    BENCH_SCHEMA_VERSION,
-    RegressionReport,
-    check_regressions,
-    compare_metrics,
-    flatten_bench_metrics,
-)
 from .stats import (
     SpanStats,
     TraceSummary,
@@ -76,12 +69,6 @@ __all__ = [
     "span_forest",
     # profiling
     "ResourceProfiler",
-    # regression sentinel
-    "BENCH_SCHEMA_VERSION",
-    "RegressionReport",
-    "check_regressions",
-    "compare_metrics",
-    "flatten_bench_metrics",
     # stats
     "TraceSummary",
     "SpanStats",

@@ -18,10 +18,9 @@ four extra attributes:
     the hot path.
 
 The sampling cost is two ``os.times`` + ``getrusage`` + ``gc.get_stats``
-calls per span — single-digit microseconds — and the repo budgets the
-end-to-end cost at **<= 5% wall time** on a traced VGA serial video run,
-gated in ``benchmarks/bench_e2e_video.py`` (measured overhead is
-recorded in ``BENCH_e2e.json`` under ``profiling``).
+calls per span — about 10 µs — and the repo budgets the end-to-end cost
+at **<= 5% wall time** on a traced VGA serial video run, asserted in
+``tests/test_obs_profile.py`` as profiled-span count x per-span cost.
 
 On platforms without the ``resource`` module (Windows), RSS reads as 0
 and everything else still works.

@@ -259,7 +259,7 @@ class Tracer:
         Subsequent spans carry ``cpu_user_s`` / ``cpu_sys_s`` /
         ``rss_peak_kb`` / ``gc_collections`` attributes. Opt-in because
         the per-span sampling cost, while small, is not zero (budgeted
-        at <= 5% wall time — gated in ``benchmarks/bench_e2e_video.py``).
+        at <= 5% wall time — asserted in ``tests/test_obs_profile.py``).
         """
         if self.enabled and self.profiler is None:
             from .profile import ResourceProfiler

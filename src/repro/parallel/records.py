@@ -25,7 +25,9 @@ class FrameTask:
     ``warm_centers`` / ``warm_labels`` carry the predecessor frame's
     state when the stream scheduler decided on a warm start (``None``
     for cold starts). ``collect_trace`` asks the worker to record its
-    span tree in-memory and return the events with the record.
+    span tree in-memory and return the events with the record;
+    ``profile`` carries the parent tracer's span profiling into that
+    worker tracer (see :mod:`repro.obs.profile`).
 
     ``attempt`` is the 0-based execution attempt (retries re-ship the
     same frame with ``attempt + 1``); ``fault`` is an optional
@@ -56,6 +58,7 @@ class FrameTask:
     warm_centers: np.ndarray | None = None
     warm_labels: np.ndarray | None = None
     collect_trace: bool = False
+    profile: bool = False
     attempt: int = 0
     fault: object = None
     trace_id: str | None = None

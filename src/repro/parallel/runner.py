@@ -430,6 +430,7 @@ class ParallelRunner:
             warm_centers=plan.warm_centers,
             warm_labels=plan.warm_labels,
             collect_trace=self.collect_worker_traces,
+            profile=tracer.profiler is not None,
             attempt=attempt,
             trace_id=tracer.trace_id if tracer.enabled else None,
             parent_span_id=(

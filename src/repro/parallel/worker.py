@@ -51,6 +51,7 @@ def _collecting_tracer(task):
     unique inside the trace, attempt-tagged so retried executions stay
     distinguishable) and root spans hang from the parent-side ``frame``
     span, so the parent can merge the events verbatim — no remapping.
+    Span profiling follows the parent tracer's (``task.profile``).
     """
     from ..obs import MemorySink, Tracer
 
@@ -59,6 +60,7 @@ def _collecting_tracer(task):
         trace_id=task.trace_id,
         span_prefix=f"s{task.stream_id}f{task.frame_index}a{task.attempt}.",
         root_parent=task.parent_span_id,
+        profile=task.profile,
     )
 
 

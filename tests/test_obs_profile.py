@@ -1,10 +1,16 @@
 """Tests for repro.obs.profile: per-span resource sampling."""
 
 import gc
+import time
 
+from repro.core import SlicParams
 from repro.obs import MemorySink, ResourceProfiler, Tracer
+from repro.parallel import ParallelRunner, synthetic_streams
 
 PROFILE_KEYS = {"cpu_user_s", "cpu_sys_s", "rss_peak_kb", "gc_collections"}
+
+#: Span profiling may cost at most this fraction of a traced run's wall.
+PROFILING_BUDGET = 0.05
 
 
 class TestResourceProfiler:
@@ -83,3 +89,81 @@ class TestTracerProfiling:
         assert ev["attrs"]["stage"] == "demo"
         assert ev["attrs"]["frames"] == 3
         assert "cpu_user_s" in ev["attrs"]
+
+
+def _span_cost_s(rounds=20, spans=1000):
+    """Marginal cost of one profiled span over an unprofiled one.
+
+    Best of ``rounds`` batches of ``spans`` spans on each side, on
+    in-memory tracers, so the number is the profiler's own sampling.
+    """
+
+    def best_batch_s(profile):
+        best = float("inf")
+        for _ in range(rounds):
+            tracer = Tracer(MemorySink(), profile=profile)
+            start = time.perf_counter()
+            for _ in range(spans):
+                with tracer.span("s"):
+                    pass
+            best = min(best, time.perf_counter() - start)
+        return best
+
+    return (best_batch_s(True) - best_batch_s(False)) / spans
+
+
+class TestProfilingBudget:
+    """Span profiling costs <= 5% of a traced VGA serial video run.
+
+    Bounded as profiled-span count x per-span cost rather than as a wall
+    A/B of two runs, whose run-to-run spread is as large as the budget.
+    """
+
+    PARAMS = SlicParams(
+        n_superpixels=200,
+        max_iterations=3,
+        subsample_ratio=0.25,
+        convergence_threshold=0.0,  # fixed work per frame
+    )
+
+    def _run(self, profile):
+        streams = [
+            list(frames)  # rendered before the clock starts
+            for frames in synthetic_streams(2, 3, height=480, width=640,
+                                            seed=11)
+        ]
+        sink = MemorySink()
+        tracer = Tracer(sink, profile=profile)
+        runner = ParallelRunner(
+            self.PARAMS, n_workers=1, tracer=tracer,
+            collect_worker_traces=True,
+        )
+        start = time.perf_counter()
+        result = runner.run_streams(streams)
+        elapsed = time.perf_counter() - start
+        tracer.close()
+        assert result.n_failed == 0
+        return elapsed, sink.by_type("span")
+
+    def test_span_profiling_within_budget(self):
+        self._run(False)  # warm imports, kernels and geometry
+        wall_s, _ = self._run(False)
+        _, spans = self._run(True)
+
+        profiled = [s for s in spans if "cpu_user_s" in s["attrs"]]
+        assert {"segmentation", "sweep", "subiteration"} <= {
+            s["name"] for s in profiled
+        }
+        # Only the parent-side frame spans (bookkeeping) go unprofiled.
+        unprofiled = {
+            s["name"] for s in spans if "cpu_user_s" not in s["attrs"]
+        }
+        assert unprofiled == {"frame"}, sorted(unprofiled)
+
+        cost_s = _span_cost_s()
+        spent_s = len(profiled) * cost_s
+        assert spent_s <= PROFILING_BUDGET * wall_s, (
+            f"{len(profiled)} of {len(spans)} spans profiled x "
+            f"{cost_s * 1e6:.1f} us = {spent_s * 1e3:.2f} ms, over "
+            f"{PROFILING_BUDGET:.0%} of a {wall_s:.3f} s run"
+        )

@@ -19,6 +19,8 @@ from repro.parallel import ParallelRunner, run_frame, synthetic_batch
 from repro.parallel.records import FrameTask
 from repro.parallel.shm import shm_available
 
+from .test_obs_profile import PROFILE_KEYS
+
 PARAMS = SlicParams(
     n_superpixels=30,
     max_iterations=3,
@@ -29,9 +31,10 @@ PARAMS = SlicParams(
 WORKER_ID_RE = re.compile(r"^s(\d+)f(\d+)a(\d+)\.")
 
 
-def _run_traced(transport, n_workers=4, n_frames=6, retry=None, faults=None):
+def _run_traced(transport, n_workers=4, n_frames=6, retry=None, faults=None,
+                profile=False):
     sink = MemorySink()
-    with Tracer(sink) as tracer:
+    with Tracer(sink, profile=profile) as tracer:
         batch = ParallelRunner(
             PARAMS,
             n_workers=n_workers,
@@ -124,6 +127,27 @@ class TestStitchedTraceShm:
             assert slab_trace_id(encoded.shm_result.name) == "c0ffee0123456789"
         finally:
             transport.close()
+
+
+class TestWorkerSpanProfiling:
+    """Span profiling crosses the process boundary with the trace."""
+
+    @pytest.mark.parametrize("profile", [True, False])
+    def test_worker_spans_follow_parent_profiling(self, profile):
+        n = 2
+        batch, sink, tracer = _run_traced(
+            "pickle", n_workers=2, n_frames=n, profile=profile
+        )
+        assert batch.n_ok == n
+        _, worker_spans = assert_single_stitched_trace(sink, tracer, n)
+        names = {s["name"] for s in worker_spans}
+        assert {"segmentation", "sweep", "subiteration"} <= names
+        assert any(name.startswith("phase:") for name in names)
+        for span in worker_spans:
+            carried = PROFILE_KEYS & set(span["attrs"])
+            assert carried == (PROFILE_KEYS if profile else set()), (
+                span["name"], span["id"], sorted(carried)
+            )
 
 
 class TestRetryAttemptTags:
