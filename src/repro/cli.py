@@ -296,7 +296,7 @@ def _cmd_batch(args) -> int:
     )
     if (
         args.workers > 1
-        and args.transport in ("shm", "auto")
+        and args.transport == "shm"
         and batch.transport == "pickle"
     ):
         print("transport: shm unavailable, fell back to pickle")
@@ -589,10 +589,10 @@ def build_parser() -> argparse.ArgumentParser:
     bat.add_argument("--max-pending", type=int, default=None,
                      help="in-flight frame cap (default 2x workers)")
     bat.add_argument("--transport", default="pickle",
-                     choices=("pickle", "shm", "auto"),
+                     choices=("pickle", "shm"),
                      help="frame transport to the pool: pickle (serialize "
-                          "arrays), shm (zero-copy shared-memory slabs; "
-                          "falls back to pickle if unavailable), or auto")
+                          "arrays) or shm (zero-copy shared-memory slabs; "
+                          "falls back to pickle if unavailable)")
     bat.add_argument("--frame-timeout", type=float, default=None, metavar="S",
                      help="per-frame deadline in seconds; a hung worker "
                           "becomes a FrameTimeout record (default: no "

@@ -112,8 +112,8 @@ def run_segmentation(
     kernel_name = resolve_name(params.kernel_backend)
     if kernel_name == "native-mt":
         # Pin the ambient kernel thread count for the whole run: every
-        # name-string dispatch site (color conversion, connectivity,
-        # metrics) resolves through it, and it is context-local, so
+        # name-string dispatch site (color conversion, connectivity)
+        # resolves through it, and it is context-local, so
         # concurrent engines in one process keep their own settings.
         from ..kernels.native import ppa_lanes
         from ..kernels.native_mt import resolve_threads, thread_context

@@ -1,10 +1,12 @@
-/* Native kernels: the CPA window scan, the fused PPA pass (9-candidate
- * evaluation, label write and sigma accumulation in one call), the fused
- * fixed-point RGB->Lab conversion and code->Lab decode, the
- * sigma-register accumulation, the fused connectivity pass (two-pass
- * union-find components, border adjacency, the small-component merge
- * walk and the relabel in one call), and the BR/USE metric inner loops
- * (joint histogram, 3-4 chamfer) as plain C loops.
+/* Native kernels: the per-frame passes the engine runs on a clock — the
+ * float CPA window scan, the fused PPA pass (9-candidate evaluation,
+ * label write and sigma accumulation in one call, float and
+ * fixed-point), the fused fixed-point RGB->Lab conversion and code->Lab
+ * decode, the float sigma-register accumulation, and the fused
+ * connectivity pass (two-pass union-find components, border adjacency,
+ * the small-component merge walk and the relabel in one call) — as
+ * plain C loops. Nothing else is compiled: the fixed-point CPA scan, the
+ * codes-domain sigma accumulation and the BR/USE metrics run in numpy.
  *
  * Compiled on demand by repro.kernels.native with
  *
@@ -22,28 +24,28 @@
  * the PPA section). -ffp-contract=off holds lane-wise there too, so each
  * lane performs the scalar loop's IEEE operations in the scalar order.
  *
- * Integer (FixedDatapath) variants take the code-domain image/centers and
- * replicate the shift/saturate pipeline of FixedDatapath.pairwise_d2 and
- * the fixed branch of assign_cpa.
+ * The fixed-point (FixedDatapath) PPA pass takes the code-domain
+ * image/centers and replicates the shift/saturate pipeline of
+ * FixedDatapath.pairwise_d2.
  *
- * Every data-parallel kernel is exported once, as a `_mt` entry taking
- * an `n_threads` argument (the `native-mt` backend); n_threads = 1 runs
- * the kernel inline on the calling thread, which is the serial case.
+ * Every kernel is exported once, as a `_mt` entry taking an `n_threads`
+ * argument (the `native-mt` backend); n_threads = 1 runs the kernel
+ * inline on the calling thread, which is the serial case. The one other
+ * export, ppa_lanes, reports which PPA body the library picked.
  * Parallelism is by *ownership partitioning*: each thread owns a
  * contiguous slice of the output (row bands for CPA, index ranges for
- * the PPA pass / lab_from_codes, a private histogram for contingency,
- * cluster ranges for the sigma accumulation) and visits its slice in
- * exactly the serial order, so every output element is written by
- * exactly one thread with the serial operation order — no boundary ties
- * can ever arise and the results stay bit-identical to the one-thread
- * run at any thread count. The only cross-tile combines (the
- * contingency histogram stitch, the connected-components band seams +
+ * the PPA pass / lab_from_codes, cluster ranges for the sigma
+ * accumulation) and visits its slice in exactly the serial order, so
+ * every output element is written by exactly one thread with the serial
+ * operation order — no boundary ties can ever arise and the results
+ * stay bit-identical to the one-thread run at any thread count. The
+ * only cross-tile combines (the connected-components band seams +
  * renumber, and the PPA pass's clusters that straddle two index ranges)
  * run sequentially, in ascending tile id or entry order;
  * union-by-minimal-root makes the component roots independent of union
  * order (see the CCL section). The fused connectivity entry threads only
  * its CCL and its final relabel; its adjacency build and merge walk run
- * serially. chamfer_i64 is inherently sequential and has no `_mt` form.
+ * serially.
  */
 
 #include <math.h>
@@ -210,13 +212,14 @@ static int64_t mt_slice_hi(int64_t n, int64_t tid, int64_t width)
 }
 
 /* ------------------------------------------------------------------ */
-/* CPA: for each listed center, scan the clipped (2*half+1)^2 window,
- * keeping running minima in the image-sized dist/labels buffers.
- * `touched` is an h*w byte mask marking every pixel scanned at least
- * once (the deduplicated pixels_assigned telemetry counter).
+/* CPA (float datapath): for each listed center, scan the clipped
+ * (2*half+1)^2 window, keeping running minima in the image-sized
+ * dist/labels buffers. `touched` is an h*w byte mask marking every pixel
+ * scanned at least once (the deduplicated pixels_assigned telemetry
+ * counter).
  *
- * The row-bounded helpers restrict every window to [row0, row1): the
- * _mt entries give each thread a row band, so each pixel is updated by
+ * The row-bounded helper restricts every window to [row0, row1): the
+ * _mt entry gives each thread a row band, so each pixel is updated by
  * exactly one thread, which visits centers in the same ks order as the
  * one-thread scan — per-pixel update order, and therefore the strict-<
  * running-minimum result, is identical.                                */
@@ -299,104 +302,6 @@ void cpa_assign_f64_mt(
     cpa_f64_ctx ctx = {lab, centers, ks, n_ks, weight, half, h, w,
                        dist, labels, touched};
     mt_run(cpa_f64_band, &ctx, n_threads < h ? n_threads : h);
-}
-
-static void cpa_fixed_rows(
-    const int64_t *codes,     /* h*w*3 Lab channel codes                */
-    const int64_t *c_codes,   /* k*5 encoded centers (codes + raw xy)   */
-    const double *centers,    /* k*5 float centers (window placement)   */
-    const int64_t *ks,
-    int64_t n_ks,
-    int64_t weight_raw,       /* fixed-point spatial weight             */
-    int64_t wfrac,            /* WEIGHT_FRAC_BITS                       */
-    int64_t sf,               /* spatial_frac_bits                      */
-    int64_t quantize,         /* nonzero: shift + saturate the distance */
-    int64_t dshift,           /* effective_distance_shift               */
-    int64_t dmax,             /* distance_max_code                      */
-    int64_t half,
-    int64_t h, int64_t w,
-    int64_t row0, int64_t row1,
-    double *dist,             /* float64 running minima (engine buffer) */
-    int32_t *labels,
-    uint8_t *touched)
-{
-    (void)h;
-    for (int64_t i = 0; i < n_ks; i++) {
-        int64_t k = ks[i];
-        const int64_t *cc = c_codes + 5 * k;
-        int64_t cl = cc[0], ca = cc[1], cb = cc[2], cxr = cc[3], cyr = cc[4];
-        double cx = centers[5 * k + 3];
-        double cy = centers[5 * k + 4];
-        int64_t fx = (int64_t)floor(cx);
-        int64_t fy = (int64_t)floor(cy);
-        int64_t x0 = fx - half < 0 ? 0 : fx - half;
-        int64_t x1 = fx + half + 1 > w ? w : fx + half + 1;
-        int64_t y0 = fy - half < row0 ? row0 : fy - half;
-        int64_t y1 = fy + half + 1 > row1 ? row1 : fy + half + 1;
-        for (int64_t y = y0; y < y1; y++) {
-            int64_t dyv = (y << sf) - cyr;
-            int64_t dy2 = dyv * dyv;
-            const int64_t *px = codes + (y * w + x0) * 3;
-            double *drow = dist + y * w;
-            int32_t *lrow = labels + y * w;
-            uint8_t *trow = touched + y * w;
-            for (int64_t x = x0; x < x1; x++, px += 3) {
-                int64_t dl = px[0] - cl;
-                int64_t da = px[1] - ca;
-                int64_t db = px[2] - cb;
-                int64_t dc2 = (dl * dl + da * da) + db * db;
-                int64_t dxv = (x << sf) - cxr;
-                int64_t ds2 = (dxv * dxv + dy2) >> (2 * sf);
-                int64_t d2 = dc2 + ((weight_raw * ds2) >> wfrac);
-                if (quantize) {
-                    d2 >>= dshift;
-                    if (d2 > dmax) d2 = dmax;
-                }
-                trow[x] = 1;
-                double d2f = (double)d2;
-                if (d2f < drow[x]) {
-                    drow[x] = d2f;
-                    lrow[x] = (int32_t)k;
-                }
-            }
-        }
-    }
-}
-
-typedef struct {
-    const int64_t *codes;
-    const int64_t *c_codes;
-    const double *centers;
-    const int64_t *ks;
-    int64_t n_ks;
-    int64_t weight_raw, wfrac, sf, quantize, dshift, dmax, half, h, w;
-    double *dist;
-    int32_t *labels;
-    uint8_t *touched;
-} cpa_fixed_ctx;
-
-static void cpa_fixed_band(void *vctx, int64_t tid, int64_t width)
-{
-    cpa_fixed_ctx *c = (cpa_fixed_ctx *)vctx;
-    cpa_fixed_rows(c->codes, c->c_codes, c->centers, c->ks, c->n_ks,
-                   c->weight_raw, c->wfrac, c->sf, c->quantize, c->dshift,
-                   c->dmax, c->half, c->h, c->w,
-                   mt_slice_lo(c->h, tid, width),
-                   mt_slice_hi(c->h, tid, width),
-                   c->dist, c->labels, c->touched);
-}
-
-void cpa_assign_fixed_mt(
-    const int64_t *codes, const int64_t *c_codes, const double *centers,
-    const int64_t *ks, int64_t n_ks, int64_t weight_raw, int64_t wfrac,
-    int64_t sf, int64_t quantize, int64_t dshift, int64_t dmax,
-    int64_t half, int64_t h, int64_t w,
-    double *dist, int32_t *labels, uint8_t *touched, int64_t n_threads)
-{
-    cpa_fixed_ctx ctx = {codes, c_codes, centers, ks, n_ks, weight_raw,
-                         wfrac, sf, quantize, dshift, dmax, half, h, w,
-                         dist, labels, touched};
-    mt_run(cpa_fixed_band, &ctx, n_threads < h ? n_threads : h);
 }
 
 /* ------------------------------------------------------------------ */
@@ -1034,83 +939,6 @@ done:
 }
 
 /* ------------------------------------------------------------------ */
-/* Metrics: the USE/ASA joint histogram and the 3-4 chamfer transform.
- * The chamfer sweeps are the sequential raster form of the reference's
- * per-row prefix-min formulation; on the integer grid the two are
- * exactly equal (d[x] = min(pre[x], d[x-1]+3) unrolls to the same
- * prefix minimum), so results stay bit-identical.                      */
-/* ------------------------------------------------------------------ */
-
-typedef struct {
-    const int64_t *a, *b;
-    int64_t n, n_b, n_cells;
-    int64_t *scratch;          /* n_threads private tables, zeroed      */
-} contingency_ctx;
-
-static void contingency_chunk(void *vctx, int64_t tid, int64_t width)
-{
-    contingency_ctx *c = (contingency_ctx *)vctx;
-    int64_t *table = c->scratch + tid * c->n_cells;
-    int64_t hi = mt_slice_hi(c->n, tid, width);
-    for (int64_t i = mt_slice_lo(c->n, tid, width); i < hi; i++)
-        table[c->a[i] * c->n_b + c->b[i]] += 1;
-}
-
-void contingency_i64_mt(
-    const int64_t *a, const int64_t *b, int64_t n, int64_t n_b,
-    int64_t n_threads,
-    int64_t *scratch,          /* n_threads * n_cells, zero-initialized */
-    int64_t n_cells,           /* n_a * n_b                             */
-    int64_t *table)            /* n_a * n_b, zero-initialized           */
-{
-    contingency_ctx ctx = {a, b, n, n_b, n_cells, scratch};
-    mt_run(contingency_chunk, &ctx, n_threads < n ? n_threads : n);
-    /* Deterministic stitch: private tables fold in ascending tile id.
-     * Slices beyond the width that actually ran stayed all-zero.       */
-    for (int64_t t = 0; t < n_threads; t++) {
-        const int64_t *part = scratch + t * n_cells;
-        for (int64_t i = 0; i < n_cells; i++)
-            table[i] += part[i];
-    }
-}
-
-void chamfer_i64(
-    int64_t *dist,             /* h*w grid: 0 on mask, BIG elsewhere    */
-    int64_t h, int64_t w)
-{
-    /* Forward pass: top-left to bottom-right. */
-    for (int64_t y = 0; y < h; y++) {
-        int64_t *row = dist + y * w;
-        const int64_t *up = row - w;
-        for (int64_t x = 0; x < w; x++) {
-            int64_t d = row[x], v;
-            if (y > 0) {
-                v = up[x] + 3; if (v < d) d = v;
-                if (x > 0)     { v = up[x - 1] + 4; if (v < d) d = v; }
-                if (x < w - 1) { v = up[x + 1] + 4; if (v < d) d = v; }
-            }
-            if (x > 0) { v = row[x - 1] + 3; if (v < d) d = v; }
-            row[x] = d;
-        }
-    }
-    /* Backward pass: bottom-right to top-left. */
-    for (int64_t y = h - 1; y >= 0; y--) {
-        int64_t *row = dist + y * w;
-        const int64_t *down = row + w;
-        for (int64_t x = w - 1; x >= 0; x--) {
-            int64_t d = row[x], v;
-            if (y < h - 1) {
-                v = down[x] + 3; if (v < d) d = v;
-                if (x > 0)     { v = down[x - 1] + 4; if (v < d) d = v; }
-                if (x < w - 1) { v = down[x + 1] + 4; if (v < d) d = v; }
-            }
-            if (x < w - 1) { v = row[x + 1] + 3; if (v < d) d = v; }
-            row[x] = d;
-        }
-    }
-}
-
-/* ------------------------------------------------------------------ */
 /* Sigma accumulation: per-cluster [L, a, b, x, y] sums plus member
  * counts in one pass over the assigned entries — the software model of
  * the Cluster Update Unit's sigma registers (Section 4.3), without
@@ -1122,15 +950,14 @@ void chamfer_i64(
  * np.bincount(labels, weights=...) folds them — so the partial sums
  * equal the reference's bincount outputs bit for bit. The five fields
  * are independent accumulators, so fusing them into one loop changes
- * nothing. The _mt entries partition by *cluster ownership*, not entry
+ * nothing. sigma_acc_f64_mt partitions by *cluster ownership*, not entry
  * ranges: thread t owns clusters [mt_slice_lo(K, t, width),
  * mt_slice_hi(K, t, width)), scans every entry, and accumulates only
  * labels it owns. Each accumulator is written by exactly one thread in
  * the full serial entry order, so float64 summation order is preserved
  * and results are bit-identical at any thread count. (A per-thread
- * entry-range fold — the contingency_table pattern — would reorder
- * float additions and is NOT exact for float weights; it is only valid
- * for integer histograms.) Labels outside [k_lo, k_hi) are skipped, so
+ * entry-range fold would reorder float additions and is NOT exact for
+ * float weights.) Labels outside [k_lo, k_hi) are skipped, so
  * a label outside [0, K) would be silently dropped: the Python entry
  * points reject such labels, and out-of-range indices, before calling. */
 /* ------------------------------------------------------------------ */
@@ -1150,9 +977,9 @@ static inline void sigma_add_f64(
     counts[k]++;
 }
 
-/* The code-domain update decodes inline — the same float64 cast and
- * divide / subtract-divide expressions as LabEncoding.decode, so the
- * accumulated values match the reference's decoded rows.               */
+/* The fixed-point PPA pass's update decodes inline — the same float64
+ * cast and divide / subtract-divide expressions as LabEncoding.decode,
+ * so the accumulated values match the reference's decoded rows.        */
 static inline void sigma_add_codes(
     const int64_t *codes_flat, int64_t i, int64_t k, int64_t w,
     double l_scale, double ab_scale, double ab_offset,
@@ -1185,34 +1012,11 @@ static void sigma_f64_rows(
     }
 }
 
-static void sigma_codes_rows(
-    const int64_t *codes_flat, /* n*3 Lab channel codes                 */
-    const int64_t *idx,
-    const int32_t *labels,
-    int64_t m,
-    int64_t k_lo, int64_t k_hi,
-    int64_t w,
-    double l_scale,            /* real decode constants                 */
-    double ab_scale,
-    double ab_offset,
-    double *sums,
-    int64_t *counts)
-{
-    for (int64_t j = 0; j < m; j++) {
-        int64_t k = labels[j];
-        if (k < k_lo || k >= k_hi) continue;
-        sigma_add_codes(codes_flat, idx ? idx[j] : j, k, w, l_scale,
-                        ab_scale, ab_offset, sums, counts);
-    }
-}
-
 typedef struct {
     const double *lab_flat;
-    const int64_t *codes_flat;
     const int64_t *idx;
     const int32_t *labels;
     int64_t m, n_clusters, w;
-    double l_scale, ab_scale, ab_offset;
     double *sums;
     int64_t *counts;
 } sigma_ctx;
@@ -1226,36 +1030,13 @@ static void sigma_f64_chunk(void *vctx, int64_t tid, int64_t width)
                    c->w, c->sums, c->counts);
 }
 
-static void sigma_codes_chunk(void *vctx, int64_t tid, int64_t width)
-{
-    sigma_ctx *c = (sigma_ctx *)vctx;
-    sigma_codes_rows(c->codes_flat, c->idx, c->labels, c->m,
-                     mt_slice_lo(c->n_clusters, tid, width),
-                     mt_slice_hi(c->n_clusters, tid, width),
-                     c->w, c->l_scale, c->ab_scale, c->ab_offset,
-                     c->sums, c->counts);
-}
-
 void sigma_acc_f64_mt(
     const double *lab_flat, const int64_t *idx, const int32_t *labels,
     int64_t m, int64_t w, int64_t n_clusters, double *sums,
     int64_t *counts, int64_t n_threads)
 {
-    sigma_ctx ctx = {lab_flat, 0, idx, labels, m, n_clusters, w,
-                     0.0, 1.0, 0.0, sums, counts};
+    sigma_ctx ctx = {lab_flat, idx, labels, m, n_clusters, w, sums, counts};
     mt_run(sigma_f64_chunk, &ctx,
-           n_threads < n_clusters ? n_threads : n_clusters);
-}
-
-void sigma_acc_codes_mt(
-    const int64_t *codes_flat, const int64_t *idx, const int32_t *labels,
-    int64_t m, int64_t w, double l_scale, double ab_scale,
-    double ab_offset, int64_t n_clusters, double *sums, int64_t *counts,
-    int64_t n_threads)
-{
-    sigma_ctx ctx = {0, codes_flat, idx, labels, m, n_clusters, w,
-                     l_scale, ab_scale, ab_offset, sums, counts};
-    mt_run(sigma_codes_chunk, &ctx,
            n_threads < n_clusters ? n_threads : n_clusters);
 }
 

@@ -2,8 +2,7 @@
 
 Three backends implement the same kernel contract (``cpa_assign``,
 ``ppa_assign``, ``enforce_connectivity``, ``lab_from_codes``,
-``sigma_accumulate``, ``contingency_table``, ``chamfer_distance``; see
-``docs/kernels.md``):
+``sigma_accumulate``; see ``docs/kernels.md``):
 
 * ``reference`` — the original loops in :mod:`repro.core`;
 * ``vectorized`` — batched pure numpy, always available;

@@ -14,10 +14,10 @@ raises. When no compiler exists the dispatch layer's ``auto`` selection
 falls back to the pure-numpy ``vectorized`` backend.
 
 The ``native-mt`` backend (:mod:`repro.kernels.native_mt`) wraps the
-data-parallel entries. The one kernel that has no threaded form,
-:func:`chamfer_distance`, lives here. So does :func:`ppa_lanes`, which
-reports the body of the fused PPA pass the library picked for this CPU
-at load: the AVX-512 lane bodies (8) or the scalar loops (1).
+kernel entries. :data:`SIGNATURES` declares the ctypes signature of
+every function the library exports, and :func:`ppa_lanes` reports the
+body of the fused PPA pass the library picked for this CPU at load: the
+AVX-512 lane bodies (8) or the scalar loops (1).
 
 Bit-identity with the reference implementations is a hard contract —
 see the header comment in ``_native.c`` for the compile flags that
@@ -38,13 +38,12 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..metrics.boundaries import chamfer_finalize, chamfer_init
 
 __all__ = [
+    "SIGNATURES",
     "is_available",
     "load",
     "ppa_lanes",
-    "chamfer_distance",
 ]
 
 _SRC = Path(__file__).with_name("_native.c")
@@ -139,55 +138,51 @@ def _build() -> Path:
     return so_path
 
 
-def _declare(lib) -> None:
-    f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-    i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-    i32 = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
-    u8 = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")
-    ll = ctypes.c_int64
-    dbl = ctypes.c_double
-    # The sigma subset-index argument (NULL means "identity") and the PPA
-    # label map (NULL means "do not scatter") are nullable, so they are
-    # raw pointers rather than ndpointers.
-    i64p = ctypes.POINTER(ctypes.c_int64)
-    i32p = ctypes.POINTER(ctypes.c_int32)
+_f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+_i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+_i32 = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
+_u8 = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")
+_ll = ctypes.c_int64
+_dbl = ctypes.c_double
+# The sigma subset-index argument (NULL means "identity") and the PPA
+# label map (NULL means "do not scatter") are nullable, so they are raw
+# pointers rather than ndpointers.
+_i64p = ctypes.POINTER(ctypes.c_int64)
+_i32p = ctypes.POINTER(ctypes.c_int32)
 
-    # name -> (restype, argtypes). Every ``_mt`` entry takes a trailing
-    # n_threads; 1 runs the kernel inline on the calling thread.
-    signatures = {
-        "cpa_assign_f64_mt": (None, [
-            f64, f64, i64, ll, dbl, ll, ll, ll, f64, i32, u8, ll,
-        ]),
-        "cpa_assign_fixed_mt": (None, [
-            i64, i64, f64, i64, ll, ll, ll, ll, ll, ll, ll, ll, ll, ll,
-            f64, i32, u8, ll,
-        ]),
-        "ppa_assign_f64_mt": (None, [
-            f64, i32, i64, ll, ll, i32, f64, dbl, ll, i32, i32p, f64, i64,
-            ll,
-        ]),
-        "ppa_assign_fixed_mt": (None, [
-            i64, i32, i64, ll, ll, i32, i64, ll, ll, ll, ll, ll, ll, dbl,
-            dbl, dbl, ll, i32, i32p, f64, i64, ll,
-        ]),
-        "lab_from_codes_u8_mt": (None, [
-            u8, ll, i64, i64, ll, ll, ll, i64, ll, i64, i64, ll, ll, ll,
-            ll, ll, ll, ll, ll, ll, i64, dbl, dbl, dbl, f64, ll,
-        ]),
-        "sigma_acc_f64_mt": (None, [
-            f64, i64p, i32, ll, ll, ll, f64, i64, ll,
-        ]),
-        "sigma_acc_codes_mt": (None, [
-            i64, i64p, i32, ll, ll, dbl, dbl, dbl, ll, f64, i64, ll,
-        ]),
-        "contingency_i64_mt": (None, [i64, i64, ll, ll, ll, i64, ll, i64]),
-        "enforce_connectivity_i32_mt": (ll, [
-            i32, ll, ll, ll, i32, i32, i64, ll,
-        ]),
-        "chamfer_i64": (None, [i64, ll, ll]),
-        "ppa_lanes": (ll, []),
-    }
-    for name, (restype, argtypes) in signatures.items():
+#: The library's exported functions: name -> (restype, argtypes). Every
+#: ``_mt`` entry takes a trailing n_threads; 1 runs the kernel inline on
+#: the calling thread. The tests pin these keys to the non-``static``
+#: functions ``_native.c`` defines.
+SIGNATURES = {
+    "cpa_assign_f64_mt": (None, [
+        _f64, _f64, _i64, _ll, _dbl, _ll, _ll, _ll, _f64, _i32, _u8, _ll,
+    ]),
+    "ppa_assign_f64_mt": (None, [
+        _f64, _i32, _i64, _ll, _ll, _i32, _f64, _dbl, _ll, _i32, _i32p,
+        _f64, _i64, _ll,
+    ]),
+    "ppa_assign_fixed_mt": (None, [
+        _i64, _i32, _i64, _ll, _ll, _i32, _i64, _ll, _ll, _ll, _ll, _ll,
+        _ll, _dbl, _dbl, _dbl, _ll, _i32, _i32p, _f64, _i64, _ll,
+    ]),
+    "lab_from_codes_u8_mt": (None, [
+        _u8, _ll, _i64, _i64, _ll, _ll, _ll, _i64, _ll, _i64, _i64, _ll,
+        _ll, _ll, _ll, _ll, _ll, _ll, _ll, _ll, _i64, _dbl, _dbl, _dbl,
+        _f64, _ll,
+    ]),
+    "sigma_acc_f64_mt": (None, [
+        _f64, _i64p, _i32, _ll, _ll, _ll, _f64, _i64, _ll,
+    ]),
+    "enforce_connectivity_i32_mt": (_ll, [
+        _i32, _ll, _ll, _ll, _i32, _i32, _i64, _ll,
+    ]),
+    "ppa_lanes": (_ll, []),
+}
+
+
+def _declare(lib) -> None:
+    for name, (restype, argtypes) in SIGNATURES.items():
         fn = getattr(lib, name)
         fn.restype = restype
         fn.argtypes = argtypes
@@ -233,21 +228,3 @@ def ppa_lanes() -> int:
     library is unavailable.
     """
     return int(load().ppa_lanes())
-
-
-# ----------------------------------------------------------------------
-# Sequential kernel (no threaded form)
-# ----------------------------------------------------------------------
-
-def chamfer_distance(mask):
-    """3-4 chamfer transform; see ``chamfer_distance_reference``.
-
-    The C sweeps are the sequential raster form of the reference's
-    prefix-min rows — exactly equal on the integer grid — and share the
-    init/finalize helpers so the float conversion is identical too.
-    """
-    lib = load()
-    dist = chamfer_init(mask)
-    h, w = dist.shape
-    lib.chamfer_i64(dist.reshape(-1), h, w)
-    return chamfer_finalize(dist)

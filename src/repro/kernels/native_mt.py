@@ -16,19 +16,24 @@ compiled backend: benchmark configurations and recorded runs key on it.
 Bit-identity at any thread count comes from *ownership partitioning*
 (see the ``_native.c`` header): each thread owns a contiguous slice of
 the output — row bands for CPA, index ranges for ``lab_from_codes``
-and the PPA pass, cluster ranges for ``sigma_accumulate``, a private
-histogram for ``contingency_table`` — and visits its slice in exactly
-the one-thread order. Every output element is written by exactly one
-thread, so no boundary ties can arise; the cross-tile combines (the
-contingency stitch, the connected-components band seams and renumber,
+and the PPA pass, cluster ranges for ``sigma_accumulate`` — and visits
+its slice in exactly the one-thread order. Every output element is
+written by exactly one thread, so no boundary ties can arise; the
+cross-tile combines (the connected-components band seams and renumber,
 the PPA pass's clusters that straddle two index ranges) run
 sequentially. ``enforce_connectivity`` threads its component labeling
 and its final relabel only: the labeling tiles row bands with per-band
 run decomposition and union-by-minimal-root, so component roots — and
 the canonical first-appearance renumbering — are independent of thread
 count (see the CCL section in ``_native.c``), while its adjacency build
-and greedy merge walk run serially. The raster-ordered chamfer sweeps
-have no threaded form and come from :mod:`repro.kernels.native`.
+and greedy merge walk run serially.
+
+The library compiles only what the engine runs on a clock. The
+fixed-point CPA scan (``cpa_assign`` with a ``datapath``) runs the
+reference loop, and code-domain sigma accumulation (``sigma_accumulate``
+with ``codes_flat``) runs the ``vectorized`` bincounts. No benchmark
+workload or paper experiment reaches either: every one that uses the
+fixed datapath runs it through the fused PPA pass.
 
 Thread-count resolution, per call site, first match wins:
 
@@ -58,8 +63,9 @@ from ..core.accumulators import check_sigma_args
 from ..core.assignment import assign_cpa, check_ppa_args
 from ..core.connectivity import check_connectivity_args
 from ..core.distance import WEIGHT_FRAC_BITS
+from . import vectorized
 from .dispatch import usable_cores
-from .native import chamfer_distance, is_available, load  # noqa: F401
+from .native import is_available, load  # noqa: F401
 
 __all__ = [
     "is_available",
@@ -71,8 +77,6 @@ __all__ = [
     "enforce_connectivity",
     "lab_from_codes",
     "sigma_accumulate",
-    "contingency_table",
-    "chamfer_distance",
 ]
 
 #: Hard cap, mirroring MT_MAX_THREADS in ``_native.c``.
@@ -157,12 +161,12 @@ def cpa_assign(
 ) -> int:
     """Row-banded CPA window scan; see ``assign_cpa`` for semantics.
 
-    Returns the number of distinct pixels scanned. Falls back to the
-    reference loop for non-float64 or non-contiguous buffers (the
-    engine always passes contiguous float64; only direct callers pass
-    others).
+    Returns the number of distinct pixels scanned. Runs the reference
+    loop for the fixed datapath and for non-float64 or non-contiguous
+    buffers (the engine always passes contiguous float64; only direct
+    callers pass others).
     """
-    if dist_buf.dtype != np.float64 or not (
+    if datapath is not None or dist_buf.dtype != np.float64 or not (
         dist_buf.flags.c_contiguous and labels_buf.flags.c_contiguous
     ):
         return assign_cpa(
@@ -180,26 +184,13 @@ def cpa_assign(
     if len(ks) == 0:
         return 0
     centers_c = np.ascontiguousarray(centers, dtype=np.float64)
-    labels_v = labels_buf.reshape(-1)
-    dist_v = dist_buf.reshape(-1)
+    lab_c = np.ascontiguousarray(lab, dtype=np.float64)
     touched = _touched_checkout(h * w)
-    if datapath is None:
-        lab_c = np.ascontiguousarray(lab, dtype=np.float64)
-        lib.cpa_assign_f64_mt(
-            lab_c.reshape(-1), centers_c.reshape(-1), ks, len(ks),
-            float(weight), half, h, w, dist_v, labels_v, touched, nt,
-        )
-    else:
-        codes_c = np.ascontiguousarray(codes, dtype=np.int64)
-        c_codes = np.ascontiguousarray(datapath.encode_centers(centers))
-        weight_raw = datapath.weight_raw(compactness, grid_s)
-        lib.cpa_assign_fixed_mt(
-            codes_c.reshape(-1), c_codes.reshape(-1), centers_c.reshape(-1),
-            ks, len(ks), weight_raw, WEIGHT_FRAC_BITS,
-            datapath.spatial_frac_bits, int(datapath.quantize_distance),
-            datapath.effective_distance_shift, datapath.distance_max_code,
-            half, h, w, dist_v, labels_v, touched, nt,
-        )
+    lib.cpa_assign_f64_mt(
+        lab_c.reshape(-1), centers_c.reshape(-1), ks, len(ks),
+        float(weight), half, h, w, dist_buf.reshape(-1),
+        labels_buf.reshape(-1), touched, nt,
+    )
     n_touched = int(np.count_nonzero(touched))
     _touched_checkin(h * w, touched)
     return n_touched
@@ -286,8 +277,6 @@ def lab_from_codes(converter, rgb, n_threads=None):
         pwl.coeff_fmt.frac_bits + pwl.in_fmt.frac_bits
     ) - pwl.out_fmt.frac_bits
     if mat_shift <= 0 or out_shift <= 0:
-        from . import vectorized
-
         return vectorized.lab_from_codes(converter, rgb)
     lib = load()
     nt = resolve_threads(n_threads)
@@ -343,8 +332,14 @@ def sigma_accumulate(
     range and scans every entry, accumulating only the labels it owns —
     the full one-thread addition order per register, so sums are
     bit-identical at any thread count (see the sigma section in
-    ``_native.c``).
+    ``_native.c``). Code-domain input (``codes_flat``) runs the
+    vectorized backend.
     """
+    if codes_flat is not None:
+        return vectorized.sigma_accumulate(
+            labels, n_clusters, width, lab_flat=lab_flat,
+            codes_flat=codes_flat, encoding=encoding, idx=idx,
+        )
     labels, idx = check_sigma_args(
         labels, n_clusters, idx, lab_flat, codes_flat
     )
@@ -360,20 +355,11 @@ def sigma_accumulate(
     if idx is not None:
         idx_c = np.ascontiguousarray(idx, dtype=np.int64)
         idx_ptr = idx_c.ctypes.data_as(ctypes.POINTER(ctypes.c_int64))
-    if codes_flat is not None:
-        codes_c = np.ascontiguousarray(codes_flat, dtype=np.int64)
-        lib.sigma_acc_codes_mt(
-            codes_c.reshape(-1), idx_ptr, labels_c, m, width,
-            float(encoding.l_scale), float(encoding.ab_scale),
-            float(encoding.ab_offset), n_clusters,
-            sums.reshape(-1), counts, nt,
-        )
-    else:
-        lab_c = np.ascontiguousarray(lab_flat, dtype=np.float64)
-        lib.sigma_acc_f64_mt(
-            lab_c.reshape(-1), idx_ptr, labels_c, m, width,
-            n_clusters, sums.reshape(-1), counts, nt,
-        )
+    lab_c = np.ascontiguousarray(lab_flat, dtype=np.float64)
+    lib.sigma_acc_f64_mt(
+        lab_c.reshape(-1), idx_ptr, labels_c, m, width,
+        n_clusters, sums.reshape(-1), counts, nt,
+    )
     return sums, counts
 
 
@@ -394,8 +380,6 @@ def enforce_connectivity(labels, min_size, n_threads=None):
         return labels.copy()
     h, w = labels.shape
     if h * w >= 2**31:
-        from . import vectorized
-
         return vectorized.enforce_connectivity(labels, min_size)
     lib = load()
     nt = resolve_threads(n_threads)
@@ -412,22 +396,3 @@ def enforce_connectivity(labels, min_size, n_threads=None):
         )
     return out
 
-
-def contingency_table(a_flat, b_flat, n_a, n_b, n_threads=None):
-    """Joint label histogram via per-thread private tables.
-
-    Each thread histograms a contiguous index range into its own table;
-    the tables fold into the result sequentially in ascending tile id —
-    int64 addition, so the stitch is exact at any thread count.
-    """
-    lib = load()
-    nt = resolve_threads(n_threads)
-    a_flat = np.ascontiguousarray(a_flat, dtype=np.int64)
-    b_flat = np.ascontiguousarray(b_flat, dtype=np.int64)
-    n_cells = n_a * n_b
-    scratch = np.zeros(nt * n_cells, dtype=np.int64)
-    table = np.zeros(n_cells, dtype=np.int64)
-    lib.contingency_i64_mt(
-        a_flat, b_flat, len(a_flat), n_b, nt, scratch, n_cells, table
-    )
-    return table.reshape(n_a, n_b)

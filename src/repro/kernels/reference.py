@@ -17,12 +17,6 @@ from ..core.assignment import ppa_assign_reference as ppa_assign
 from ..core.connectivity import (
     enforce_connectivity_reference as enforce_connectivity,
 )
-from ..metrics.boundaries import (
-    chamfer_distance_reference as chamfer_distance,
-)
-from ..metrics.boundaries import (
-    contingency_table_reference as contingency_table,
-)
 
 __all__ = [
     "cpa_assign",
@@ -30,8 +24,6 @@ __all__ = [
     "enforce_connectivity",
     "lab_from_codes",
     "sigma_accumulate",
-    "contingency_table",
-    "chamfer_distance",
     "is_available",
 ]
 

@@ -17,14 +17,13 @@ if *they* are forced to fail (fault injection), supervision raises.
 
 Results are memoized per process and per forced-failure set, so the
 self-test runs once per worker, not once per frame. Fault injection
-forces failures via :data:`FAULT_ENV` (a comma-separated backend list)
-or the ``forced_failures`` argument; this is how the resilience suite
-drives the demotion chain deterministically.
+forces failures through the ``forced_failures`` argument (which
+``FaultPlan``'s ``kernel_fail`` faults set); this is how the resilience
+suite drives the demotion chain deterministically.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 
 import numpy as np
@@ -34,7 +33,6 @@ from .dispatch import resolve_name, validate_name
 
 __all__ = [
     "DEMOTION_CHAIN",
-    "FAULT_ENV",
     "SupervisedBackend",
     "self_test",
     "supervised_resolve",
@@ -43,10 +41,6 @@ __all__ = [
 
 #: Demotion order: each name falls back to the next on failure.
 DEMOTION_CHAIN = ("native-mt", "vectorized", "reference")
-
-#: Env var forcing self-test failures (comma-separated backend names) —
-#: the fault-injection hook for the supervisor.
-FAULT_ENV = "REPRO_FAULT_KERNEL_BACKENDS"
 
 #: Per-process memo: (requested, forced) -> SupervisedBackend. The lock
 #: makes first dispatch race-free: concurrent engines resolving the same
@@ -97,9 +91,8 @@ def self_test(name: str) -> None:
 
     Exercises every kernel in the contract (CPA scan, fused Lab
     conversion, sigma accumulation, the fused PPA pass on the float and
-    8-bit datapaths, the fused connectivity pass, metric
-    histogram/chamfer) on tiny fixed inputs and
-    compares against the reference loops, raising
+    8-bit datapaths, the fused connectivity pass) on tiny fixed inputs
+    and compares against the reference loops, raising
     :class:`ConfigurationError` with the mismatch detail on any
     difference. Cheap (a 6 x 9 image, extended by a 3-row strip that
     fills the PPA pass's 8 lanes, and a handful of components) —
@@ -326,31 +319,6 @@ def self_test(name: str) -> None:
                 got = backend.enforce_connectivity(ring, min_size, n_threads=nt)
                 check(f"enforce_connectivity/{min_size}@{nt}t", got, want)
 
-    # Metrics: joint histogram and chamfer transform on tiny maps.
-    a_flat = np.array([0, 0, 1, 2, 1, 0], dtype=np.int64)
-    b_flat = np.array([1, 0, 1, 1, 0, 1], dtype=np.int64)
-    with pinned():
-        check(
-            "contingency_table",
-            backend.contingency_table(a_flat, b_flat, 3, 2),
-            reference.contingency_table(a_flat, b_flat, 3, 2),
-        )
-    mask = np.zeros((5, 7), dtype=bool)
-    mask[1, 2] = mask[4, 6] = True
-    check(
-        "chamfer_distance",
-        backend.chamfer_distance(mask),
-        reference.chamfer_distance(mask),
-    )
-
-
-def _forced_failures(extra=None) -> frozenset:
-    env = os.environ.get(FAULT_ENV, "")
-    forced = {p.strip() for p in env.split(",") if p.strip()}
-    if extra:
-        forced |= set(extra)
-    return frozenset(forced)
-
 
 def supervised_resolve(
     name: str | None = None, tracer=None, forced_failures=None
@@ -364,7 +332,7 @@ def supervised_resolve(
     :class:`ConfigurationError` only when even ``reference`` is forced
     to fail — there is nothing left to demote to.
     """
-    forced = _forced_failures(forced_failures)
+    forced = frozenset(forced_failures or ())
     key = (name, forced)
     cached = _memo.get(key)
     if cached is not None:

@@ -17,8 +17,6 @@ Portable optimized backend — no compiler required. The kernels:
 * :func:`lab_from_codes` — the fixed-point RGB->Lab pipeline and its
   decode run once per *unique* 24-bit color and gathered back,
   exploiting that real frames use a small fraction of the color cube.
-* ``contingency_table`` / ``chamfer_distance`` — the numpy reference
-  implementations are already batched; aliased as-is.
 * ``cpa_assign`` — aliased to the reference loop, ``assign_cpa``.
   Batching the overlapping 2S x 2S windows re-gathers every pixel many
   times, and the scatter-argmin that kept the sequential tie rule cost
@@ -46,12 +44,6 @@ from ..core.connectivity import (
     enforce_connectivity_with,
 )
 from ..core.distance import WEIGHT_FRAC_BITS
-from ..metrics.boundaries import (  # noqa: F401 — numpy-bound, reference is optimal
-    chamfer_distance_reference as chamfer_distance,
-)
-from ..metrics.boundaries import (  # noqa: F401
-    contingency_table_reference as contingency_table,
-)
 
 __all__ = [
     "cpa_assign",
@@ -59,8 +51,6 @@ __all__ = [
     "enforce_connectivity",
     "lab_from_codes",
     "sigma_accumulate",
-    "contingency_table",
-    "chamfer_distance",
     "is_available",
 ]
 

@@ -15,10 +15,8 @@ __all__ = [
     "boundary_map",
     "dilate_mask",
     "chamfer_distance",
-    "chamfer_distance_reference",
     "perimeter_counts",
     "contingency_table",
-    "contingency_table_reference",
 ]
 
 
@@ -67,48 +65,23 @@ def dilate_mask(mask: np.ndarray, radius: int) -> np.ndarray:
 _CHAMFER_AXIAL = 3
 _CHAMFER_DIAG = 4
 
-
 #: Unreachable-distance sentinel for the integer chamfer grid.
 _CHAMFER_BIG = np.iinfo(np.int64).max // 4
 
 
-def chamfer_init(mask: np.ndarray) -> np.ndarray:
-    """The integer chamfer grid before any sweep: 0 on True, BIG elsewhere."""
-    return np.where(mask, 0, _CHAMFER_BIG).astype(np.int64)
-
-
-def chamfer_finalize(dist: np.ndarray) -> np.ndarray:
-    """Integer 3-4 chamfer grid -> float pixel distances (+inf unreachable)."""
-    out = dist.astype(np.float64) / _CHAMFER_AXIAL
-    out[dist >= _CHAMFER_BIG // 2] = np.inf
-    return out
-
-
-def chamfer_distance(mask: np.ndarray, backend: str | None = None) -> np.ndarray:
+def chamfer_distance(mask: np.ndarray) -> np.ndarray:
     """Approximate Euclidean distance (pixels) to the nearest True pixel.
 
     Two-pass 3-4 chamfer transform — the classical scipy-free distance
     transform. Error versus exact Euclidean distance is bounded by ~8%,
     far below the 1-2 px tolerances boundary metrics use. An all-False
-    mask returns +inf everywhere. ``backend`` selects the
-    :mod:`repro.kernels` implementation; all backends are bit-identical
-    (the integer grid makes the sweeps exactly reproducible).
+    mask returns +inf everywhere.
     """
-    from ..kernels import get_backend  # lazy: kernels imports this module
-
     mask = np.asarray(mask, dtype=bool)
     if mask.ndim != 2:
         raise ValueError(f"expected 2-D mask, got shape {mask.shape}")
-    return get_backend(backend).chamfer_distance(mask)
-
-
-def chamfer_distance_reference(mask: np.ndarray) -> np.ndarray:
-    """The numpy row-sweep chamfer transform (kernel reference semantics).
-
-    Takes a validated bool (H, W) mask; returns float64 distances.
-    """
     h, w = mask.shape
-    dist = chamfer_init(mask)
+    dist = np.where(mask, 0, _CHAMFER_BIG).astype(np.int64)
     xs = np.arange(w, dtype=np.int64) * _CHAMFER_AXIAL
 
     def sweep_left(row: np.ndarray) -> np.ndarray:
@@ -133,7 +106,9 @@ def chamfer_distance_reference(mask: np.ndarray) -> np.ndarray:
             dist[y, 1:] = np.minimum(dist[y, 1:], dist[y + 1, :-1] + _CHAMFER_DIAG)
             dist[y, :-1] = np.minimum(dist[y, :-1], dist[y + 1, 1:] + _CHAMFER_DIAG)
         dist[y] = np.minimum(dist[y], sweep_right(dist[y]))
-    return chamfer_finalize(dist)
+    out = dist.astype(np.float64) / _CHAMFER_AXIAL
+    out[dist >= _CHAMFER_BIG // 2] = np.inf
+    return out
 
 
 def perimeter_counts(labels: np.ndarray) -> np.ndarray:
@@ -155,17 +130,11 @@ def perimeter_counts(labels: np.ndarray) -> np.ndarray:
     return perim
 
 
-def contingency_table(
-    labels_a: np.ndarray, labels_b: np.ndarray, backend: str | None = None
-) -> np.ndarray:
+def contingency_table(labels_a: np.ndarray, labels_b: np.ndarray) -> np.ndarray:
     """Joint histogram: ``table[i, j]`` = pixels with label_a i and label_b j.
 
-    The workhorse of USE / ASA. ``backend`` selects the
-    :mod:`repro.kernels` implementation (an exact integer histogram in
-    every backend).
+    The workhorse of USE / ASA: one bincount over fused indices.
     """
-    from ..kernels import get_backend  # lazy: kernels imports this module
-
     labels_a = validate_label_map(labels_a)
     labels_b = validate_label_map(labels_b)
     if labels_a.shape != labels_b.shape:
@@ -174,18 +143,6 @@ def contingency_table(
         )
     n_a = int(labels_a.max()) + 1
     n_b = int(labels_b.max()) + 1
-    a_flat = np.ascontiguousarray(labels_a.ravel(), dtype=np.int64)
-    b_flat = np.ascontiguousarray(labels_b.ravel(), dtype=np.int64)
-    return get_backend(backend).contingency_table(a_flat, b_flat, n_a, n_b)
-
-
-def contingency_table_reference(
-    a_flat: np.ndarray, b_flat: np.ndarray, n_a: int, n_b: int
-) -> np.ndarray:
-    """One bincount over fused indices (kernel reference semantics).
-
-    Takes pre-validated flat int64 label arrays of equal length.
-    """
-    fused = a_flat * n_b + b_flat
-    counts = np.bincount(fused, minlength=n_a * n_b)
-    return counts.reshape(n_a, n_b)
+    a = labels_a.ravel().astype(np.int64)
+    b = labels_b.ravel().astype(np.int64)
+    return np.bincount(a * n_b + b, minlength=n_a * n_b).reshape(n_a, n_b)

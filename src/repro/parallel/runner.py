@@ -137,9 +137,9 @@ class ParallelRunner:
         ``"shm"`` moves them through ``multiprocessing.shared_memory``
         slabs (zero-copy — see :mod:`repro.parallel.shm`), falling back
         to pickle (with ``parallel.transport_fallbacks`` telemetry) when
-        shared memory is unavailable or slab allocation fails;
-        ``"auto"`` picks shm when available. Serial runs
-        (``n_workers=1``) always use in-process arrays — no transport.
+        shared memory is unavailable or slab allocation fails. Serial
+        runs (``n_workers=1``) always use in-process arrays — no
+        transport.
     n_threads:
         Kernel threads per frame for the ``native-mt`` backend — the
         "one process per stream, threads per frame" sweet spot: a
@@ -187,9 +187,9 @@ class ParallelRunner:
             raise ConfigurationError(
                 f"frame_timeout must be > 0 seconds, got {frame_timeout}"
             )
-        if transport not in ("pickle", "shm", "auto"):
+        if transport not in ("pickle", "shm"):
             raise ConfigurationError(
-                f"transport must be 'pickle', 'shm', or 'auto', got {transport!r}"
+                f"transport must be 'pickle' or 'shm', got {transport!r}"
             )
         self.transport = transport
         # Resolve the default once so serial and parallel runs, and every
@@ -327,9 +327,9 @@ class ParallelRunner:
         """Pick the concrete transport for one run.
 
         Returns ``(ShmTransport | None, name)``. The shm path mirrors
-        kernel-backend demotion: an explicit (or auto) shm request that
-        cannot be honored falls back to pickle and leaves a trace —
-        a ``transport_fallback`` event + ``parallel.transport_fallbacks``
+        kernel-backend demotion: a shm request that cannot be honored
+        falls back to pickle and leaves a trace — a
+        ``transport_fallback`` event + ``parallel.transport_fallbacks``
         counter — rather than failing the batch.
         """
         if self.transport == "pickle" or self.n_workers == 1:
@@ -848,9 +848,7 @@ class ParallelRunner:
         The frame span's id is the ``parent_span_id`` the task shipped
         to the worker, so worker span events — already carrying the
         parent's ``trace`` id, globally-unique attempt-tagged ids, and
-        resolvable parents — merge into the trace **verbatim**. Span
-        events without a ``trace`` field (pre-v2 producers) fall back to
-        the old prefix remapping so mixed-version traces stay readable.
+        resolvable parents — merge into the trace **verbatim**.
         """
         tracer = self.tracer
         if not tracer.enabled:
@@ -905,18 +903,8 @@ class ParallelRunner:
         for event in record.trace_events:
             kind = event.get("ev")
             if kind == "span":
-                if event.get("trace"):
-                    # Stitched path: ids/parents/trace already final.
-                    tracer.sink.emit(event)
-                else:  # legacy producer — remap under the frame span
-                    remapped = dict(event)
-                    remapped["id"] = f"{frame_id}:{event['id']}"
-                    remapped["parent"] = (
-                        f"{frame_id}:{event['parent']}"
-                        if event.get("parent")
-                        else frame_id
-                    )
-                    tracer.sink.emit(remapped)
+                # Stitched: ids, parents and trace id are already final.
+                tracer.sink.emit(event)
             elif kind == "counter":
                 # Accumulate through the parent registry so per-frame
                 # snapshots sum instead of clobbering each other.

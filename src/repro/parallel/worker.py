@@ -37,12 +37,6 @@ from .records import FrameRecord, FrameTask
 
 __all__ = ["run_frame"]
 
-#: Test-only crash injection: set to ``"<stream_id>:<frame_index>"`` in the
-#: environment to make the worker die mid-frame with ``os._exit`` —
-#: exercising the runner's broken-pool recovery without a real segfault.
-#: (Superseded by ``repro.resilience.FaultPlan`` crash faults, kept for
-#: env-only contexts.)
-CRASH_ENV = "REPRO_PARALLEL_CRASH_FRAME"
 
 def _collecting_tracer(task):
     """An in-memory tracer that joins the parent's trace.
@@ -71,9 +65,6 @@ def run_frame(task: FrameTask, in_worker: bool = True) -> FrameRecord:
     the executor calls); the runner passes False for in-process
     execution so process-level injected faults are skipped.
     """
-    if os.environ.get(CRASH_ENV) == f"{task.stream_id}:{task.frame_index}":
-        os._exit(3)  # simulate a hard worker death (tests only)
-
     from ..kernels.supervisor import supervised_resolve
 
     tracer = _collecting_tracer(task) if task.collect_trace else None

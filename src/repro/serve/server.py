@@ -166,6 +166,7 @@ class SuperpixelServer:
             mode=cfg.exec_mode, n_workers=cfg.n_workers, tracer=self.tracer,
         )
         self._server: asyncio.AbstractServer | None = None
+        self._port: int | None = None
         self._draining = False
         self._drained = asyncio.Event()
         self._adhoc_counter = 0
@@ -179,10 +180,14 @@ class SuperpixelServer:
     # ------------------------------------------------------------------
     @property
     def port(self) -> int:
-        """The bound port (resolves ``port=0`` to the ephemeral choice)."""
-        if self._server is None:
+        """The bound port (resolves ``port=0`` to the ephemeral choice).
+
+        Recorded at :meth:`start`, so it stays readable while
+        :meth:`drain` closes the listener.
+        """
+        if self._port is None:
             raise ConfigurationError("server is not started")
-        return self._server.sockets[0].getsockname()[1]
+        return self._port
 
     @property
     def draining(self) -> bool:
@@ -200,6 +205,7 @@ class SuperpixelServer:
             raise ConfigurationError(
                 f"cannot bind {self.config.host}:{self.config.port}: {exc}"
             ) from exc
+        self._port = self._server.sockets[0].getsockname()[1]
         self._started_at = self.clock()
 
     async def drain(self, timeout_s: float | None = None) -> bool:

@@ -8,7 +8,6 @@ from repro.errors import ConfigurationError
 from repro.kernels import available_backends
 from repro.kernels.supervisor import (
     DEMOTION_CHAIN,
-    FAULT_ENV,
     reset_supervision,
     self_test,
     supervised_resolve,
@@ -162,11 +161,18 @@ class TestSupervisedResolve:
                 "reference", forced_failures=set(DEMOTION_CHAIN)
             )
 
-    def test_env_var_forces_failures(self, monkeypatch):
-        monkeypatch.setenv(FAULT_ENV, "vectorized")
-        verdict = supervised_resolve("vectorized")
+    def test_forced_failures_argument(self):
+        verdict = supervised_resolve(
+            "vectorized", forced_failures=["vectorized"]
+        )
         assert verdict.name == "reference"
         assert verdict.demoted_from == "vectorized"
+        # Forcing a backend the request never reaches changes nothing.
+        verdict = supervised_resolve(
+            "vectorized", forced_failures=["native-mt"]
+        )
+        assert verdict.name == "vectorized"
+        assert not verdict.demoted
 
     def test_memoized_per_forcing_set(self):
         a = supervised_resolve("vectorized")

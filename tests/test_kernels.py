@@ -7,7 +7,9 @@ here are the contract ``docs/kernels.md`` promises; the speedup side is
 asserted in ``benchmarks/bench_kernels.py``.
 """
 
+import ctypes
 import os
+import re
 
 import numpy as np
 import pytest
@@ -121,19 +123,19 @@ class TestDispatch:
         assert resolve_name("vectorized") == "vectorized"
 
     def test_get_backend_has_kernel_surface(self):
-        """Every backend exports the seven-entry contract, and only it."""
+        """Every backend exports the five-entry contract, and only it."""
         contract = {
             "cpa_assign", "ppa_assign", "enforce_connectivity",
-            "lab_from_codes", "sigma_accumulate", "contingency_table",
-            "chamfer_distance",
+            "lab_from_codes", "sigma_accumulate",
         }
         for name in available_backends():
             mod = get_backend(name)
             assert set(mod.__all__) - {"is_available"} >= contract, name
             for kernel in contract:
                 assert callable(getattr(mod, kernel)), (name, kernel)
-            assert not hasattr(mod, "connected_components"), name
-            assert not hasattr(mod, "merge_small"), name
+            for gone in ("connected_components", "merge_small",
+                         "contingency_table", "chamfer_distance"):
+                assert not hasattr(mod, gone), (name, gone)
 
     def test_params_validate_backend_name(self):
         assert SlicParams(kernel_backend="Vectorized").kernel_backend == (
@@ -361,9 +363,69 @@ class TestEngineBackendEquivalence:
             assert np.array_equal(base, res.labels), name
 
 
+#: C parameter and return types -> the ctypes spelling ``native.py``
+#: may declare for them.
+_C_TYPES = {
+    "void": (None,),
+    "int64_t": (ctypes.c_int64,),
+    "double": (ctypes.c_double,),
+    "double*": ("float64",),
+    "int64_t*": ("int64", ctypes.c_int64),
+    "int32_t*": ("int32", ctypes.c_int32),
+    "uint8_t*": ("uint8",),
+}
+
+
+def _declared(argtype):
+    """What a declared ctypes type points at: a dtype name for an
+    ``ndpointer``, the pointee for a ``POINTER``, else the type itself."""
+    dtype = getattr(argtype, "_dtype_", None)
+    if dtype is not None:
+        return dtype.name
+    pointee = getattr(argtype, "_type_", None)
+    return pointee if isinstance(pointee, type) else argtype
+
+
+def _c_exports():
+    """``name -> (return type, [parameter types])`` for every function
+    ``_native.c`` defines without ``static``; types drop ``const`` and
+    parameter names (``"const double *lab"`` -> ``"double*"``)."""
+    src = re.sub(r"/\*.*?\*/", "", native_mod._SRC.read_text(), flags=re.S)
+    exports = {}
+    for m in re.finditer(
+        r"^([A-Za-z_][\w \t*]*?)\b(\w+)\(([^)]*)\)\s*\{", src, re.M
+    ):
+        ret, name, params = m.groups()
+        if "static" in ret.split():
+            continue
+        types = []
+        for param in params.split(","):
+            words = param.replace("*", " * ").split()
+            words = [w for w in words if w != "const"]
+            if words != ["void"]:
+                types.append(words[0] + "*" * words.count("*"))
+        exports[name] = (ret.strip(), types)
+    return exports
+
+
 class TestNativeBackend:
     def test_probe_does_not_raise(self):
         assert native_mod.is_available() in (True, False)
+
+    def test_ctypes_signatures_match_the_c_exports(self):
+        """``native.SIGNATURES`` declares exactly the functions the C
+        source exports, with their parameter and return types: an export
+        without a signature (ctypes would pass C ints) or a stale one
+        fails here rather than when it is called."""
+        exports = _c_exports()
+        assert set(exports) == set(native_mod.SIGNATURES)
+        assert len(exports) == 7
+        for name, (restype, argtypes) in native_mod.SIGNATURES.items():
+            c_ret, c_params = exports[name]
+            assert restype in _C_TYPES[c_ret], name
+            assert len(argtypes) == len(c_params), name
+            for i, (argtype, c_type) in enumerate(zip(argtypes, c_params)):
+                assert _declared(argtype) in _C_TYPES[c_type], (name, i)
 
     @pytest.mark.skipif(
         "native-mt" not in OPTIMIZED_NAMES,
@@ -738,43 +800,3 @@ class TestMergeSmallIdentity:
             got = enforce_connectivity(labels, min_size, backend=name)
             assert np.array_equal(got, want), name
 
-
-class TestMetricKernelsIdentity:
-    """contingency_table / chamfer_distance across backends."""
-
-    @pytest.mark.parametrize("name", OPTIMIZED)
-    def test_contingency_table_matches(self, name):
-        from repro.metrics import contingency_table
-
-        rng = np.random.default_rng(5)
-        a = rng.integers(0, 11, size=(40, 55)).astype(np.int32)
-        b = rng.integers(0, 6, size=(40, 55)).astype(np.int32)
-        want = contingency_table(a, b, backend="reference")
-        got = contingency_table(a, b, backend=name)
-        assert np.array_equal(got, want)
-        assert got.sum() == a.size
-
-    @pytest.mark.parametrize("name", OPTIMIZED)
-    def test_chamfer_matches_on_sparse_and_dense_masks(self, name):
-        from repro.metrics import chamfer_distance
-
-        rng = np.random.default_rng(9)
-        for density in (0.002, 0.05, 0.6):
-            mask = rng.random((48, 64)) < density
-            want = chamfer_distance(mask, backend="reference")
-            got = chamfer_distance(mask, backend=name)
-            assert np.array_equal(got, want), density
-
-    @pytest.mark.parametrize("name", OPTIMIZED)
-    def test_chamfer_all_false_is_inf(self, name):
-        from repro.metrics import chamfer_distance
-
-        out = chamfer_distance(np.zeros((7, 8), dtype=bool), backend=name)
-        assert np.isinf(out).all()
-
-    @pytest.mark.parametrize("name", OPTIMIZED)
-    def test_chamfer_all_true_is_zero(self, name):
-        from repro.metrics import chamfer_distance
-
-        out = chamfer_distance(np.ones((7, 8), dtype=bool), backend=name)
-        assert (out == 0).all()

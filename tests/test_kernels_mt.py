@@ -356,21 +356,6 @@ class TestSigmaAccumulateDifferential:
         assert np.array_equal(got[1], want[1])
 
 
-@pytest.mark.parametrize("nt", THREADS)
-class TestContingencyDifferential:
-    @settings(max_examples=5, deadline=None)
-    @given(seed=st.integers(0, 10_000), n_a=st.integers(1, 12),
-           n_b=st.integers(1, 9), n=st.sampled_from([0, 3, 101, 4097]))
-    def test_random_labelings(self, nt, seed, n_a, n_b, n):
-        rng = np.random.default_rng(seed)
-        a = rng.integers(0, n_a, size=n).astype(np.int64)
-        b = rng.integers(0, n_b, size=n).astype(np.int64)
-        want = reference.contingency_table(a, b, n_a, n_b)
-        got = native_mt.contingency_table(a, b, n_a, n_b, n_threads=nt)
-        assert np.array_equal(got, want)
-        assert got.sum() == n
-
-
 class TestDegenerateShapes:
     """Frames thinner or smaller than one tile, at 7 threads."""
 
@@ -450,18 +435,13 @@ class TestDegenerateShapes:
 
     def test_serial_delegates_unaffected_by_ambient_threads(self):
         """A pinned ambient thread count must not change the output of
-        the fused connectivity pass (row-banded CCL and relabel) or of
-        chamfer, which has no threaded form."""
+        the fused connectivity pass (row-banded CCL and relabel)."""
         rng = np.random.default_rng(4)
         labels = rng.integers(0, 6, size=(20, 24)).astype(np.int32)
-        mask = rng.random((20, 24)) < 0.1
         want_ec = reference.enforce_connectivity(labels, 5)
-        want_ch = reference.chamfer_distance(mask)
         with thread_context(7):
             got_ec = native_mt.enforce_connectivity(labels, 5)
-            got_ch = native_mt.chamfer_distance(mask)
         assert np.array_equal(want_ec, got_ec)
-        assert np.array_equal(want_ch, got_ch)
 
 
 class TestThreadResolution:

@@ -24,7 +24,6 @@ from repro.parallel import (
     synthetic_batch,
     synthetic_streams,
 )
-from repro.parallel.worker import CRASH_ENV
 
 PARAMS = SlicParams(
     n_superpixels=40,
@@ -181,16 +180,15 @@ class TestParallelExecution:
         assert batch.records[1].error_type == "ImageError"
         assert batch.records[0].ok and batch.records[2].ok
 
-    def test_worker_crash_returns_error_record(self, monkeypatch):
+    def test_worker_crash_returns_error_record(self):
         """A worker that dies mid-frame must not hang the pool.
 
         The pending cap keeps most of the batch out of the doomed pool,
         so the restart has work left to prove recovery with.
         """
-        monkeypatch.setenv(CRASH_ENV, "1:0")
-        batch = ParallelRunner(PARAMS, n_workers=2, max_pending=2).run_batch(
-            _tiny_batch(6)
-        )
+        batch = ParallelRunner(
+            PARAMS, n_workers=2, max_pending=2, faults="crash@1:0"
+        ).run_batch(_tiny_batch(6))
         assert batch.n_frames == 6
         crashed = [r for r in batch.failures if r.error_type == "WorkerCrash"]
         assert crashed, "expected at least the injected crash"

@@ -262,29 +262,35 @@ class TestCircuitBreakerProbe:
 
 
 class TestDrain:
-    def test_drain_completes_in_flight_and_fails_readiness(self):
-        config = ServeConfig(
-            params=SlicParams(n_superpixels=64),
-            max_queue=4, n_workers=1, drain_timeout_s=30.0,
-        )
+    def test_drain_completes_in_flight_and_fails_readiness(
+        self, monkeypatch
+    ):
+        from repro.serve import executor as executor_mod
+
+        # Hold the in-flight frame until the probes are answered, so the
+        # drain cannot finish (and close the listener) before they land.
+        started, release = threading.Event(), threading.Event()
+        run_frame = executor_mod.run_frame
+
+        def gated_run_frame(task, in_worker=True):
+            started.set()
+            release.wait(timeout=30)
+            return run_frame(task, in_worker=in_worker)
+
+        monkeypatch.setattr(executor_mod, "run_frame", gated_run_frame)
+        config = ServeConfig(params=PARAMS, max_queue=4, n_workers=1,
+                             drain_timeout_s=30.0)
         bg = BackgroundServer(config).start()
+        port = bg.port
         try:
-            big = {"synthetic": {"seed": 1, "height": 128, "width": 160}}
             outcome = {}
 
-            def slow_frame():
-                outcome["result"] = request(
-                    bg.port, "POST", "/v1/segment", big
-                )
+            def in_flight_frame():
+                outcome["result"] = request(port, "POST", "/v1/segment", SYNTH)
 
-            worker = threading.Thread(target=slow_frame)
+            worker = threading.Thread(target=in_flight_frame)
             worker.start()
-            # Wait until the frame is actually admitted.
-            deadline = time.monotonic() + 10
-            while time.monotonic() < deadline:
-                if bg.server.admission.outstanding > 0:
-                    break
-                time.sleep(0.005)
+            assert started.wait(timeout=10)
             assert bg.server.admission.outstanding > 0
 
             drained = {}
@@ -299,21 +305,23 @@ class TestDrain:
             while time.monotonic() < deadline and not bg.server.draining:
                 time.sleep(0.005)
             assert bg.server.draining
-            if bg.server.admission.outstanding > 0:
-                status, data, _ = request(bg.port, "GET", "/readyz")
-                assert status == 503
-                assert data["reason"] == "draining"
-                status, data, _ = request(
-                    bg.port, "POST", "/v1/segment", SYNTH
-                )
-                assert status == 503
-                assert data["reason"] == "draining"
+            status, data, _ = request(port, "GET", "/readyz")
+            assert status == 503
+            assert data["reason"] == "draining"
+            status, data, _ = request(port, "POST", "/v1/segment", SYNTH)
+            assert status == 503
+            assert data["reason"] == "draining"
+            release.set()
             worker.join(timeout=60)
             drainer.join(timeout=60)
             # The in-flight frame completed with a real answer.
             assert outcome["result"][0] == 200
             assert drained["clean"] is True
+            # The port was recorded at start: the closed listener has no
+            # sockets left to ask.
+            assert bg.port == port
         finally:
+            release.set()
             bg.drain()
 
     def test_drain_with_no_inflight_is_immediate(self):

@@ -262,9 +262,9 @@ class TestTransportSelection:
         assert res.transport == "pickle"  # n_workers=1: nothing to ship
 
     @needs_shm
-    def test_auto_selects_shm_when_available(self):
+    def test_shm_selected_when_available(self):
         res = ParallelRunner(
-            PARAMS, n_workers=2, transport="auto"
+            PARAMS, n_workers=2, transport="shm"
         ).run_streams(_tiny_streams(1, 2))
         assert res.transport == "shm"
 
