@@ -25,6 +25,16 @@ PPA pass's label map with the engine's default ``min_size`` (a quarter
 of the nominal superpixel area). No gate reads it; it records which
 backends beat ``reference`` there.
 
+A last, ungated row times the float color conversion on the same frame:
+the whole-frame numpy chain, and ``rgb_to_lab``'s row-band walk at one
+thread and at the ``native-mt`` thread count. All three must agree bit
+for bit.
+
+Every timing is a best-of-N over rounds in which each contender runs
+once, round-robin, starting one place later each round. Timing one
+contender's N calls after another's lets a slow stretch of the host land
+on whichever ran last; the rotation spreads it over all of them.
+
 Every row records ``ppa_lanes``: 8 when the compiled library runs the
 PPA pass's AVX-512 lane bodies on this CPU, 1 for its scalar loops, and
 ``None`` for the numpy backends — so a PPA number recorded on one host
@@ -37,7 +47,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.color import rgb_to_lab
+from repro.color import linear_rgb_to_xyz, rgb_to_lab, xyz_to_lab
+from repro.color.reference import BAND_PIXELS, _gamma_lut_u8
 from repro.core import (
     candidate_map,
     grid_geometry,
@@ -71,20 +82,25 @@ def setup():
     cands = candidate_map(gh, gw)
     s = float(np.sqrt(H * W / len(centers)))
     weight = spatial_weight(10.0, s)
-    return lab, centers, tiles, cands, s, weight
+    return scene.image, lab, centers, tiles, cands, s, weight
 
 
-def _best_of(fn, repeats):
-    best = np.inf
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
+def _interleaved_best(fns, repeats):
+    """Best wall time of each callable in ``fns`` (a name -> callable
+    dict) over ``repeats`` rotated round-robin rounds."""
+    names = list(fns)
+    best = dict.fromkeys(names, np.inf)
+    for rnd in range(repeats):
+        for i in range(len(names)):
+            name = names[(rnd + i) % len(names)]
+            t0 = time.perf_counter()
+            fns[name]()
+            best[name] = min(best[name], time.perf_counter() - t0)
     return best
 
 
 def test_kernel_backends(setup, emit, bench_scale):
-    lab, centers, tiles, cands, s, weight = setup
+    image, lab, centers, tiles, cands, s, weight = setup
     repeats = 5 if bench_scale == "full" else 3
     backends = available_backends()
     optimized = [b for b in backends if b != "reference"]
@@ -150,12 +166,43 @@ def test_kernel_backends(setup, emit, bench_scale):
                 f"{b}: connectivity output differs"
             )
 
-        # --- timings ---------------------------------------------------
-        cpa_t = {b: _best_of(lambda b=b: cpa_run(b), repeats) for b in backends}
-        ppa_t = {b: _best_of(lambda b=b: ppa_run(b), repeats) for b in backends}
-        conn_t = {
-            b: _best_of(lambda b=b: conn_run(b), repeats) for b in backends
+        cpa_fns = {b: (lambda b=b: cpa_run(b)) for b in backends}
+        if "native-mt" in backends:
+            with thread_context(1):
+                got_l, got_d, got_n = cpa_run("native-mt")
+            assert np.array_equal(got_l, ref_cpa[0]) and np.array_equal(
+                got_d, ref_cpa[1]
+            ) and got_n == ref_cpa[2], "native-mt@1t: CPA differs"
+
+            def cpa_one_thread():
+                with thread_context(1):
+                    cpa_run("native-mt")
+
+            cpa_fns["native-mt@1t"] = cpa_one_thread
+
+        def whole_frame_color():
+            return xyz_to_lab(linear_rgb_to_xyz(_gamma_lut_u8()[image]))
+
+        color_fns = {
+            "whole_frame": whole_frame_color,
+            "band_1t": lambda: rgb_to_lab(image, n_threads=1),
+            "band_mt": lambda: rgb_to_lab(image, n_threads=mt_threads),
         }
+        want_lab = whole_frame_color().view(np.uint64)
+        for name, fn in color_fns.items():
+            assert np.array_equal(fn().view(np.uint64), want_lab), (
+                f"rgb_to_lab {name} differs from the whole-frame chain"
+            )
+
+        # --- timings ---------------------------------------------------
+        cpa_t = _interleaved_best(cpa_fns, repeats)
+        ppa_t = _interleaved_best(
+            {b: (lambda b=b: ppa_run(b)) for b in backends}, repeats
+        )
+        conn_t = _interleaved_best(
+            {b: (lambda b=b: conn_run(b)) for b in backends}, repeats
+        )
+        color_t = _interleaved_best(color_fns, repeats)
 
     rows, records = [], []
     header = (
@@ -205,12 +252,7 @@ def test_kernel_backends(setup, emit, bench_scale):
     mt_gain = None
     mt_gate_eligible = False
     if "native-mt" in backends:
-        with thread_context(1):
-            got_l, got_d, got_n = cpa_run("native-mt")
-            assert np.array_equal(got_l, ref_cpa[0]) and np.array_equal(
-                got_d, ref_cpa[1]
-            ) and got_n == ref_cpa[2], "native-mt@1t: CPA differs"
-            serial_t = _best_of(lambda: cpa_run("native-mt"), repeats)
+        serial_t = cpa_t["native-mt@1t"]
         mt_gain = serial_t / cpa_t["native-mt"]
         mt_gate_eligible = cores >= MT_GATE_CORES
         rows.append(
@@ -233,6 +275,23 @@ def test_kernel_backends(setup, emit, bench_scale):
                 "ppa_lanes": lanes,
             }
         )
+    rows.append(
+        f"rgb_to_lab: whole frame {color_t['whole_frame'] * 1e3:.2f} ms, "
+        f"bands at 1 thread {color_t['band_1t'] * 1e3:.2f} ms, "
+        f"at {mt_threads} threads {color_t['band_mt'] * 1e3:.2f} ms "
+        f"({BAND_PIXELS}-pixel bands, ungated)"
+    )
+    records.append(
+        {
+            "backend": "rgb_to_lab",
+            "whole_frame_ms": color_t["whole_frame"] * 1e3,
+            "band_1t_ms": color_t["band_1t"] * 1e3,
+            "band_mt_ms": color_t["band_mt"] * 1e3,
+            "n_threads": mt_threads,
+            "band_pixels": BAND_PIXELS,
+            "bit_identical": True,
+        }
+    )
     emit("kernels", "\n".join(rows), records=records)
 
     assert best_ppa >= PPA_SPEEDUP_GATE, (

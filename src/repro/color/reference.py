@@ -22,6 +22,8 @@ The forward chain is:
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from ..types import as_float_rgb, validate_rgb_image
@@ -146,6 +148,12 @@ def lab_to_xyz(lab: np.ndarray, white: np.ndarray = D65_WHITE) -> np.ndarray:
     return _f_inv(fxyz) * white
 
 
+#: Pixels per band of :func:`rgb_to_lab`'s walk: 17 rows at 1080p, 102
+#: at QVGA. A band's float64 temporaries (24 bytes per pixel each) then
+#: fit in a per-core L2 instead of streaming whole-frame planes through
+#: memory between numpy passes.
+BAND_PIXELS = 32768
+
 _GAMMA_LUT_U8 = None
 
 
@@ -165,7 +173,7 @@ def _gamma_lut_u8() -> np.ndarray:
     return _GAMMA_LUT_U8
 
 
-def rgb_to_lab(rgb: np.ndarray) -> np.ndarray:
+def rgb_to_lab(rgb: np.ndarray, n_threads: int = 1) -> np.ndarray:
     """Full reference pipeline: sRGB image (uint8 or float [0,1]) -> CIELAB.
 
     This is the color-conversion step at the top of both SLIC flowcharts
@@ -173,15 +181,65 @@ def rgb_to_lab(rgb: np.ndarray) -> np.ndarray:
 
     uint8 input takes a gamma-LUT gather instead of evaluating the power
     function per pixel; the downstream matrix multiply and Lab transform
-    run on the same full-shape float64 array either way, so the result
-    is bit-identical to the float path fed ``as_float_rgb(rgb)``.
+    run on the same float64 values either way, so the result is
+    bit-identical to the float path fed ``as_float_rgb(rgb)``.
+
+    The frame is converted in row bands of :data:`BAND_PIXELS` pixels,
+    so each band's float64 temporaries stay cache-resident. The bands
+    are split into ``min(n_threads, n_bands)`` contiguous slabs; the
+    caller walks the first and a helper thread started for this call
+    walks each other one. The numpy steps release the GIL, so the slabs
+    run in parallel. The result equals the whole-frame chain
+    ``xyz_to_lab(linear_rgb_to_xyz(...))`` bit for bit at any thread
+    count: every step is elementwise except the matrix multiply, which
+    numpy issues one image row at a time, and a band never splits a
+    row. An exception in a helper is re-raised here after every thread
+    has finished.
     """
     rgb_arr = validate_rgb_image(rgb)
     if rgb_arr.dtype == np.uint8:
-        linear = _gamma_lut_u8()[rgb_arr]
+        expand = _gamma_lut_u8().__getitem__
     else:
-        linear = srgb_gamma_expand(as_float_rgb(rgb_arr))
-    return xyz_to_lab(linear_rgb_to_xyz(linear))
+        def expand(band):
+            return srgb_gamma_expand(as_float_rgb(band))
+
+    h, w = rgb_arr.shape[:2]
+    lab = np.empty((h, w, 3), dtype=np.float64)
+    band_rows = max(1, BAND_PIXELS // w)
+    n_bands = -(-h // band_rows)
+    n_slabs = max(1, min(int(n_threads), n_bands))
+    cuts = [
+        min(h, band_rows * (i * n_bands // n_slabs))
+        for i in range(n_slabs + 1)
+    ]
+
+    def walk(start, stop):
+        for r0 in range(start, stop, band_rows):
+            rows = slice(r0, r0 + band_rows)
+            lab[rows] = xyz_to_lab(linear_rgb_to_xyz(expand(rgb_arr[rows])))
+
+    errors = []
+
+    def helper(start, stop):
+        try:
+            walk(start, stop)
+        except BaseException as exc:  # re-raised in the calling thread
+            errors.append(exc)
+
+    helpers = [
+        threading.Thread(target=helper, args=cuts[i:i + 2], daemon=True)
+        for i in range(1, n_slabs)
+    ]
+    for t in helpers:
+        t.start()
+    try:
+        walk(cuts[0], cuts[1])
+    finally:
+        for t in helpers:
+            t.join()
+    if errors:
+        raise errors[0]
+    return lab
 
 
 def lab_to_rgb(lab: np.ndarray) -> np.ndarray:

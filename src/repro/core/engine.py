@@ -139,7 +139,7 @@ def run_segmentation(
     ) as root:
         result = _run_instrumented(
             image, params, warm_centers, warm_labels, tracer, timer,
-            kernel_name,
+            kernel_name, n_threads or 1,
         )
         root.set(
             sweeps=result.iterations,
@@ -152,8 +152,14 @@ def run_segmentation(
 
 def _run_instrumented(
     image, params, warm_centers, warm_labels, tracer, timer, kernel_name,
+    n_threads,
 ):
-    """The engine body; always runs inside the root ``segmentation`` span."""
+    """The engine body; always runs inside the root ``segmentation`` span.
+
+    ``n_threads`` is the run's kernel thread count (1 unless the backend
+    is ``native-mt``); the float color conversion runs its row bands on
+    that many threads.
+    """
     kernels = get_backend(kernel_name)
 
     # ------------------------------------------------------------------
@@ -176,7 +182,7 @@ def _run_instrumented(
             )
         else:
             codes = None
-            lab = rgb_to_lab(image)
+            lab = rgb_to_lab(image, n_threads=n_threads)
 
     h, w = lab.shape[:2]
 
@@ -392,7 +398,9 @@ def _run_instrumented(
             )
 
     return SegmentationResult(
-        labels=labels.astype(np.int32),
+        # Every label map above is allocated by this run (warm labels
+        # are copied on entry), so an int32 map is returned as is.
+        labels=labels.astype(np.int32, copy=False),
         centers=centers,
         n_superpixels=n_clusters,
         iterations=sweeps,

@@ -1,7 +1,11 @@
 """Unit tests for the float64 reference color conversion (Equations 1-4)."""
 
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.color import (
     lab_to_rgb,
@@ -14,7 +18,10 @@ from repro.color import (
     xyz_to_linear_rgb,
     D65_WHITE,
 )
+from repro.color import reference
+from repro.color.reference import BAND_PIXELS
 from repro.errors import ImageError
+from repro.types import as_float_rgb
 
 
 class TestGamma:
@@ -125,3 +132,56 @@ class TestFullPipeline:
     def test_rejects_out_of_range_float(self):
         with pytest.raises(ImageError):
             rgb_to_lab(np.full((2, 2, 3), 2.0))
+
+
+class TestBandWalk:
+    """``rgb_to_lab`` walks row bands on up to ``n_threads`` threads and
+    must equal the whole-frame chain bit for bit."""
+
+    @pytest.mark.parametrize("width", [1, 2, 1920, BAND_PIXELS])
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        height=st.sampled_from(["1", "band-1", "band", "band+1", "2band+1"]),
+        kind=st.sampled_from(["uint8", "float", "uint8 view", "float view"]),
+    )
+    def test_matches_whole_frame_chain(self, width, seed, height, kind):
+        band = max(1, BAND_PIXELS // width)
+        h = max(1, {
+            "1": 1, "band-1": band - 1, "band": band, "band+1": band + 1,
+            "2band+1": 2 * band + 1,
+        }[height])
+        view = kind.endswith("view")
+        shape = (h, 2 * width if view else width, 3)
+        rng = np.random.default_rng(seed)
+        if kind.startswith("float"):
+            base = rng.uniform(0.0, 1.0, shape)
+        else:
+            base = rng.integers(0, 256, shape, dtype=np.uint8)
+        # Views run backwards over rows and skip every other column.
+        img = base[::-1, ::2] if view else base
+        # The W=1 frames pin why bands never flatten the image: numpy
+        # multiplies an (H, 1, 3) frame one M=1 row at a time, which
+        # rounds differently from the same pixels in a wider frame.
+        want = xyz_to_lab(linear_rgb_to_xyz(srgb_gamma_expand(as_float_rgb(img))))
+        for nt in (1, 2, 3, 7):
+            got = rgb_to_lab(img, n_threads=nt)
+            assert got.shape == (h, width, 3)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_helper_exception_reaches_caller(self, monkeypatch):
+        caller = threading.current_thread()
+        real = reference.xyz_to_lab
+
+        def fail_off_caller(xyz):
+            if threading.current_thread() is not caller:
+                raise RuntimeError("helper band failed")
+            return real(xyz)
+
+        monkeypatch.setattr(reference, "xyz_to_lab", fail_off_caller)
+        before = threading.active_count()
+        img = np.zeros((4 * BAND_PIXELS // 64, 64, 3), dtype=np.uint8)
+        with pytest.raises(RuntimeError, match="helper band failed"):
+            rgb_to_lab(img, n_threads=3)
+        # Every helper was joined before the error surfaced.
+        assert threading.active_count() == before

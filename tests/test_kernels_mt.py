@@ -120,22 +120,6 @@ class TestCpaDifferential:
         assert np.array_equal(l_r, l_m)
         assert np.array_equal(d_r, d_m)
 
-    @settings(max_examples=4, deadline=None)
-    @given(seed=st.integers(0, 10_000), k=st.integers(8, 32))
-    def test_fixed_datapath(self, nt, seed, k):
-        lab, centers, _, _, s, weight, dp, codes = _setup(
-            seed, k, 10.0, fixed=True
-        )
-        kw = dict(datapath=dp, compactness=10.0, codes=codes)
-        d_r, l_r = _cpa_buffers(H, W)
-        d_m, l_m = _cpa_buffers(H, W)
-        reference.cpa_assign(lab, centers, weight, s, d_r, l_r, **kw)
-        native_mt.cpa_assign(
-            lab, centers, weight, s, d_m, l_m, n_threads=nt, **kw
-        )
-        assert np.array_equal(l_r, l_m)
-        assert np.array_equal(d_r, d_m)
-
     def test_center_subset(self, nt):
         lab, centers, _, _, s, weight, _, _ = _setup(7, 24, 12.0)
         subset = np.arange(len(centers))[::3]
@@ -318,27 +302,6 @@ class TestSigmaAccumulateDifferential:
         )
         got_s, got_c = native_mt.sigma_accumulate(
             labels, k, W, lab_flat=lab_flat, idx=idx, n_threads=nt
-        )
-        assert np.array_equal(got_s, want_s)
-        assert np.array_equal(got_c, want_c)
-
-    @settings(max_examples=4, deadline=None)
-    @given(seed=st.integers(0, 10_000), k=st.integers(1, 24),
-           bits=st.sampled_from([8, 10]))
-    def test_fixed_codes(self, nt, seed, k, bits):
-        rng = np.random.default_rng(seed)
-        enc = LabEncoding(bits)
-        codes_flat = rng.integers(
-            0, enc.code_max + 1, size=(H * W, 3)
-        ).astype(np.int64)
-        idx = rng.permutation(H * W)[: H * W // 2].astype(np.int64)
-        labels = rng.integers(0, k, size=len(idx)).astype(np.int32)
-        want_s, want_c = reference.sigma_accumulate(
-            labels, k, W, codes_flat=codes_flat, encoding=enc, idx=idx
-        )
-        got_s, got_c = native_mt.sigma_accumulate(
-            labels, k, W, codes_flat=codes_flat, encoding=enc, idx=idx,
-            n_threads=nt,
         )
         assert np.array_equal(got_s, want_s)
         assert np.array_equal(got_c, want_c)
