@@ -1,9 +1,12 @@
-"""Fused color, sigma-accumulate, PPA and connectivity identity smoke at VGA.
+"""Fused color, float color, sigma-accumulate, PPA and connectivity
+identity smoke at VGA.
 
 Each kernel must match the reference bit for bit on every available
-backend, including native-mt at 2 threads. The fused PPA pass is checked
-on the float and 8-bit datapaths: chosen labels, sigma partials and the
-label map written in place. The fused connectivity pass runs on the
+backend, including native-mt at 2 threads. The float color entry,
+``lab_from_rgb``, must equal ``rgb_to_lab`` bit for bit on uint8 and
+float input; on native-mt that runs its three C band loops. The fused
+PPA pass is checked on the float and 8-bit datapaths: chosen labels,
+sigma partials and the label map written in place. The fused connectivity pass runs on the
 float pass's label map at the engine's default ``min_size``. Run from
 the repository root with ``PYTHONPATH=src``.
 """
@@ -42,6 +45,15 @@ if "native-mt" in available_backends():
     assert np.array_equal(s, want_s), "mt@2t sigma sums"
     assert np.array_equal(c, want_c), "mt@2t sigma counts"
 from repro.color import rgb_to_lab
+rgb_runs = {n: get_backend(n).lab_from_rgb for n in available_backends()}
+if "native-mt" in available_backends():
+    rgb_runs["mt@2t"] = lambda x: native_mt.lab_from_rgb(x, n_threads=2)
+for image in (img, img / 255.0):
+    want_bits = rgb_to_lab(image).view(np.uint64)
+    for name, fn in rgb_runs.items():
+        assert np.array_equal(fn(image).view(np.uint64), want_bits), (
+            f"{name}: {image.dtype} lab_from_rgb"
+        )
 from repro.core import (
     FixedDatapath, candidate_map, grid_geometry, initial_centers,
     spatial_weight, tile_map,

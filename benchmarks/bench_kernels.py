@@ -26,9 +26,10 @@ of the nominal superpixel area). No gate reads it; it records which
 backends beat ``reference`` there.
 
 A last, ungated row times the float color conversion on the same frame:
-the whole-frame numpy chain, and ``rgb_to_lab``'s row-band walk at one
-thread and at the ``native-mt`` thread count. All three must agree bit
-for bit.
+the whole-frame numpy chain, ``rgb_to_lab``'s row-band walk at one
+thread and at the ``native-mt`` thread count, and ``native-mt``'s
+``lab_from_rgb`` (the same walk with its C band loops) at both thread
+counts. All of them must agree bit for bit.
 
 Every timing is a best-of-N over rounds in which each contender runs
 once, round-robin, starting one place later each round. Timing one
@@ -188,6 +189,12 @@ def test_kernel_backends(setup, emit, bench_scale):
             "band_1t": lambda: rgb_to_lab(image, n_threads=1),
             "band_mt": lambda: rgb_to_lab(image, n_threads=mt_threads),
         }
+        if "native-mt" in backends:
+            native_rgb = get_backend("native-mt").lab_from_rgb
+            color_fns["native_1t"] = lambda: native_rgb(image, n_threads=1)
+            color_fns["native_mt"] = lambda: native_rgb(
+                image, n_threads=mt_threads
+            )
         want_lab = whole_frame_color().view(np.uint64)
         for name, fn in color_fns.items():
             assert np.array_equal(fn().view(np.uint64), want_lab), (
@@ -275,18 +282,23 @@ def test_kernel_backends(setup, emit, bench_scale):
                 "ppa_lanes": lanes,
             }
         )
+    color_ms = {name: t * 1e3 for name, t in color_t.items()}
     rows.append(
-        f"rgb_to_lab: whole frame {color_t['whole_frame'] * 1e3:.2f} ms, "
-        f"bands at 1 thread {color_t['band_1t'] * 1e3:.2f} ms, "
-        f"at {mt_threads} threads {color_t['band_mt'] * 1e3:.2f} ms "
+        f"rgb_to_lab: whole frame {color_ms['whole_frame']:.2f} ms, "
+        f"bands at 1 thread {color_ms['band_1t']:.2f} ms, "
+        f"at {mt_threads} threads {color_ms['band_mt']:.2f} ms "
         f"({BAND_PIXELS}-pixel bands, ungated)"
     )
+    if "native-mt" in backends:
+        rows.append(
+            f"native-mt lab_from_rgb: at 1 thread "
+            f"{color_ms['native_1t']:.2f} ms, at {mt_threads} threads "
+            f"{color_ms['native_mt']:.2f} ms (same bands, ungated)"
+        )
     records.append(
         {
             "backend": "rgb_to_lab",
-            "whole_frame_ms": color_t["whole_frame"] * 1e3,
-            "band_1t_ms": color_t["band_1t"] * 1e3,
-            "band_mt_ms": color_t["band_mt"] * 1e3,
+            **{f"{name}_ms": ms for name, ms in color_ms.items()},
             "n_threads": mt_threads,
             "band_pixels": BAND_PIXELS,
             "bit_identical": True,

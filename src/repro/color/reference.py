@@ -45,6 +45,7 @@ __all__ = [
     "lab_to_xyz",
     "rgb_to_lab",
     "lab_to_rgb",
+    "band_walk",
 ]
 
 
@@ -184,25 +185,41 @@ def rgb_to_lab(rgb: np.ndarray, n_threads: int = 1) -> np.ndarray:
     run on the same float64 values either way, so the result is
     bit-identical to the float path fed ``as_float_rgb(rgb)``.
 
-    The frame is converted in row bands of :data:`BAND_PIXELS` pixels,
-    so each band's float64 temporaries stay cache-resident. The bands
-    are split into ``min(n_threads, n_bands)`` contiguous slabs; the
-    caller walks the first and a helper thread started for this call
-    walks each other one. The numpy steps release the GIL, so the slabs
-    run in parallel. The result equals the whole-frame chain
-    ``xyz_to_lab(linear_rgb_to_xyz(...))`` bit for bit at any thread
-    count: every step is elementwise except the matrix multiply, which
-    numpy issues one image row at a time, and a band never splits a
-    row. An exception in a helper is re-raised here after every thread
-    has finished.
+    The frame is converted by :func:`band_walk` in row bands of
+    :data:`BAND_PIXELS` pixels on up to ``n_threads`` threads, each band
+    running the numpy chain below. The result equals the whole-frame
+    chain ``xyz_to_lab(linear_rgb_to_xyz(...))`` bit for bit at any
+    thread count: every step is elementwise except the matrix multiply,
+    which numpy issues one image row at a time, and a band never splits
+    a row.
+    """
+    return band_walk(rgb, _chain_band, n_threads)
+
+
+def _chain_band(band: np.ndarray, out: np.ndarray) -> None:
+    """:func:`rgb_to_lab`'s band body: the numpy chain into ``out``."""
+    if band.dtype == np.uint8:
+        linear = _gamma_lut_u8()[band]
+    else:
+        linear = srgb_gamma_expand(as_float_rgb(band))
+    out[...] = xyz_to_lab(linear_rgb_to_xyz(linear))
+
+
+def band_walk(rgb: np.ndarray, body, n_threads: int = 1) -> np.ndarray:
+    """Convert ``rgb`` to Lab one row band at a time with ``body``.
+
+    ``body(band, out)`` converts ``band``, a view of whole image rows,
+    into ``out``, the matching rows of one preallocated C-contiguous
+    ``(H, W, 3)`` float64 result. Bands hold :data:`BAND_PIXELS` pixels
+    (at least one row), so each band's float64 temporaries stay
+    cache-resident. The bands are split into ``min(n_threads, n_bands)``
+    contiguous slabs; the caller walks the first and a helper thread
+    started for this call walks each other one. The numpy steps (and
+    ctypes calls) release the GIL, so the slabs run in parallel. An
+    exception in a helper is re-raised here after every thread has
+    finished.
     """
     rgb_arr = validate_rgb_image(rgb)
-    if rgb_arr.dtype == np.uint8:
-        expand = _gamma_lut_u8().__getitem__
-    else:
-        def expand(band):
-            return srgb_gamma_expand(as_float_rgb(band))
-
     h, w = rgb_arr.shape[:2]
     lab = np.empty((h, w, 3), dtype=np.float64)
     band_rows = max(1, BAND_PIXELS // w)
@@ -216,7 +233,7 @@ def rgb_to_lab(rgb: np.ndarray, n_threads: int = 1) -> np.ndarray:
     def walk(start, stop):
         for r0 in range(start, stop, band_rows):
             rows = slice(r0, r0 + band_rows)
-            lab[rows] = xyz_to_lab(linear_rgb_to_xyz(expand(rgb_arr[rows])))
+            body(rgb_arr[rows], lab[rows])
 
     errors = []
 

@@ -27,7 +27,6 @@ import time
 
 import numpy as np
 
-from ..color import rgb_to_lab
 from ..color.hw_convert import HwColorConverter
 from ..errors import ConfigurationError
 from ..kernels import get_backend, resolve_name
@@ -157,14 +156,14 @@ def _run_instrumented(
     """The engine body; always runs inside the root ``segmentation`` span.
 
     ``n_threads`` is the run's kernel thread count (1 unless the backend
-    is ``native-mt``); the float color conversion runs its row bands on
-    that many threads.
+    is ``native-mt``); the float color conversion, ``lab_from_rgb``,
+    runs its row bands on that many threads.
     """
     kernels = get_backend(kernel_name)
 
     # ------------------------------------------------------------------
-    # Color conversion (reference float path, or the LUT hardware path
-    # when a fixed datapath is configured).
+    # Color conversion (the float path, or the LUT hardware path when a
+    # fixed datapath is configured).
     # ------------------------------------------------------------------
     datapath = params.datapath
     with timer.phase("color_conversion"):
@@ -182,7 +181,7 @@ def _run_instrumented(
             )
         else:
             codes = None
-            lab = rgb_to_lab(image, n_threads=n_threads)
+            lab = kernels.lab_from_rgb(image, n_threads=n_threads)
 
     h, w = lab.shape[:2]
 

@@ -3,17 +3,20 @@
 The engine's inner loops — the CPA window scan, the PPA 9-candidate
 evaluation, the connectivity pass (component labeling, border
 adjacency, small-component merge walk and relabel), the fused
-fixed-point RGB->Lab conversion and the sigma accumulation — are
-implemented three times behind one five-entry contract:
+fixed-point RGB->Lab conversion, the float RGB->Lab conversion and the
+sigma accumulation — are implemented three times behind one six-entry
+contract:
 
-* ``reference`` — the readable loops in :mod:`repro.core` (semantics
-  ground truth);
+* ``reference`` — the readable loops in :mod:`repro.core` and
+  :func:`repro.color.rgb_to_lab` (semantics ground truth);
 * ``vectorized`` — batched pure numpy;
 * ``native-mt`` — C loops compiled on demand via ctypes, fanned out
   over an in-process pthread pool (``SlicParams(n_threads=...)``,
   ``REPRO_KERNEL_THREADS``); one thread is the serial case. It compiles
   only the passes a workload runs on a clock: the fixed-point CPA scan
-  and code-domain sigma accumulation run numpy.
+  and code-domain sigma accumulation run numpy, and the float color
+  conversion keeps its two host-dependent steps (the 3x3 BLAS product
+  and ``np.cbrt``) in numpy between its C band loops.
 
 All backends return bit-identical labels; pick one with
 ``SlicParams(kernel_backend=...)``, the ``--kernel-backend`` CLI flag, or

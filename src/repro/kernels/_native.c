@@ -2,11 +2,14 @@
  * float CPA window scan, the fused PPA pass (9-candidate evaluation,
  * label write and sigma accumulation in one call, float and
  * fixed-point), the fused fixed-point RGB->Lab conversion and code->Lab
- * decode, the float sigma-register accumulation, and the fused
+ * decode, the float sigma-register accumulation, the fused
  * connectivity pass (two-pass union-find components, border adjacency,
- * the small-component merge walk and the relabel in one call) — as
+ * the small-component merge walk and the relabel in one call), and the
+ * IEEE basic-arithmetic steps of the float RGB->Lab conversion — as
  * plain C loops. Nothing else is compiled: the fixed-point CPA scan, the
- * codes-domain sigma accumulation and the BR/USE metrics run in numpy.
+ * codes-domain sigma accumulation and the BR/USE metrics run in numpy,
+ * and so do the float conversion's two host-dependent steps (the 3x3
+ * BLAS product and np.cbrt).
  *
  * Compiled on demand by repro.kernels.native with
  *
@@ -28,10 +31,13 @@
  * image/centers and replicates the shift/saturate pipeline of
  * FixedDatapath.pairwise_d2.
  *
- * Every kernel is exported once, as a `_mt` entry taking an `n_threads`
- * argument (the `native-mt` backend); n_threads = 1 runs the kernel
- * inline on the calling thread, which is the serial case. The one other
- * export, ppa_lanes, reports which PPA body the library picked.
+ * Ten exports. Every pooled kernel is exported once, as a `_mt` entry
+ * taking an `n_threads` argument (the `native-mt` backend); n_threads =
+ * 1 runs the kernel inline on the calling thread, which is the serial
+ * case. ppa_lanes reports which PPA body the library picked. The three
+ * float color band loops (gamma_gather_u8, xyz_over_white_f64,
+ * lab_assemble_f64) are single-threaded: the Python band walk calls
+ * them from its own threads, one band each (see their section).
  * Parallelism is by *ownership partitioning*: each thread owns a
  * contiguous slice of the output (row bands for CPA, index ranges for
  * the PPA pass / lab_from_codes, cluster ranges for the sigma
@@ -457,6 +463,61 @@ void lab_from_codes_u8_mt(
                    ab_scale_raw, ab_offset, code_max, codes,
                    l_scale_d, ab_scale_d, ab_offset_d, lab_out};
     mt_run(lab_chunk, &ctx, n_threads < n ? n_threads : n);
+}
+
+/* ------------------------------------------------------------------ */
+/* Float RGB -> Lab, one row band of n pixels at a time: the steps of
+ * repro.color.rgb_to_lab's numpy chain that are IEEE basic arithmetic.
+ * The band walk (repro.color.reference.band_walk) calls them around
+ * the chain's two host-dependent numpy calls, which stay numpy:
+ *
+ *     gamma_gather_u8     uint8 codes -> linear RGB (256-entry table)
+ *     numpy               linear @ SRGB_TO_XYZ.T, one BLAS call per row
+ *     xyz_over_white_f64  XYZ / white, in place
+ *     numpy               np.cbrt of the band
+ *     lab_assemble_f64    f's linear branch, then Equation 3's Lab
+ *
+ * Each loop performs numpy's IEEE operations in numpy's order (a true
+ * division, not a multiply by the reciprocal; no FMA under
+ * -ffp-contract=off), so a band equals the numpy chain bit for bit on
+ * any host. They are not _mt entries: the walk already runs one band
+ * per thread, and mt_run's dispatch mutex would serialize those
+ * concurrent callers. Arrays are C-contiguous, 3 values per pixel.    */
+/* ------------------------------------------------------------------ */
+
+void gamma_gather_u8(const uint8_t *rgb, int64_t n, const double *lut,
+                     double *linear)
+{
+    for (int64_t i = 0; i < 3 * n; i++)
+        linear[i] = lut[rgb[i]];
+}
+
+void xyz_over_white_f64(double *xyz, int64_t n, const double *white)
+{
+    for (int64_t i = 0; i < n; i++) {
+        double *p = xyz + 3 * i;
+        p[0] = p[0] / white[0];
+        p[1] = p[1] / white[1];
+        p[2] = p[2] / white[2];
+    }
+}
+
+/* t = XYZ / white and f = cbrt(t); f's linear branch replaces f where
+ * !(t > eps), as _f's mask does (NaN included).                      */
+void lab_assemble_f64(const double *t, const double *f, int64_t n,
+                      double eps, double kappa, double *lab)
+{
+    for (int64_t i = 0; i < n; i++) {
+        double g[3];
+        for (int k = 0; k < 3; k++) {
+            double tk = t[3 * i + k];
+            g[k] = tk > eps ? f[3 * i + k] : (kappa * tk + 16.0) / 116.0;
+        }
+        double *o = lab + 3 * i;
+        o[0] = 116.0 * g[1] - 16.0;
+        o[1] = 500.0 * (g[0] - g[1]);
+        o[2] = 200.0 * (g[1] - g[2]);
+    }
 }
 
 /* ------------------------------------------------------------------ */

@@ -1,8 +1,9 @@
 """Backend selection for the kernel layer.
 
-Three backends implement the same kernel contract (``cpa_assign``,
-``ppa_assign``, ``enforce_connectivity``, ``lab_from_codes``,
-``sigma_accumulate``; see ``docs/kernels.md``):
+Three backends implement the same six-entry kernel contract
+(``cpa_assign``, ``ppa_assign``, ``enforce_connectivity``,
+``lab_from_codes``, ``lab_from_rgb``, ``sigma_accumulate``; see
+``docs/kernels.md``):
 
 * ``reference`` — the original loops in :mod:`repro.core`;
 * ``vectorized`` — batched pure numpy, always available;

@@ -152,7 +152,8 @@ _i32p = ctypes.POINTER(ctypes.c_int32)
 
 #: The library's exported functions: name -> (restype, argtypes). Every
 #: ``_mt`` entry takes a trailing n_threads; 1 runs the kernel inline on
-#: the calling thread. The tests pin these keys to the non-``static``
+#: the calling thread. The three float color band loops run on the
+#: calling thread only. The tests pin these keys to the non-``static``
 #: functions ``_native.c`` defines.
 SIGNATURES = {
     "cpa_assign_f64_mt": (None, [
@@ -177,6 +178,9 @@ SIGNATURES = {
     "enforce_connectivity_i32_mt": (_ll, [
         _i32, _ll, _ll, _ll, _i32, _i32, _i64, _ll,
     ]),
+    "gamma_gather_u8": (None, [_u8, _ll, _f64, _f64]),
+    "xyz_over_white_f64": (None, [_f64, _ll, _f64]),
+    "lab_assemble_f64": (None, [_f64, _f64, _ll, _dbl, _dbl, _f64]),
     "ppa_lanes": (_ll, []),
 }
 

@@ -17,7 +17,9 @@ Bit-identity at any thread count comes from *ownership partitioning*
 (see the ``_native.c`` header): each thread owns a contiguous slice of
 the output — row bands for CPA, index ranges for ``lab_from_codes``
 and the PPA pass, cluster ranges for ``sigma_accumulate`` — and visits
-its slice in exactly the one-thread order. Every output element is
+its slice in exactly the one-thread order. ``lab_from_rgb`` is the
+exception to the pool: it runs ``rgb_to_lab``'s own row-band walk,
+whose helper threads call single-thread C loops. Every output element is
 written by exactly one thread, so no boundary ties can arise; the
 cross-tile combines (the connected-components band seams and renumber,
 the PPA pass's clusters that straddle two index ranges) run
@@ -59,10 +61,18 @@ import os
 
 import numpy as np
 
+from ..color.constants import D65_WHITE, LAB_EPSILON, LAB_KAPPA
+from ..color.reference import (
+    _gamma_lut_u8,
+    band_walk,
+    linear_rgb_to_xyz,
+    srgb_gamma_expand,
+)
 from ..core.accumulators import check_sigma_args
 from ..core.assignment import assign_cpa, check_ppa_args
 from ..core.connectivity import check_connectivity_args
 from ..core.distance import WEIGHT_FRAC_BITS
+from ..types import as_float_rgb
 from . import vectorized
 from .dispatch import usable_cores
 from .native import is_available, load  # noqa: F401
@@ -76,6 +86,7 @@ __all__ = [
     "ppa_assign",
     "enforce_connectivity",
     "lab_from_codes",
+    "lab_from_rgb",
     "sigma_accumulate",
 ]
 
@@ -311,6 +322,37 @@ def lab_from_codes(converter, rgb, n_threads=None):
         nt,
     )
     return lab, codes
+
+
+def lab_from_rgb(rgb, n_threads=None):
+    """Float sRGB -> Lab; bit-identical to ``repro.color.rgb_to_lab``.
+
+    Runs ``rgb_to_lab``'s row-band walk on ``n_threads`` threads with a
+    band body that keeps the chain's two host-dependent steps in numpy,
+    with the spec's shapes — ``linear_rgb_to_xyz`` on the ``(rows, W,
+    3)`` band (one BLAS product per image row) and ``np.cbrt`` on the
+    contiguous XYZ/white band — and does the rest in three single-thread
+    C loops: the uint8 gamma gather (float input keeps
+    ``srgb_gamma_expand``), the division by the white point, and f's
+    linear branch with the Lab assembly, written into the output rows.
+    """
+    return band_walk(rgb, _lab_band, resolve_threads(n_threads))
+
+
+def _lab_band(band, out):
+    lib = load()
+    rows, w = band.shape[:2]
+    n = rows * w
+    if band.dtype == np.uint8:
+        linear = np.empty((rows, w, 3), dtype=np.float64)
+        lib.gamma_gather_u8(
+            np.ascontiguousarray(band), n, _gamma_lut_u8(), linear
+        )
+    else:
+        linear = srgb_gamma_expand(as_float_rgb(band))
+    t = linear_rgb_to_xyz(linear)
+    lib.xyz_over_white_f64(t, n, D65_WHITE)
+    lib.lab_assemble_f64(t, np.cbrt(t), n, LAB_EPSILON, LAB_KAPPA, out)
 
 
 def sigma_accumulate(

@@ -9,6 +9,7 @@ for debugging and for the identity checks in the benchmarks.
 from __future__ import annotations
 
 from ..color.hw_convert import lab_from_codes_reference as lab_from_codes
+from ..color.reference import rgb_to_lab as lab_from_rgb
 from ..core.accumulators import (
     sigma_accumulate_reference as sigma_accumulate,
 )
@@ -23,6 +24,7 @@ __all__ = [
     "ppa_assign",
     "enforce_connectivity",
     "lab_from_codes",
+    "lab_from_rgb",
     "sigma_accumulate",
     "is_available",
 ]

@@ -89,10 +89,10 @@ def _known_answer_inputs():
 def self_test(name: str) -> None:
     """Run the known-answer kernel checks for backend ``name``.
 
-    Exercises every kernel in the contract (CPA scan, fused Lab
-    conversion, sigma accumulation, the fused PPA pass on the float and
-    8-bit datapaths, the fused connectivity pass) on tiny fixed inputs
-    and compares against the reference loops, raising
+    Exercises every kernel in the contract (CPA scan, fused fixed-point
+    and float Lab conversions, sigma accumulation, the fused PPA pass on
+    the float and 8-bit datapaths, the fused connectivity pass) on tiny
+    fixed inputs and compares against the reference loops, raising
     :class:`ConfigurationError` with the mismatch detail on any
     difference. Cheap (a 6 x 9 image, extended by a 3-row strip that
     fills the PPA pass's 8 lanes, and a handful of components) —
@@ -179,6 +179,21 @@ def self_test(name: str) -> None:
         odd_flab, odd_fcodes = backend.lab_from_codes(conv, rgb, n_threads=3)
         check("lab_from_codes.lab@3t", odd_flab, want_flab)
         check("lab_from_codes.codes@3t", odd_fcodes, want_fcodes)
+
+    # Float Lab conversion of the same ramp and of a float image. Each
+    # holds values on the gamma curve's linear segment and dark pixels
+    # whose XYZ/white takes f's linear branch. Compared as bit
+    # patterns, so a -0.0 for 0.0 fails too.
+    rgb_float = ((np.arange(4 * 5 * 3) * 0.37 % 1.0) ** 3).reshape(4, 5, 3)
+    for kind, image in (("u8", rgb), ("float", rgb_float)):
+        want_lab = reference.lab_from_rgb(image).view(np.uint64)
+        with pinned():
+            got_lab = backend.lab_from_rgb(image)
+        check(f"lab_from_rgb.{kind}", got_lab.view(np.uint64), want_lab)
+        if name == "native-mt":
+            odd_lab = backend.lab_from_rgb(image, n_threads=3)
+            check(f"lab_from_rgb.{kind}@3t", odd_lab.view(np.uint64),
+                  want_lab)
 
     # Sigma accumulation: float rows over the full CPA image (with an
     # empty cluster), plus a fixed-code subset gather. The labels hit

@@ -21,6 +21,7 @@ from repro.color import (
 from repro.color import reference
 from repro.color.reference import BAND_PIXELS
 from repro.errors import ImageError
+from repro.kernels import available_backends, get_backend
 from repro.types import as_float_rgb
 
 
@@ -135,39 +136,53 @@ class TestFullPipeline:
 
 
 class TestBandWalk:
-    """``rgb_to_lab`` walks row bands on up to ``n_threads`` threads and
-    must equal the whole-frame chain bit for bit."""
+    """``rgb_to_lab`` and every backend's ``lab_from_rgb`` walk row bands
+    on up to ``n_threads`` threads and must equal the whole-frame chain
+    bit for bit."""
 
     @pytest.mark.parametrize("width", [1, 2, 1920, BAND_PIXELS])
     @settings(max_examples=12, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         height=st.sampled_from(["1", "band-1", "band", "band+1", "2band+1"]),
-        kind=st.sampled_from(["uint8", "float", "uint8 view", "float view"]),
+        dtype=st.sampled_from(["uint8", "float"]),
+        layout=st.sampled_from(["contiguous", "reversed", "strided"]),
     )
-    def test_matches_whole_frame_chain(self, width, seed, height, kind):
+    def test_matches_whole_frame_chain(self, width, seed, height, dtype,
+                                       layout):
         band = max(1, BAND_PIXELS // width)
         h = max(1, {
             "1": 1, "band-1": band - 1, "band": band, "band+1": band + 1,
             "2band+1": 2 * band + 1,
         }[height])
-        view = kind.endswith("view")
-        shape = (h, 2 * width if view else width, 3)
+        strided = layout == "strided"
+        shape = (h, 2 * width if strided else width, 3)
         rng = np.random.default_rng(seed)
-        if kind.startswith("float"):
+        if dtype == "float":
             base = rng.uniform(0.0, 1.0, shape)
         else:
             base = rng.integers(0, 256, shape, dtype=np.uint8)
-        # Views run backwards over rows and skip every other column.
-        img = base[::-1, ::2] if view else base
+        # Reversed views run backwards over rows; strided views also
+        # skip every other column.
+        img = {
+            "contiguous": base, "reversed": base[::-1],
+            "strided": base[::-1, ::2],
+        }[layout]
         # The W=1 frames pin why bands never flatten the image: numpy
         # multiplies an (H, 1, 3) frame one M=1 row at a time, which
         # rounds differently from the same pixels in a wider frame.
         want = xyz_to_lab(linear_rgb_to_xyz(srgb_gamma_expand(as_float_rgb(img))))
-        for nt in (1, 2, 3, 7):
-            got = rgb_to_lab(img, n_threads=nt)
-            assert got.shape == (h, width, 3)
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        # rgb_to_lab is reference's and vectorized's lab_from_rgb.
+        convert = {rgb_to_lab} | {
+            get_backend(name).lab_from_rgb for name in available_backends()
+        }
+        for fn in convert:
+            for nt in (1, 2, 3, 7):
+                got = fn(img, n_threads=nt)
+                assert got.shape == (h, width, 3)
+                assert np.array_equal(
+                    got.view(np.uint64), want.view(np.uint64)
+                ), (fn.__module__, nt)
 
     def test_helper_exception_reaches_caller(self, monkeypatch):
         caller = threading.current_thread()

@@ -82,15 +82,18 @@ class TestSelfTest:
 
 
     @pytest.mark.parametrize(
-        "kernel", ["sigma_accumulate", "lab_from_codes", "ppa_assign"]
+        "kernel",
+        ["sigma_accumulate", "lab_from_codes", "lab_from_rgb", "ppa_assign"],
     )
     def test_broken_new_kernels_fail_self_test(self, kernel, monkeypatch):
-        """A backend whose sigma/fused-color/fused-PPA kernel returns
-        garbage must flunk its known-answer vector (the vectors are
-        load-bearing)."""
+        """A backend whose sigma/fused-color/float-color/fused-PPA kernel
+        returns garbage must flunk its known-answer vector (the vectors
+        are load-bearing)."""
         from repro.kernels import vectorized
 
         def garbage(*args, **kwargs):
+            if kernel == "lab_from_rgb":
+                return np.zeros(args[0].shape, dtype=np.float64)
             if kernel == "ppa_assign":
                 n = len(args[3])
                 return (
@@ -115,7 +118,8 @@ class TestSelfTest:
             self_test("vectorized")
 
     @pytest.mark.parametrize(
-        "kernel", ["sigma_accumulate", "lab_from_codes", "ppa_assign"]
+        "kernel",
+        ["sigma_accumulate", "lab_from_codes", "lab_from_rgb", "ppa_assign"],
     )
     def test_broken_new_kernel_demotes(self, kernel, monkeypatch):
         from repro.kernels import vectorized
@@ -124,6 +128,8 @@ class TestSelfTest:
 
         def garbage(*args, **kwargs):
             out = real(*args, **kwargs)
+            if kernel == "lab_from_rgb":
+                return out + 1
             return (out[0] + 1, *out[1:])
 
         monkeypatch.setattr(vectorized, kernel, garbage)

@@ -123,10 +123,10 @@ class TestDispatch:
         assert resolve_name("vectorized") == "vectorized"
 
     def test_get_backend_has_kernel_surface(self):
-        """Every backend exports the five-entry contract, and only it."""
+        """Every backend exports the six-entry contract, and only it."""
         contract = {
             "cpa_assign", "ppa_assign", "enforce_connectivity",
-            "lab_from_codes", "sigma_accumulate",
+            "lab_from_codes", "lab_from_rgb", "sigma_accumulate",
         }
         for name in available_backends():
             mod = get_backend(name)
@@ -419,7 +419,7 @@ class TestNativeBackend:
         fails here rather than when it is called."""
         exports = _c_exports()
         assert set(exports) == set(native_mod.SIGNATURES)
-        assert len(exports) == 7
+        assert len(exports) == 10
         for name, (restype, argtypes) in native_mod.SIGNATURES.items():
             c_ret, c_params = exports[name]
             assert restype in _C_TYPES[c_ret], name
