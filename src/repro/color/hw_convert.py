@@ -171,8 +171,8 @@ def convert_codes_reference(converter: HwColorConverter, rgb: np.ndarray) -> np.
     """The scalar-semantics reference pipeline for :meth:`convert_codes`.
 
     uint8 RGB image -> integer Lab channel codes (H, W, 3), int64. Every
-    step is integer arithmetic on numpy int64 arrays; the vectorized and
-    native kernel backends must reproduce this bit for bit.
+    step is integer arithmetic on numpy int64 arrays; the ``native-mt``
+    kernel backend must reproduce this bit for bit.
     """
     rgb = as_uint8_rgb(rgb)
     # Step 1: gamma LUT. linear codes have gamma_frac_bits fraction.

@@ -215,9 +215,10 @@ def band_walk(rgb: np.ndarray, body, n_threads: int = 1) -> np.ndarray:
     cache-resident. The bands are split into ``min(n_threads, n_bands)``
     contiguous slabs; the caller walks the first and a helper thread
     started for this call walks each other one. The numpy steps (and
-    ctypes calls) release the GIL, so the slabs run in parallel. An
-    exception in a helper is re-raised here after every thread has
-    finished.
+    ctypes calls) release the GIL, so the slabs run in parallel. A
+    helper that cannot start leaves its slab to the caller, so the walk
+    runs at the width available, like the C pool. An exception in a
+    helper is re-raised here after every started thread has finished.
     """
     rgb_arr = validate_rgb_image(rgb)
     h, w = rgb_arr.shape[:2]
@@ -243,14 +244,21 @@ def band_walk(rgb: np.ndarray, body, n_threads: int = 1) -> np.ndarray:
         except BaseException as exc:  # re-raised in the calling thread
             errors.append(exc)
 
-    helpers = [
-        threading.Thread(target=helper, args=cuts[i:i + 2], daemon=True)
-        for i in range(1, n_slabs)
-    ]
-    for t in helpers:
-        t.start()
+    mine = [cuts[0:2]]
+    helpers = []
     try:
-        walk(cuts[0], cuts[1])
+        for i in range(1, n_slabs):
+            t = threading.Thread(
+                target=helper, args=cuts[i:i + 2], daemon=True
+            )
+            try:
+                t.start()
+            except RuntimeError:  # no thread to spare: walk it here
+                mine.append(cuts[i:i + 2])
+            else:
+                helpers.append(t)
+        for start, stop in mine:
+            walk(start, stop)
     finally:
         for t in helpers:
             t.join()

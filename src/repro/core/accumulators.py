@@ -15,9 +15,9 @@ arithmetic — per-field sums plus a final division — is identical.
 ``sigma_accumulate`` kernel contract entry: one pass producing the
 partial sums/counts for a batch directly from the flat image arrays,
 with x/y derived from the flat pixel index — no (M, 5) values matrix.
-The optimized backends (vectorized bincount columns, native C loops)
-must reproduce it bit for bit; :meth:`SigmaAccumulator.accumulate`
-dispatches through whichever backend the engine selected.
+The ``native-mt`` backend's C loops must reproduce it bit for bit;
+:meth:`SigmaAccumulator.accumulate` dispatches through whichever backend
+the engine selected.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ __all__ = [
 
 
 def check_sigma_args(
-    labels, n_clusters, idx, lab_flat=None, codes_flat=None
+    labels, n_clusters, width, idx, lab_flat=None, codes_flat=None
 ):
     """Validate one ``sigma_accumulate`` call before any backend folds it.
 
@@ -46,9 +46,13 @@ def check_sigma_args(
     1-D vector in ``[0, n_clusters)``, and the batch must select rows of
     the source (``codes_flat``, else ``lab_flat``), either through
     ``idx`` (same length as ``labels``, entries in ``[0, n_rows)``) or as
-    its first ``len(labels)`` rows. Returns ``(labels, idx)`` as
-    validated arrays.
+    its first ``len(labels)`` rows. ``width`` must be at least 1: the C
+    loop divides by it, and for a negative width C's truncating ``%``
+    and numpy's flooring one give different x/y sums. Returns
+    ``(labels, idx)`` as validated arrays.
     """
+    if width < 1:
+        raise ConfigurationError(f"width must be >= 1, got {width}")
     n_rows = len(codes_flat if codes_flat is not None else lab_flat)
     labels = check_index_range(labels, n_clusters, "labels")
     if labels.ndim != 1:
@@ -107,7 +111,7 @@ def sigma_accumulate_reference(
     ``np.bincount`` fold.
     """
     labels, idx = check_sigma_args(
-        labels, n_clusters, idx, lab_flat, codes_flat
+        labels, n_clusters, width, idx, lab_flat, codes_flat
     )
     if idx is None:
         idx = np.arange(len(labels), dtype=np.int64)

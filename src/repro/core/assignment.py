@@ -48,7 +48,7 @@ class PixelArrays:
     C-contiguous float64 / int64, and an int32 tile map is kept as given,
     so preparing a frame costs one pass (the tile-range check). The
     integer coordinate arrays ``x_flat``/``y_flat`` and the int64
-    ``tile_flat`` are built on first use: only the numpy backends read
+    ``tile_flat`` are built on first use: only the reference reads
     them, the compiled kernels derive x/y from the flat pixel index.
     """
 

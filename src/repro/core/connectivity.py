@@ -18,14 +18,13 @@ The pass:
    labels remain comparable to the cluster centers.
 
 :func:`enforce_connectivity` dispatches the whole pass through
-:mod:`repro.kernels` as one contract entry. :func:`enforce_connectivity_with`
-is its numpy body, parametrized by a component labeling and a merge walk:
-the ``reference`` backend binds it to the scalar loops here (the spec),
-``vectorized`` to its batched twins, and ``native-mt`` replaces it with one
-compiled call. Components are numbered by first appearance — the minimal
-run id of each component — so every backend merges in the same order and
-the labels match bit for bit. :func:`connected_components` is the
-reference labeling itself.
+:mod:`repro.kernels` as one contract entry.
+:func:`enforce_connectivity_reference` is its numpy body on the scalar
+loops here (the spec), and ``native-mt`` replaces it with one compiled
+call. Components are numbered by first appearance — the minimal run id
+of each component — so both backends merge in the same order and the
+labels match bit for bit. :func:`connected_components` is the reference
+labeling itself.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ __all__ = [
     "connected_components_reference",
     "enforce_connectivity",
     "enforce_connectivity_reference",
-    "enforce_connectivity_with",
     "merge_small_reference",
 ]
 
@@ -210,22 +208,19 @@ def check_connectivity_args(labels: np.ndarray, min_size):
     return labels, min(min_size, labels.size + 1)
 
 
-def enforce_connectivity_with(
-    labels: np.ndarray, min_size, components, merge_small
-) -> np.ndarray:
-    """The numpy body of :func:`enforce_connectivity`.
+def enforce_connectivity_reference(labels: np.ndarray, min_size):
+    """The connectivity pass on the scalar union-find and merge walk —
+    the spec every backend's ``enforce_connectivity`` must match.
 
-    ``components(labels) -> (comps, n_comps)`` labels the 4-connected
-    components in first-appearance order and ``merge_small`` is the
-    greedy walk with the contract of :func:`merge_small_reference`; the
-    ``reference`` and ``vectorized`` backends bind their own pair. The
-    adjacency graph, the processing order and the final relabel are
-    built here, once, for both.
+    :func:`connected_components_reference` labels the components in
+    first-appearance order, the adjacency graph and the processing order
+    are built once in numpy, and :func:`merge_small_reference` walks
+    them.
     """
     labels, min_size = check_connectivity_args(labels, min_size)
     if min_size <= 1:
         return labels.copy()
-    comps, n_comps = components(labels)
+    comps, n_comps = connected_components_reference(labels)
     if n_comps == 1:
         return labels.copy()
     flat_c = comps.ravel()
@@ -267,19 +262,10 @@ def enforce_connectivity_with(
     # large enough never start a merge, so only the small ones are walked.
     size_order = np.argsort(sizes, kind="stable")
     small = size_order[sizes[size_order] < min_size]
-    final_root = merge_small(
+    final_root = merge_small_reference(
         sizes, starts, ends, dst, border_len, min_size, small
     )
     return comp_label[final_root][comps].astype(np.int32)
-
-
-def enforce_connectivity_reference(labels: np.ndarray, min_size):
-    """The connectivity pass on the scalar union-find and merge walk —
-    the spec every backend's ``enforce_connectivity`` must match."""
-    return enforce_connectivity_with(
-        labels, min_size, connected_components_reference,
-        merge_small_reference,
-    )
 
 
 def enforce_connectivity(
@@ -293,8 +279,8 @@ def enforce_connectivity(
     superpixel labels of the absorbing components; a lone image smaller
     than ``min_size`` is returned unchanged (nothing to merge into).
     ``backend`` selects the kernel backend by name (``None`` honours the
-    ``REPRO_KERNEL_BACKEND`` environment variable, then ``auto``); all
-    backends match the reference bit for bit, and all validate their
+    ``REPRO_KERNEL_BACKEND`` environment variable, then ``auto``); both
+    backends match the reference bit for bit, and both validate their
     input with :func:`check_connectivity_args` first.
 
     No-op semantics, shared by every early return and the main path:

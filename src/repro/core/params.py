@@ -98,13 +98,13 @@ class SlicParams:
         Seed for the ``"random"`` subset strategy.
     kernel_backend:
         Which :mod:`repro.kernels` backend runs the assignment and
-        connectivity hot loops: ``"reference"``, ``"vectorized"``,
-        ``"native-mt"`` (compiled C), or ``"auto"``. ``None`` (default)
-        defers to the ``REPRO_KERNEL_BACKEND`` environment variable,
-        then ``auto``. All backends produce bit-identical labels.
+        connectivity hot loops: ``"reference"``, ``"native-mt"``
+        (compiled C), or ``"auto"``. ``None`` (default) defers to the
+        ``REPRO_KERNEL_BACKEND`` environment variable, then ``auto``.
+        Both backends produce bit-identical labels.
     n_threads:
-        Kernel threads per frame for the ``native-mt`` backend (other
-        backends ignore it); ``1`` runs the compiled kernels serially
+        Kernel threads per frame for the ``native-mt`` backend
+        (``reference`` ignores it); ``1`` runs the compiled kernels serially
         on the calling thread. ``None`` defers to
         ``REPRO_KERNEL_THREADS``, then the cores in the process's CPU
         affinity mask. Results are bit-identical at any thread count,

@@ -4,12 +4,11 @@ The engine's inner loops — the CPA window scan, the PPA 9-candidate
 evaluation, the connectivity pass (component labeling, border
 adjacency, small-component merge walk and relabel), the fused
 fixed-point RGB->Lab conversion, the float RGB->Lab conversion and the
-sigma accumulation — are implemented three times behind one six-entry
+sigma accumulation — are implemented twice behind one six-entry
 contract:
 
 * ``reference`` — the readable loops in :mod:`repro.core` and
   :func:`repro.color.rgb_to_lab` (semantics ground truth);
-* ``vectorized`` — batched pure numpy;
 * ``native-mt`` — C loops compiled on demand via ctypes, fanned out
   over an in-process pthread pool (``SlicParams(n_threads=...)``,
   ``REPRO_KERNEL_THREADS``); one thread is the serial case. It compiles
@@ -18,13 +17,13 @@ contract:
   conversion keeps its two host-dependent steps (the 3x3 BLAS product
   and ``np.cbrt``) in numpy between its C band loops.
 
-All backends return bit-identical labels; pick one with
+Both backends return bit-identical labels; pick one with
 ``SlicParams(kernel_backend=...)``, the ``--kernel-backend`` CLI flag, or
 the ``REPRO_KERNEL_BACKEND`` environment variable. See ``docs/kernels.md``.
 
 Backends are *supervised*: before a process trusts one it must pass a
-known-answer self-test, and failures demote down the chain
-native-mt -> vectorized -> reference (see
+known-answer self-test, and a failing ``native-mt`` demotes to
+``reference`` (see
 :mod:`repro.kernels.supervisor` and ``docs/resilience.md``).
 """
 

@@ -1,20 +1,20 @@
 """Backend selection for the kernel layer.
 
-Three backends implement the same six-entry kernel contract
+Two backends implement the same six-entry kernel contract
 (``cpa_assign``, ``ppa_assign``, ``enforce_connectivity``,
 ``lab_from_codes``, ``lab_from_rgb``, ``sigma_accumulate``; see
 ``docs/kernels.md``):
 
-* ``reference`` — the original loops in :mod:`repro.core`;
-* ``vectorized`` — batched pure numpy, always available;
+* ``reference`` — the original loops in :mod:`repro.core` (the spec),
+  always available;
 * ``native-mt`` — compiled C hot loops at any thread count, available
   when a C compiler is; ``n_threads=1`` is the serial case.
 
 Selection order: an explicit name (``SlicParams.kernel_backend`` or a
 ``backend=`` argument) wins; otherwise the ``REPRO_KERNEL_BACKEND``
 environment variable; otherwise ``auto``, which picks ``native-mt``
-when the C library compiles and ``vectorized`` when there is no
-compiler. All backends produce bit-identical labels, so selection only
+when the C library compiles and ``reference`` when there is no
+compiler. Both backends produce bit-identical labels, so selection only
 affects speed.
 """
 
@@ -29,6 +29,7 @@ __all__ = [
     "ENV_VAR",
     "available_backends",
     "get_backend",
+    "requested_name",
     "resolve_name",
     "usable_cores",
     "validate_name",
@@ -37,7 +38,7 @@ __all__ = [
 ENV_VAR = "REPRO_KERNEL_BACKEND"
 
 #: Accepted backend names (``auto`` resolves to a concrete one).
-BACKEND_NAMES = ("auto", "reference", "vectorized", "native-mt")
+BACKEND_NAMES = ("auto", "reference", "native-mt")
 
 
 def usable_cores() -> int:
@@ -52,8 +53,6 @@ def usable_cores() -> int:
 def _module(name: str):
     if name == "reference":
         from . import reference as mod
-    elif name == "vectorized":
-        from . import vectorized as mod
     else:
         from . import native_mt as mod
     return mod
@@ -70,22 +69,28 @@ def validate_name(name: str) -> str:
     return lowered
 
 
+def requested_name(name: str | None = None) -> str:
+    """The validated backend name a caller asks for, loading nothing:
+    ``name``, else ``$REPRO_KERNEL_BACKEND``, else ``auto``."""
+    if name is None:
+        name = os.environ.get(ENV_VAR) or "auto"
+    return validate_name(name)
+
+
 def resolve_name(name: str | None = None) -> str:
     """Resolve a requested backend name to a concrete backend name.
 
     ``None`` falls back to ``$REPRO_KERNEL_BACKEND``, then ``auto``.
     ``auto`` probes the native library (compiling it on first use) and
-    picks ``native-mt`` when it loads, ``vectorized`` otherwise. An
+    picks ``native-mt`` when it loads, ``reference`` otherwise. An
     explicitly requested ``native-mt`` that cannot load raises
     :class:`ConfigurationError` instead of silently degrading.
     """
-    if name is None:
-        name = os.environ.get(ENV_VAR) or "auto"
-    name = validate_name(name)
+    name = requested_name(name)
     if name == "auto":
         from . import native
 
-        return "native-mt" if native.is_available() else "vectorized"
+        return "native-mt" if native.is_available() else "reference"
     if name == "native-mt":
         from . import native
 
@@ -100,9 +105,8 @@ def get_backend(name: str | None = None):
 
 def available_backends() -> tuple:
     """Concrete backend names usable in this environment."""
-    names = ["reference", "vectorized"]
     from . import native
 
     if native.is_available():
-        names.append("native-mt")
-    return tuple(names)
+        return ("reference", "native-mt")
+    return ("reference",)

@@ -11,7 +11,7 @@ recompiles happen only when the kernels change and concurrent builds
 
 Availability is probed lazily and memoized; :func:`is_available` never
 raises. When no compiler exists the dispatch layer's ``auto`` selection
-falls back to the pure-numpy ``vectorized`` backend.
+falls back to the ``reference`` backend.
 
 The ``native-mt`` backend (:mod:`repro.kernels.native_mt`) wraps the
 kernel entries. :data:`SIGNATURES` declares the ctypes signature of
@@ -49,8 +49,10 @@ __all__ = [
 _SRC = Path(__file__).with_name("_native.c")
 _CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off", "-pthread")
 
-#: Memoized load state: None = unprobed, False = unavailable, else the
-#: loaded ctypes library.
+#: Memoized load state: the loaded ctypes library, or the message of the
+#: failed load (None = unprobed). A failure is kept as text and raised as
+#: a fresh error on each probe: one stored exception would gather every
+#: probing caller's frames into its traceback and keep them alive.
 _lib = None
 _load_error = None
 
@@ -78,7 +80,7 @@ def _compiler() -> str:
             return path
     raise ConfigurationError(
         "no C compiler found (checked $CC, cc, gcc, clang); the native "
-        "kernel backend is unavailable — use backend 'vectorized' instead"
+        "kernel backend is unavailable — use backend 'reference' instead"
     )
 
 
@@ -90,7 +92,7 @@ def _build() -> Path:
     race to one atomic ``os.replace``; whoever loses simply discards its
     temp file. A compiler that *dies mid-build* (crash, OOM kill, the
     120 s timeout) surfaces as :class:`ConfigurationError`, which the
-    ``auto``/supervised paths turn into a fall back to ``vectorized`` —
+    ``auto``/supervised paths turn into a fall back to ``reference`` —
     but only after re-checking whether a concurrent builder finished the
     cache entry in the meantime, so one flaky compile cannot mask a
     healthy cache.
@@ -120,7 +122,7 @@ def _build() -> Path:
                 return so_path
             raise ConfigurationError(
                 f"native kernel compiler died mid-build ({cc}): {exc}; "
-                "falling back to the vectorized backend"
+                "falling back to the reference backend"
             ) from None
         if proc.returncode != 0:
             if so_path.exists():  # a concurrent builder won with a good .so
@@ -197,20 +199,20 @@ def load():
     global _lib, _load_error
     if _lib is not None:
         return _lib
-    if _load_error is not None:
-        raise _load_error
-    try:
-        lib = ctypes.CDLL(str(_build()))
-        _declare(lib)
-    except Exception as exc:  # memoize: probing must stay cheap
-        _load_error = (
-            exc
-            if isinstance(exc, ConfigurationError)
-            else ConfigurationError(f"native kernel backend unavailable: {exc}")
-        )
-        raise _load_error from None
-    _lib = lib
-    return lib
+    if _load_error is None:
+        try:
+            lib = ctypes.CDLL(str(_build()))
+            _declare(lib)
+        except Exception as exc:  # memoize: probing must stay cheap
+            _load_error = (
+                str(exc)
+                if isinstance(exc, ConfigurationError)
+                else f"native kernel backend unavailable: {exc}"
+            )
+        else:
+            _lib = lib
+            return lib
+    raise ConfigurationError(_load_error) from None
 
 
 def is_available() -> bool:

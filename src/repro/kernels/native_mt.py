@@ -31,11 +31,11 @@ count (see the CCL section in ``_native.c``), while its adjacency build
 and greedy merge walk run serially.
 
 The library compiles only what the engine runs on a clock. The
-fixed-point CPA scan (``cpa_assign`` with a ``datapath``) runs the
-reference loop, and code-domain sigma accumulation (``sigma_accumulate``
-with ``codes_flat``) runs the ``vectorized`` bincounts. No benchmark
-workload or paper experiment reaches either: every one that uses the
-fixed datapath runs it through the fused PPA pass.
+fixed-point CPA scan (``cpa_assign`` with a ``datapath``) and
+code-domain sigma accumulation (``sigma_accumulate`` with
+``codes_flat``) run the reference. No benchmark workload or paper
+experiment reaches either: every one that uses the fixed datapath runs
+it through the fused PPA pass.
 
 Thread-count resolution, per call site, first match wins:
 
@@ -73,7 +73,7 @@ from ..core.assignment import assign_cpa, check_ppa_args
 from ..core.connectivity import check_connectivity_args
 from ..core.distance import WEIGHT_FRAC_BITS
 from ..types import as_float_rgb
-from . import vectorized
+from . import reference
 from .dispatch import usable_cores
 from .native import is_available, load  # noqa: F401
 
@@ -274,8 +274,8 @@ def lab_from_codes(converter, rgb, n_threads=None):
     Produces both the channel codes and the decoded float64 Lab plane in
     one frame traversal — bit-identical to ``convert_codes_reference``
     followed by ``LabEncoding.decode``. Ships the converter's LUTs and
-    formats into the C pixel loop; falls back to the vectorized backend
-    for exotic PWL configurations whose rounding shifts are not strictly
+    formats into the C pixel loop; falls back to the reference for
+    exotic PWL configurations whose rounding shifts are not strictly
     positive (the C loop assumes the default Q-format layout, where both
     are).
     """
@@ -288,7 +288,7 @@ def lab_from_codes(converter, rgb, n_threads=None):
         pwl.coeff_fmt.frac_bits + pwl.in_fmt.frac_bits
     ) - pwl.out_fmt.frac_bits
     if mat_shift <= 0 or out_shift <= 0:
-        return vectorized.lab_from_codes(converter, rgb)
+        return reference.lab_from_codes(converter, rgb)
     lib = load()
     nt = resolve_threads(n_threads)
     h, w = rgb.shape[:2]
@@ -375,15 +375,15 @@ def sigma_accumulate(
     the full one-thread addition order per register, so sums are
     bit-identical at any thread count (see the sigma section in
     ``_native.c``). Code-domain input (``codes_flat``) runs the
-    vectorized backend.
+    reference.
     """
     if codes_flat is not None:
-        return vectorized.sigma_accumulate(
+        return reference.sigma_accumulate(
             labels, n_clusters, width, lab_flat=lab_flat,
             codes_flat=codes_flat, encoding=encoding, idx=idx,
         )
     labels, idx = check_sigma_args(
-        labels, n_clusters, idx, lab_flat, codes_flat
+        labels, n_clusters, width, idx, lab_flat, codes_flat
     )
     lib = load()
     nt = resolve_threads(n_threads)
@@ -415,14 +415,14 @@ def enforce_connectivity(labels, min_size, n_threads=None):
     greedy merge walk and relabels every pixel (row-banded) — no numpy
     between the steps. Bit-identical to the reference at any thread
     count. Maps of 2^31 pixels or more, beyond the int32 component ids,
-    fall back to the vectorized backend.
+    fall back to the reference.
     """
     labels, min_size = check_connectivity_args(labels, min_size)
     if min_size <= 1:
         return labels.copy()
     h, w = labels.shape
     if h * w >= 2**31:
-        return vectorized.enforce_connectivity(labels, min_size)
+        return reference.enforce_connectivity(labels, min_size)
     lib = load()
     nt = resolve_threads(n_threads)
     out = np.empty((h, w), dtype=np.int32)

@@ -7,7 +7,7 @@ tiny **known-answer self-test** — a fixed CPA window scan whose output
 is compared against the reference loops. A backend that fails to load
 *or* fails the self-test is **demoted** down the chain
 
-    native-mt -> vectorized -> reference
+    native-mt -> reference
 
 and the demotion is recorded (tracer counter ``kernels.demotions``, an
 event naming both backends, and the frame's
@@ -29,7 +29,7 @@ import threading
 import numpy as np
 
 from ..errors import ConfigurationError
-from .dispatch import resolve_name, validate_name
+from .dispatch import requested_name, resolve_name, validate_name
 
 __all__ = [
     "DEMOTION_CHAIN",
@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 #: Demotion order: each name falls back to the next on failure.
-DEMOTION_CHAIN = ("native-mt", "vectorized", "reference")
+DEMOTION_CHAIN = ("native-mt", "reference")
 
 #: Per-process memo: (requested, forced) -> SupervisedBackend. The lock
 #: makes first dispatch race-free: concurrent engines resolving the same
@@ -100,7 +100,10 @@ def self_test(name: str) -> None:
     whole battery pinned to 2 threads (so the pool and the stitch are
     genuinely exercised), plus one-thread and odd 3-thread passes of the
     CPA scan, the fused PPA pass and the connectivity pass that would
-    catch a broken inline path or remainder-band partition bugs.
+    catch a broken inline path or remainder-band partition bugs. The
+    float color check's 4 x 5 images fit in one band of the row-band
+    walk, so its 2- and 3-thread passes start no helper thread; the band
+    split is covered by ``TestBandWalk`` in the tier-1 tests.
     """
     import contextlib
 
@@ -344,8 +347,9 @@ def supervised_resolve(
     a candidate both loads and passes :func:`self_test`. Returns a
     :class:`SupervisedBackend` naming the survivor and, when demotion
     happened, the first backend that was trusted and failed. Raises
-    :class:`ConfigurationError` only when even ``reference`` is forced
-    to fail — there is nothing left to demote to.
+    :class:`ConfigurationError` for an unknown name (given, or from
+    ``$REPRO_KERNEL_BACKEND``) and when even ``reference`` is forced to
+    fail — there is nothing left to demote to.
     """
     forced = frozenset(forced_failures or ())
     key = (name, forced)
@@ -361,18 +365,14 @@ def supervised_resolve(
 
 
 def _resolve_uncached(name, forced, key, tracer) -> SupervisedBackend:
+    requested = requested_name(name)  # an unknown name raises here
     try:
-        start = resolve_name(name)
+        start = resolve_name(requested)
     except ConfigurationError:
-        # An explicitly requested backend that cannot load: supervision
-        # demotes to its successor in the chain instead of failing the
-        # frame (an unknown name starts all the way down at reference).
-        if name in DEMOTION_CHAIN:
-            successor = DEMOTION_CHAIN.index(name) + 1
-            start = DEMOTION_CHAIN[min(successor, len(DEMOTION_CHAIN) - 1)]
-        else:
-            start = "reference"
-        demoted_from = name
+        # A requested backend that cannot load demotes to its successor
+        # in the chain instead of failing the frame.
+        start = DEMOTION_CHAIN[DEMOTION_CHAIN.index(requested) + 1]
+        demoted_from = requested
     else:
         demoted_from = None
 

@@ -17,9 +17,8 @@ Two resilience hooks live here:
   would end the experiment rather than exercise recovery.
 * **backend supervision** — the kernel backend is resolved through the
   supervisor (first-dispatch known-answer self-test, memoized per
-  process); a failing backend is demoted native-mt -> vectorized ->
-  reference and the demotion is recorded on the
-  ``FrameRecord``.
+  process); a failing ``native-mt`` is demoted to ``reference`` and
+  the demotion is recorded on the ``FrameRecord``.
 
 Workers are deliberately stateless: a frame's output is a pure function
 of ``(image, params, warm_centers, warm_labels)``, which is what makes
@@ -32,7 +31,7 @@ import os
 import time
 
 from ..core.engine import run_segmentation
-from ..errors import ReproError
+from ..errors import ConfigurationError, ReproError
 from .records import FrameRecord, FrameTask
 
 __all__ = ["run_frame"]
@@ -169,10 +168,15 @@ def run_frame(task: FrameTask, in_worker: bool = True) -> FrameRecord:
 
 
 def _requested_backend_name(name):
-    """The concrete backend a ``kernel_fail`` fault should break."""
+    """The concrete backend a ``kernel_fail`` fault should break.
+
+    A requested backend that cannot load is returned as named: forcing
+    the backend that already failed keeps the fault a demotion to
+    ``reference``, where forcing ``reference`` would make it fatal.
+    """
     from ..kernels import resolve_name
 
     try:
         return resolve_name(name)
-    except Exception:
-        return "vectorized"
+    except ConfigurationError:
+        return name

@@ -37,7 +37,7 @@ Fault kinds
 ``kernel_fail``
     The frame's kernel backend is forced to fail its first-dispatch
     self-test, driving the supervisor's demotion chain
-    (native-mt -> vectorized -> reference).
+    (native-mt -> reference).
 ``submit_broken``
     Parent-side: the runner's submit call raises ``BrokenProcessPool``
     as if the pool broke between detection points. Exercises the

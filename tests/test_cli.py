@@ -17,6 +17,17 @@ class TestParser:
             build_parser().parse_args(["--version"])
         assert exc.value.code == 0
 
+    def test_kernel_backend_choices(self, capsys):
+        args = build_parser().parse_args(
+            ["segment", "--kernel-backend", "reference"]
+        )
+        assert args.kernel_backend == "reference"
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                ["segment", "--kernel-backend", "vectorized"]
+            )
+        assert exc.value.code == 2
+
 
 class TestSegmentCommand:
     def test_synthetic_segmentation(self, capsys, tmp_path):

@@ -172,7 +172,7 @@ class TestBandWalk:
         # multiplies an (H, 1, 3) frame one M=1 row at a time, which
         # rounds differently from the same pixels in a wider frame.
         want = xyz_to_lab(linear_rgb_to_xyz(srgb_gamma_expand(as_float_rgb(img))))
-        # rgb_to_lab is reference's and vectorized's lab_from_rgb.
+        # rgb_to_lab is the reference backend's lab_from_rgb.
         convert = {rgb_to_lab} | {
             get_backend(name).lab_from_rgb for name in available_backends()
         }
@@ -200,3 +200,33 @@ class TestBandWalk:
             rgb_to_lab(img, n_threads=3)
         # Every helper was joined before the error surfaced.
         assert threading.active_count() == before
+
+    def test_helper_that_cannot_start_leaves_its_slab_to_caller(
+        self, monkeypatch
+    ):
+        """When a helper thread cannot start, the caller walks its slab:
+        the walk runs at the width it gets, like the C pool, and every
+        helper that did start is joined."""
+        img = np.random.default_rng(4).integers(
+            0, 256, (200, 1000, 3), dtype=np.uint8
+        )
+        want = rgb_to_lab(img, n_threads=1).view(np.uint64)
+        convert = [rgb_to_lab]
+        if "native-mt" in available_backends():
+            convert.append(get_backend("native-mt").lab_from_rgb)
+        real_start = threading.Thread.start
+        for fn in convert:
+            starts = []
+
+            def start(thread):
+                starts.append(thread)
+                if len(starts) == 2:
+                    raise RuntimeError("can't start new thread")
+                real_start(thread)
+
+            with monkeypatch.context() as m:
+                m.setattr(threading.Thread, "start", start)
+                got = fn(img, n_threads=3)
+            assert len(starts) == 2, fn.__module__
+            assert not any(t.is_alive() for t in starts), fn.__module__
+            assert np.array_equal(got.view(np.uint64), want), fn.__module__

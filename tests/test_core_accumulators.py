@@ -115,7 +115,7 @@ class TestAccumulateDispatch:
         via_add.add(vals, labels)
         via_add.add(vals[idx], labels[: len(idx)])
         via_kernel = SigmaAccumulator(k)
-        kernels = get_backend("vectorized")
+        kernels = get_backend("reference")
         via_kernel.accumulate(kernels, labels, w, lab_flat=lab_flat)
         via_kernel.accumulate(
             kernels, labels[: len(idx)], w, idx=idx, lab_flat=lab_flat
@@ -142,7 +142,7 @@ class TestAccumulateDispatch:
         via_add.add(vals, labels)
         via_kernel = SigmaAccumulator(k)
         via_kernel.accumulate(
-            get_backend("vectorized"), labels, w,
+            get_backend("reference"), labels, w,
             codes_flat=codes_flat, encoding=enc,
         )
         assert np.array_equal(via_kernel.sums, via_add.sums)

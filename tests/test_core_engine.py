@@ -231,7 +231,7 @@ class TestCenterUpdateMemory:
         image = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
         params = SlicParams(
             n_superpixels=40, max_iterations=2, architecture="cpa",
-            convergence_threshold=0.0, kernel_backend="vectorized",
+            convergence_threshold=0.0, kernel_backend="reference",
         )
 
         from repro.obs import MemorySink, Tracer

@@ -89,7 +89,8 @@ class TestSelfTest:
         """A backend whose sigma/fused-color/float-color/fused-PPA kernel
         returns garbage must flunk its known-answer vector (the vectors
         are load-bearing)."""
-        from repro.kernels import vectorized
+        _require("native-mt")
+        from repro.kernels import native_mt
 
         def garbage(*args, **kwargs):
             if kernel == "lab_from_rgb":
@@ -113,18 +114,19 @@ class TestSelfTest:
                 np.zeros(rgb.shape, dtype=np.int64),
             )
 
-        monkeypatch.setattr(vectorized, kernel, garbage)
+        monkeypatch.setattr(native_mt, kernel, garbage)
         with pytest.raises(ConfigurationError, match=kernel.split(".")[0]):
-            self_test("vectorized")
+            self_test("native-mt")
 
     @pytest.mark.parametrize(
         "kernel",
         ["sigma_accumulate", "lab_from_codes", "lab_from_rgb", "ppa_assign"],
     )
     def test_broken_new_kernel_demotes(self, kernel, monkeypatch):
-        from repro.kernels import vectorized
+        _require("native-mt")
+        from repro.kernels import native_mt
 
-        real = getattr(vectorized, kernel)
+        real = getattr(native_mt, kernel)
 
         def garbage(*args, **kwargs):
             out = real(*args, **kwargs)
@@ -132,10 +134,10 @@ class TestSelfTest:
                 return out + 1
             return (out[0] + 1, *out[1:])
 
-        monkeypatch.setattr(vectorized, kernel, garbage)
-        verdict = supervised_resolve("vectorized")
+        monkeypatch.setattr(native_mt, kernel, garbage)
+        verdict = supervised_resolve("native-mt")
         assert verdict.name == "reference"
-        assert verdict.demoted_from == "vectorized"
+        assert verdict.demoted_from == "native-mt"
 
 
 class TestSupervisedResolve:
@@ -161,6 +163,33 @@ class TestSupervisedResolve:
         assert verdict.demoted_from == demoted_from
         assert verdict.demoted
 
+    def test_kernel_fail_forces_a_backend_that_cannot_load(
+        self, monkeypatch
+    ):
+        """A ``kernel_fail`` fault on a requested backend that cannot
+        load forces that backend: the frame demotes to ``reference``
+        instead of failing with nothing left to demote to."""
+        from repro.kernels import native
+        from repro.parallel.worker import _requested_backend_name
+
+        monkeypatch.setattr(native, "_lib", None)
+        monkeypatch.setattr(native, "_load_error", "no C compiler (test)")
+        forced = {_requested_backend_name("native-mt")}
+        assert forced == {"native-mt"}
+        verdict = supervised_resolve("native-mt", forced_failures=forced)
+        assert verdict.name == "reference"
+        assert verdict.demoted_from == "native-mt"
+
+    def test_unknown_name_is_rejected_not_demoted(self, monkeypatch):
+        """A retired or misspelt name fails supervision, whether it is
+        passed or comes from the environment; it never runs quietly on
+        the reference loops."""
+        with pytest.raises(ConfigurationError, match="unknown kernel"):
+            supervised_resolve("vectorized")
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "vectorized")
+        with pytest.raises(ConfigurationError, match="unknown kernel"):
+            supervised_resolve(None)
+
     def test_reference_failure_is_fatal(self):
         with pytest.raises(ConfigurationError, match="every kernel backend"):
             supervised_resolve(
@@ -168,29 +197,32 @@ class TestSupervisedResolve:
             )
 
     def test_forced_failures_argument(self):
+        _require("native-mt")
         verdict = supervised_resolve(
-            "vectorized", forced_failures=["vectorized"]
+            "native-mt", forced_failures=["native-mt"]
         )
         assert verdict.name == "reference"
-        assert verdict.demoted_from == "vectorized"
+        assert verdict.demoted_from == "native-mt"
         # Forcing a backend the request never reaches changes nothing.
         verdict = supervised_resolve(
-            "vectorized", forced_failures=["native-mt"]
+            "native-mt", forced_failures=["reference"]
         )
-        assert verdict.name == "vectorized"
+        assert verdict.name == "native-mt"
         assert not verdict.demoted
 
     def test_memoized_per_forcing_set(self):
-        a = supervised_resolve("vectorized")
-        b = supervised_resolve("vectorized")
+        _require("native-mt")
+        a = supervised_resolve("native-mt")
+        b = supervised_resolve("native-mt")
         assert a is b
-        c = supervised_resolve("vectorized", forced_failures={"vectorized"})
+        c = supervised_resolve("native-mt", forced_failures={"native-mt"})
         assert c is not a
 
     def test_demotion_emits_telemetry(self):
+        _require("native-mt")
         tracer = Tracer(MemorySink())
         supervised_resolve(
-            "vectorized", tracer=tracer, forced_failures={"vectorized"}
+            "native-mt", tracer=tracer, forced_failures={"native-mt"}
         )
         tracer.flush()
         names = [e.get("name") for e in tracer.sink.events]
@@ -229,7 +261,7 @@ class TestSupervisionInRunner:
         assert res.records[1].kernel_backend == requested
         assert res.records[1].demoted_from is None
 
-    @pytest.mark.parametrize("requested", ["vectorized", "native-mt"])
+    @pytest.mark.parametrize("requested", ["native-mt"])
     def test_demoted_output_is_bit_identical(self, requested):
         # Demotion changes the implementation, never the answer.
         _require(requested)

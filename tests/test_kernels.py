@@ -76,10 +76,10 @@ def _setup(seed, k, m, fixed=False):
 
 
 class TestDispatch:
-    def test_reference_and_vectorized_always_available(self):
+    def test_reference_always_available(self):
         names = available_backends()
-        assert "reference" in names
-        assert "vectorized" in names
+        assert names[0] == "reference"
+        assert set(names) <= {"reference", "native-mt"}
 
     def test_validate_name_rejects_unknown(self):
         with pytest.raises(ConfigurationError, match="unknown kernel backend"):
@@ -91,36 +91,39 @@ class TestDispatch:
 
     def test_resolve_name_concrete_passthrough(self):
         assert resolve_name("reference") == "reference"
-        assert resolve_name("vectorized") == "vectorized"
 
     def test_resolve_name_auto_is_concrete(self):
-        assert resolve_name("auto") in ("native-mt", "vectorized")
+        assert resolve_name("auto") in ("native-mt", "reference")
 
     def test_one_compiled_backend(self):
-        """Serial is ``native-mt`` at one thread, not its own backend."""
-        assert BACKEND_NAMES == ("auto", "reference", "vectorized", "native-mt")
-        assert DEMOTION_CHAIN == ("native-mt", "vectorized", "reference")
-        with pytest.raises(ConfigurationError, match="unknown kernel backend"):
-            validate_name("native")
+        """Serial is ``native-mt`` at one thread, not its own backend, and
+        the spec is the only other one."""
+        assert BACKEND_NAMES == ("auto", "reference", "native-mt")
+        assert DEMOTION_CHAIN == ("native-mt", "reference")
+        for gone in ("native", "vectorized"):
+            with pytest.raises(ConfigurationError,
+                               match="unknown kernel backend"):
+                validate_name(gone)
 
     def test_auto_picks_compiled_backend_on_one_core(self, monkeypatch):
         """``auto`` does not depend on the core count: a one-core process
         gets ``native-mt``, whose default width is then one thread."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                             raising=False)
-        want = "native-mt" if native_mod.is_available() else "vectorized"
+        want = "native-mt" if native_mod.is_available() else "reference"
         assert resolve_name("auto") == want
 
     def test_env_var_drives_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", "reference")
         assert resolve_name(None) == "reference"
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "bogus")
-        with pytest.raises(ConfigurationError):
-            resolve_name(None)
+        for bad in ("bogus", "vectorized"):
+            monkeypatch.setenv("REPRO_KERNEL_BACKEND", bad)
+            with pytest.raises(ConfigurationError):
+                resolve_name(None)
 
     def test_explicit_name_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "reference")
-        assert resolve_name("vectorized") == "vectorized"
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "bogus")
+        assert resolve_name("reference") == "reference"
 
     def test_get_backend_has_kernel_surface(self):
         """Every backend exports the six-entry contract, and only it."""
@@ -138,11 +141,12 @@ class TestDispatch:
                 assert not hasattr(mod, gone), (name, gone)
 
     def test_params_validate_backend_name(self):
-        assert SlicParams(kernel_backend="Vectorized").kernel_backend == (
-            "vectorized"
+        assert SlicParams(kernel_backend="Reference").kernel_backend == (
+            "reference"
         )
-        with pytest.raises(ConfigurationError):
-            SlicParams(kernel_backend="fpga")
+        for bad in ("fpga", "vectorized"):
+            with pytest.raises(ConfigurationError):
+                SlicParams(kernel_backend=bad)
 
     def test_params_default_is_none(self):
         assert SlicParams().kernel_backend is None
@@ -444,6 +448,84 @@ class TestNativeBackend:
         assert second == first
         assert second.stat().st_mtime_ns == mtime
 
+    def test_failed_load_keeps_no_caller_frames(self, monkeypatch):
+        """A failed load is memoized, and each probe raises a fresh error:
+        re-raising one stored error would append every probe's frames to
+        its traceback and keep each caller's locals alive."""
+        import gc
+        import weakref
+
+        builds = []
+
+        def no_compiler():
+            builds.append(1)
+            raise ConfigurationError("no C compiler found (test)")
+
+        monkeypatch.setattr(native_mod, "_lib", None)
+        monkeypatch.setattr(native_mod, "_load_error", None)
+        monkeypatch.setattr(native_mod, "_build", no_compiler)
+
+        class Local:
+            pass
+
+        def probe():
+            local = Local()
+            assert not native_mod.is_available()
+            return weakref.ref(local)
+
+        refs = [probe() for _ in range(4)]
+        with pytest.raises(ConfigurationError, match="no C compiler"):
+            native_mod.load()
+        gc.collect()
+        assert [r() for r in refs] == [None] * 4
+        assert len(builds) == 1  # the failure is memoized, not retried
+
+    def test_host_without_compiler_runs_reference(self, tmp_path):
+        """With no C compiler on the host, ``auto`` resolves to the spec,
+        supervision demotes an explicit ``native-mt`` to it, and ``slic``
+        runs end to end."""
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        empty = tmp_path / "bin"
+        empty.mkdir()
+        env = {
+            k: v for k, v in os.environ.items()
+            if k not in ("CC", "REPRO_KERNEL_BACKEND")
+        }
+        env.update(
+            PATH=str(empty),
+            REPRO_KERNEL_CACHE=str(tmp_path / "cache"),
+            PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]),
+        )
+        script = """
+import numpy as np
+from repro.core import slic
+from repro.kernels import available_backends, resolve_name
+from repro.kernels.supervisor import supervised_resolve
+
+assert available_backends() == ("reference",), available_backends()
+assert resolve_name("auto") == "reference"
+verdict = supervised_resolve("native-mt")
+assert verdict.name == "reference", verdict.name
+assert verdict.demoted_from == "native-mt", verdict.demoted_from
+image = np.random.default_rng(5).integers(0, 256, (24, 32, 3), np.uint8)
+auto = slic(image, n_superpixels=12, max_iterations=2)
+spec = slic(image, n_superpixels=12, max_iterations=2,
+            kernel_backend="reference")
+assert np.array_equal(auto.labels, spec.labels)
+print("ok")
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "ok"
+
 
 class TestLabCodesIdentity:
     """Every backend's Lab codes against the ``convert_codes_reference``
@@ -688,7 +770,7 @@ class TestIndexValidation:
     @pytest.mark.parametrize("backend", kernel_cases())
     @pytest.mark.parametrize(
         "case", ["label-equals-k", "negative-label", "idx-past-end",
-                 "negative-idx"],
+                 "negative-idx", "width-0", "width-minus-1"],
     )
     def test_sigma_accumulate(self, backend, case):
         lab, _, _, _ = self._frame()
@@ -701,8 +783,12 @@ class TestIndexValidation:
             labels[0] = -1
         elif case == "idx-past-end":
             idx[-1] = h * w
-        else:
+        elif case == "negative-idx":
             idx[3] = -2
+        else:
+            # The C loop divides by the width, and C's % truncates where
+            # numpy's floors, so neither may reach a kernel.
+            w = 0 if case == "width-0" else -1
         with pytest.raises(ConfigurationError):
             get_backend(backend).sigma_accumulate(
                 labels, 4, w, lab_flat=lab.reshape(-1, 3), idx=idx
