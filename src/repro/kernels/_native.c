@@ -1117,7 +1117,8 @@ void sigma_acc_f64_mt(
  * index is written by both of its entries with the same value. Each
  * range runs the scalar loops below or, on CPUs with AVX-512, the lane
  * bodies, which evaluate up to 8 same-tile entries at once with the
- * same per-entry results (see ppa_pick).
+ * same per-entry results and add them to the sigma registers in the
+ * same order (see ppa_pick).
  *
  * Bit-identity of the partials: every register must receive its
  * contributions in ascending entry order, starting from zero — the
@@ -1128,12 +1129,15 @@ void sigma_acc_f64_mt(
  * its range, because ranges are ordered and its registers started from
  * zero; those registers are copied out. One serial scan of the later
  * ranges, in entry order, then continues every cluster over its entries
- * past its head's range. Nothing here depends on subset order or on the
- * candidate map (dynamic neighbors included); an ascending subset only
- * makes the clusters that straddle a range boundary few. The private
- * registers take 48 bytes per cluster and participant; the width is
- * capped to keep them under PPA_SCRATCH_MAX, and width 1 (or a failed
- * allocation) runs the single loop.                                    */
+ * past its head's range. The private counts say how many entries of
+ * each range belong to such straddling clusters, so each range's scan
+ * stops at its last one; a range that holds none is not scanned.
+ * Nothing here depends on subset order or on the candidate map (dynamic
+ * neighbors included); an ascending subset only makes the clusters that
+ * straddle a range boundary few. The private registers take 48 bytes
+ * per cluster and participant; the width is capped to keep them under
+ * PPA_SCRATCH_MAX, and width 1 (or a failed allocation) runs the single
+ * loop.                                                                */
 /* ------------------------------------------------------------------ */
 
 #define PPA_SCRATCH_MAX ((int64_t)64 << 20)
@@ -1284,12 +1288,21 @@ int64_t ppa_lanes(void)
  * performs the scalar loop's operations in the scalar order, as
  * separately rounded vector operations, and keeps the first strict
  * minimum by a masked blend — ties stay with the lower slot, a NaN never
- * wins — so every lane's choice equals the scalar loop's. chosen, the
- * label and the sigma update are then written per entry in entry order
- * through the same sigma_add_* helpers. ppa_pick chooses them over the
- * scalar loops once, at library load, when the CPU has AVX-512
- * F/BW/CD/DQ/VL (the runtime's check includes OS support for the
- * AVX-512 register state).                                             */
+ * wins — so every lane's choice equals the scalar loop's.
+ *
+ * A group's lanes are built in registers: one masked load of its subset
+ * indices, x and y derived from them in lanes (ppa_xy), and each channel
+ * from eight scalar loads inserted into a register (ppa_channel_*). There
+ * are no gathers: they are microcoded and slow under the Downfall (GDS)
+ * mitigation on Skylake-SP through Ice Lake, CPUs that also run these
+ * bodies, and register inserts timed level with them where gathers are
+ * fast. ppa_group_out then writes the group: chosen with one masked
+ * store, the label map with scalar stores, and the sigma registers once
+ * per stretch of entries that chose the same cluster.
+ *
+ * ppa_pick chooses the lane bodies over the scalar loops once, at
+ * library load, when the CPU has AVX-512 F/BW/CD/DQ/VL (the runtime's
+ * check includes OS support for the AVX-512 register state).          */
 __attribute__((constructor)) static void ppa_pick(void)
 {
     __builtin_cpu_init();
@@ -1324,12 +1337,100 @@ PPA_LANES_TARGET static int64_t ppa_scalar_stretch(
     return e - j;
 }
 
+/* The subset indices of entries j .. j + n - 1 in lanes 0 .. n - 1, and
+ * in ix; the lanes past the run hold pixel 0, are computed on like the
+ * others and are never written back.                                   */
+PPA_LANES_TARGET static inline __m512i ppa_indices(
+    const ppa_ctx *c, int64_t j, int64_t n, int64_t *ix)
+{
+    __m512i vi = _mm512_maskz_loadu_epi64((__mmask8)((1u << n) - 1),
+                                          c->subset + j);
+    _mm512_storeu_si512(ix, vi);
+    return vi;
+}
+
+/* x = i % w and y = i / w for the lanes' indices i, as doubles, with no
+ * integer division: y truncates the correctly rounded quotient
+ * (double)i / (double)w, which is floor(i / w) whenever i + w < 2^53 (so
+ * for every frame that fits in memory), and x = i - y * w, whose product
+ * and difference are exact integers.                                   */
+PPA_LANES_TARGET static inline void ppa_xy(__m512i vi, __m512d w,
+                                           __m512d *x, __m512d *y)
+{
+    __m512d i = _mm512_cvtepi64_pd(vi);
+    *y = _mm512_roundscale_pd(_mm512_div_pd(i, w),
+                              _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
+    *x = _mm512_sub_pd(i, _mm512_mul_pd(*y, w));
+}
+
+/* Channel ch of the pixels ix[0..8) of a 3-channel plane, lane l from
+ * pixel ix[l], by scalar loads inserted into a register.               */
+PPA_LANES_TARGET static inline __m512d ppa_channel_pd(
+    const double *p, const int64_t *ix, int ch)
+{
+    return _mm512_set_pd(p[3 * ix[7] + ch], p[3 * ix[6] + ch],
+                         p[3 * ix[5] + ch], p[3 * ix[4] + ch],
+                         p[3 * ix[3] + ch], p[3 * ix[2] + ch],
+                         p[3 * ix[1] + ch], p[3 * ix[0] + ch]);
+}
+
+PPA_LANES_TARGET static inline __m512i ppa_channel_epi64(
+    const int64_t *p, const int64_t *ix, int ch)
+{
+    return _mm512_set_epi64(p[3 * ix[7] + ch], p[3 * ix[6] + ch],
+                            p[3 * ix[5] + ch], p[3 * ix[4] + ch],
+                            p[3 * ix[3] + ch], p[3 * ix[2] + ch],
+                            p[3 * ix[1] + ch], p[3 * ix[0] + ch]);
+}
+
+/* Write the group of entries j .. j + n - 1 (subset indices ix, chosen
+ * clusters bk): chosen, the label map, and the sigma registers from the
+ * lanes' [L, a, b, x, y] values. Each stretch of consecutive entries that
+ * chose the same cluster adds its values into that cluster's five
+ * registers held in variables, in entry order, and stores them once:
+ * the same IEEE additions in the same order as one sigma_add_* call per
+ * entry. The labels are stored in that loop, one entry at a time: its
+ * data-dependent exit keeps gcc from turning the stores into a scatter. */
+PPA_LANES_TARGET static inline void ppa_group_out(
+    const ppa_ctx *c, int64_t j, int64_t n, const int64_t *ix, __m256i bk,
+    __m512d vl, __m512d va, __m512d vb, __m512d vx, __m512d vy,
+    double *sums, int64_t *counts)
+{
+    int32_t k[8];
+    double v[5][8];
+    _mm256_storeu_si256((__m256i *)k, bk);
+    _mm256_mask_storeu_epi32(c->chosen + j, (__mmask8)((1u << n) - 1), bk);
+    _mm512_storeu_pd(v[0], vl);
+    _mm512_storeu_pd(v[1], va);
+    _mm512_storeu_pd(v[2], vb);
+    _mm512_storeu_pd(v[3], vx);
+    _mm512_storeu_pd(v[4], vy);
+    for (int64_t l = 0, e; l < n; l = e) {
+        int64_t q = k[l];
+        double *s = sums + 5 * q;
+        double s0 = s[0], s1 = s[1], s2 = s[2], s3 = s[3], s4 = s[4];
+        for (e = l; e < n && k[e] == q; e++) {
+            if (c->labels) c->labels[ix[e]] = k[e];
+            s0 += v[0][e];
+            s1 += v[1][e];
+            s2 += v[2][e];
+            s3 += v[3][e];
+            s4 += v[4][e];
+        }
+        s[0] = s0;
+        s[1] = s1;
+        s[2] = s2;
+        s[3] = s3;
+        s[4] = s4;
+        counts[q] += e - l;
+    }
+}
+
 PPA_LANES_TARGET static void ppa_f64_lanes(
     const ppa_ctx *c, int64_t j0, int64_t j1, double *sums, int64_t *counts)
 {
     const double *lab_flat = c->lab_flat;
-    const int64_t *subset = c->subset;
-    int64_t w = c->w;
+    const __m512d w = _mm512_set1_pd((double)c->w);
     const __m512d weight = _mm512_set1_pd(c->weight);
     int64_t n;
     for (int64_t j = j0; j < j1; j += n) {
@@ -1338,23 +1439,14 @@ PPA_LANES_TARGET static void ppa_f64_lanes(
             n = ppa_scalar_stretch(c, j, j1, sums, counts);
             continue;
         }
-        /* Lane l holds entry j + l; lanes past the run compute on zeros
-         * and are never written back.                                   */
-        double pl[8] = {0}, pa[8] = {0}, pb[8] = {0}, px[8] = {0},
-               py[8] = {0};
-        for (int64_t l = 0; l < n; l++) {
-            int64_t i = subset[j + l];
-            const double *p = lab_flat + 3 * i;
-            pl[l] = p[0];
-            pa[l] = p[1];
-            pb[l] = p[2];
-            px[l] = (double)(i % w);
-            py[l] = (double)(i / w);
-        }
-        __m512d vl = _mm512_loadu_pd(pl), va = _mm512_loadu_pd(pa);
-        __m512d vb = _mm512_loadu_pd(pb), vx = _mm512_loadu_pd(px);
-        __m512d vy = _mm512_loadu_pd(py);
-        const int32_t *cnd = c->cands + 9 * (int64_t)c->tiles[subset[j]];
+        int64_t ix[8];
+        __m512i vi = ppa_indices(c, j, n, ix);
+        __m512d vl = ppa_channel_pd(lab_flat, ix, 0);
+        __m512d va = ppa_channel_pd(lab_flat, ix, 1);
+        __m512d vb = ppa_channel_pd(lab_flat, ix, 2);
+        __m512d vx, vy;
+        ppa_xy(vi, w, &vx, &vy);
+        const int32_t *cnd = c->cands + 9 * (int64_t)c->tiles[ix[0]];
         __m512d best = _mm512_set1_pd(INFINITY);
         __m256i bk = _mm256_set1_epi32(cnd[0]);
         for (int s = 0; s < 9; s++) {
@@ -1374,14 +1466,7 @@ PPA_LANES_TARGET static void ppa_f64_lanes(
             best = _mm512_mask_mov_pd(best, lt, d2);
             bk = _mm256_mask_mov_epi32(bk, lt, _mm256_set1_epi32(cnd[s]));
         }
-        int32_t k[8];
-        _mm256_storeu_si256((__m256i *)k, bk);
-        for (int64_t l = 0; l < n; l++) {
-            int64_t i = subset[j + l];
-            c->chosen[j + l] = k[l];
-            if (c->labels) c->labels[i] = k[l];
-            sigma_add_f64(lab_flat, i, k[l], w, sums, counts);
-        }
+        ppa_group_out(c, j, n, ix, bk, vl, va, vb, vx, vy, sums, counts);
     }
 }
 
@@ -1389,13 +1474,17 @@ PPA_LANES_TARGET static void ppa_fixed_lanes(
     const ppa_ctx *c, int64_t j0, int64_t j1, double *sums, int64_t *counts)
 {
     const int64_t *codes_flat = c->codes_flat;
-    const int64_t *subset = c->subset;
-    int64_t w = c->w, sf = c->sf, quantize = c->quantize;
-    const __m128i sh_s = _mm_cvtsi64_si128(2 * sf);
+    const __m512d w = _mm512_set1_pd((double)c->w);
+    const __m128i sh_f = _mm_cvtsi64_si128(c->sf);
+    const __m128i sh_s = _mm_cvtsi64_si128(2 * c->sf);
     const __m128i sh_w = _mm_cvtsi64_si128(c->wfrac);
     const __m128i sh_d = _mm_cvtsi64_si128(c->dshift);
     const __m512i weight_raw = _mm512_set1_epi64(c->weight_raw);
     const __m512i dmax = _mm512_set1_epi64(c->dmax);
+    const __m512d l_scale = _mm512_set1_pd(c->l_scale);
+    const __m512d ab_scale = _mm512_set1_pd(c->ab_scale);
+    const __m512d ab_offset = _mm512_set1_pd(c->ab_offset);
+    int64_t quantize = c->quantize;
     int64_t n;
     for (int64_t j = j0; j < j1; j += n) {
         n = ppa_run_len(c, j, j1);
@@ -1403,21 +1492,16 @@ PPA_LANES_TARGET static void ppa_fixed_lanes(
             n = ppa_scalar_stretch(c, j, j1, sums, counts);
             continue;
         }
-        int64_t pl[8] = {0}, pa[8] = {0}, pb[8] = {0}, xr[8] = {0},
-                yr[8] = {0};
-        for (int64_t l = 0; l < n; l++) {
-            int64_t i = subset[j + l];
-            const int64_t *p = codes_flat + 3 * i;
-            pl[l] = p[0];
-            pa[l] = p[1];
-            pb[l] = p[2];
-            xr[l] = (i % w) << sf;
-            yr[l] = (i / w) << sf;
-        }
-        __m512i vl = _mm512_loadu_si512(pl), va = _mm512_loadu_si512(pa);
-        __m512i vb = _mm512_loadu_si512(pb), vx = _mm512_loadu_si512(xr);
-        __m512i vy = _mm512_loadu_si512(yr);
-        const int32_t *cnd = c->cands + 9 * (int64_t)c->tiles[subset[j]];
+        int64_t ix[8];
+        __m512i vi = ppa_indices(c, j, n, ix);
+        __m512i vl = ppa_channel_epi64(codes_flat, ix, 0);
+        __m512i va = ppa_channel_epi64(codes_flat, ix, 1);
+        __m512i vb = ppa_channel_epi64(codes_flat, ix, 2);
+        __m512d x, y;
+        ppa_xy(vi, w, &x, &y);
+        __m512i vx = _mm512_sll_epi64(_mm512_cvttpd_epi64(x), sh_f);
+        __m512i vy = _mm512_sll_epi64(_mm512_cvttpd_epi64(y), sh_f);
+        const int32_t *cnd = c->cands + 9 * (int64_t)c->tiles[ix[0]];
         __m512i best = _mm512_set1_epi64(INT64_MAX);
         __m256i bk = _mm256_set1_epi32(cnd[0]);
         for (int s = 0; s < 9; s++) {
@@ -1443,15 +1527,16 @@ PPA_LANES_TARGET static void ppa_fixed_lanes(
             best = _mm512_mask_mov_epi64(best, lt, d2);
             bk = _mm256_mask_mov_epi32(bk, lt, _mm256_set1_epi32(cnd[s]));
         }
-        int32_t k[8];
-        _mm256_storeu_si256((__m256i *)k, bk);
-        for (int64_t l = 0; l < n; l++) {
-            int64_t i = subset[j + l];
-            c->chosen[j + l] = k[l];
-            if (c->labels) c->labels[i] = k[l];
-            sigma_add_codes(codes_flat, i, k[l], w, c->l_scale, c->ab_scale,
-                            c->ab_offset, sums, counts);
-        }
+        /* The codes decoded in lanes by LabEncoding.decode's cast,
+         * subtract and divide, as in sigma_add_codes.                   */
+        ppa_group_out(
+            c, j, n, ix, bk,
+            _mm512_div_pd(_mm512_cvtepi64_pd(vl), l_scale),
+            _mm512_div_pd(_mm512_sub_pd(_mm512_cvtepi64_pd(va), ab_offset),
+                          ab_scale),
+            _mm512_div_pd(_mm512_sub_pd(_mm512_cvtepi64_pd(vb), ab_offset),
+                          ab_scale),
+            x, y, sums, counts);
     }
 }
 #endif
@@ -1484,7 +1569,8 @@ static void ppa_chunk(void *vctx, int64_t tid, int64_t width)
 
 /* Run the pass into the zeroed sums / counts: the single loop at width
  * 1, else the private-register ranges, the copy-out of each cluster's
- * head registers, and the serial continuation past the head's range.  */
+ * head registers, and the serial continuation past the head's range,
+ * which ends each range's scan at its last straddling entry.          */
 static void ppa_run(ppa_ctx *c, double *sums, int64_t *counts,
                     int64_t n_threads)
 {
@@ -1505,6 +1591,9 @@ static void ppa_run(ppa_ctx *c, double *sums, int64_t *counts,
     c->pcounts = (int64_t *)(block + 40 * width * k);
     int64_t *head = c->pcounts + width * k;
     int64_t ran = mt_run(ppa_chunk, c, width);
+    /* straddle[t]: how many of range t's entries chose a cluster headed
+     * by an earlier range — the entries the continuation folds there.  */
+    int64_t straddle[MT_MAX_THREADS] = {0};
     for (int64_t q = 0; q < k; q++) {
         int64_t t = 0;
         while (t < ran && c->pcounts[t * k + q] == 0) t++;
@@ -1513,12 +1602,19 @@ static void ppa_run(ppa_ctx *c, double *sums, int64_t *counts,
         for (int f = 0; f < 5; f++)
             sums[5 * q + f] = c->psums[5 * (t * k + q) + f];
         counts[q] = c->pcounts[t * k + q];
+        for (int64_t u = t + 1; u < ran; u++)
+            straddle[u] += c->pcounts[u * k + q];
     }
+    /* Each range's scan stops at its last straddling entry. The range
+     * end bounds it too, so counts that disagree with chosen (a defect
+     * in a body) cannot send it past the range.                        */
     for (int64_t t = 1; t < ran; t++) {
-        for (int64_t j = mt_slice_lo(c->m, t, ran);
-             j < mt_slice_hi(c->m, t, ran); j++) {
+        int64_t left = straddle[t], hi = mt_slice_hi(c->m, t, ran);
+        for (int64_t j = mt_slice_lo(c->m, t, ran); left > 0 && j < hi;
+             j++) {
             int64_t q = c->chosen[j];
             if (head[q] >= t) continue;
+            left--;
             if (c->lab_flat)
                 sigma_add_f64(c->lab_flat, c->subset[j], q, c->w, sums,
                               counts);

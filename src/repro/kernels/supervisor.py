@@ -351,8 +351,11 @@ def supervised_resolve(
     ``$REPRO_KERNEL_BACKEND``) and when even ``reference`` is forced to
     fail — there is nothing left to demote to.
     """
+    # Keyed on the validated request, so ``None`` follows
+    # $REPRO_KERNEL_BACKEND and an unknown name raises before the lookup.
+    requested = requested_name(name)
     forced = frozenset(forced_failures or ())
-    key = (name, forced)
+    key = (requested, forced)
     cached = _memo.get(key)
     if cached is not None:
         return cached
@@ -361,11 +364,10 @@ def supervised_resolve(
         cached = _memo.get(key)  # lost the race: share the verdict
         if cached is not None:
             return cached
-        return _resolve_uncached(name, forced, key, tracer)
+        return _resolve_uncached(requested, forced, key, tracer)
 
 
-def _resolve_uncached(name, forced, key, tracer) -> SupervisedBackend:
-    requested = requested_name(name)  # an unknown name raises here
+def _resolve_uncached(requested, forced, key, tracer) -> SupervisedBackend:
     try:
         start = resolve_name(requested)
     except ConfigurationError:
@@ -397,7 +399,7 @@ def _resolve_uncached(name, forced, key, tracer) -> SupervisedBackend:
                 )
             continue
         verdict = SupervisedBackend(
-            requested=name,
+            requested=requested,
             name=candidate,
             demoted_from=demoted_from if candidate != demoted_from else None,
         )
@@ -411,7 +413,7 @@ def _resolve_uncached(name, forced, key, tracer) -> SupervisedBackend:
             )
             tracer.event(
                 "kernels.demoted",
-                requested=str(name),
+                requested=requested,
                 demoted_from=verdict.demoted_from,
                 demoted_to=candidate,
             )

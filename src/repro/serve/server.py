@@ -53,6 +53,7 @@ import numpy as np
 
 from ..core.params import SlicParams
 from ..errors import ConfigurationError, ReproError, StreamError
+from ..kernels.dispatch import requested_name
 from ..obs import Tracer, render_prometheus
 from ..parallel.records import FrameTask
 from .admission import AdmissionController, CircuitBreaker, ServiceTimeTracker
@@ -137,6 +138,9 @@ class SuperpixelServer:
     def __init__(self, config: ServeConfig | None = None, tracer=None,
                  clock=time.monotonic):
         self.config = config if config is not None else ServeConfig()
+        # An unknown backend name, given or from $REPRO_KERNEL_BACKEND,
+        # fails here, before a port is bound, not on every request.
+        requested_name(self.config.params.kernel_backend)
         # The server always keeps live metrics (that is what /metrics
         # serves); an enabled tracer over a NullSink records metrics
         # without writing span events anywhere.

@@ -1,5 +1,7 @@
 """Backend parametrization and PPA inputs shared by the kernel suites."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -9,8 +11,9 @@ from repro.core.subsampling import SubsetSchedule
 from repro.kernels import available_backends, reference
 
 #: Subsets the fused ``ppa_assign`` is checked on: one phase of every
-#: schedule strategy, plus an unsorted subset with a duplicated index.
-PPA_SUBSET_KINDS = SUBSET_STRATEGIES + ("unsorted-dup",)
+#: schedule strategy, an unsorted subset with a duplicated index, and
+#: same-tile runs of every length from 1 to 8 (see ``ppa_subset``).
+PPA_SUBSET_KINDS = SUBSET_STRATEGIES + ("unsorted-dup", "lane-runs")
 
 
 def ppa_cluster_counts(lo, hi):
@@ -65,18 +68,37 @@ def kernel_cases(names=None):
     return cases
 
 
-def ppa_subset(kind, h, w, n_subsets, seed):
+def ppa_subset(kind, h, w, n_subsets, seed, tiles=None):
     """Flat pixel indices for one ``PPA_SUBSET_KINDS`` entry.
 
     A schedule kind returns phase ``seed % n_subsets`` of that strategy;
     ``unsorted-dup`` returns a random permutation of ``1/n_subsets`` of
-    the pixels with its first index repeated at the end.
+    the pixels with its first index repeated at the end. ``lane-runs``
+    takes about as many pixels in runs of 1, 2, ..., 8, 1, 2, ... from
+    one tile of ``tiles`` each, never the tile of the run before, so the
+    compiled pass's lane groups take every length. A run's pixels are
+    drawn from all over its tile, so its chosen clusters change inside a
+    group.
     """
     n_subsets = min(n_subsets, h * w)
+    rng = np.random.default_rng(seed)
     if kind == "unsorted-dup":
-        rng = np.random.default_rng(seed)
         idx = rng.permutation(h * w)[: max(1, h * w // n_subsets)]
         return np.concatenate([idx, idx[:1]]).astype(np.int64)
+    if kind == "lane-runs":
+        flat = np.asarray(tiles).ravel()
+        pools = [list(rng.permutation(np.flatnonzero(flat == t)))
+                 for t in np.unique(flat)]
+        idx, prev = [], None
+        for n in itertools.cycle(range(1, 9)):
+            left = [t for t, pool in enumerate(pools) if pool]
+            if len(idx) >= max(1, h * w // n_subsets) or not left:
+                break
+            t = rng.choice([t for t in left if t != prev] or left)
+            idx += pools[t][:n]
+            del pools[t][:n]
+            prev = t
+        return np.array(idx, dtype=np.int64)
     sched = SubsetSchedule((h, w), n_subsets, strategy=kind, seed=seed)
     return sched.subset(seed % n_subsets)
 
@@ -86,8 +108,9 @@ def assert_ppa_matches_reference(ppa_assign, pixels, idx, cands, centers,
     """Run ``ppa_assign`` and the reference on the same prior label map.
 
     Asserts the fused contract: equal ``(chosen, sums, counts)`` and an
-    equal label map after the in-place scatter. Returns the reference
-    ``(chosen, sums, counts)``.
+    equal label map after the in-place scatter, and equal ``(chosen,
+    sums, counts)`` again from a call without a label map. Returns the
+    reference ``(chosen, sums, counts)``.
     """
     prior = (np.arange(pixels.n_pixels) % len(centers)).astype(np.int32)
     want_map, got_map = prior.copy(), prior.copy()
@@ -97,7 +120,10 @@ def assert_ppa_matches_reference(ppa_assign, pixels, idx, cands, centers,
     got = ppa_assign(
         pixels, idx, cands, centers, weight, labels_out=got_map, **kw
     )
-    for name, a, b in zip(("chosen", "sums", "counts"), want, got):
+    unmapped = ppa_assign(pixels, idx, cands, centers, weight, **kw)
+    for name, a, b, c in zip(("chosen", "sums", "counts"), want, got,
+                             unmapped):
         assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert np.array_equal(a, c), f"{name} (labels_out=None)"
     assert np.array_equal(want_map, got_map), "labels_out"
     return want

@@ -96,3 +96,16 @@ class TestReportCommand:
         out = capsys.readouterr().out
         assert "1-1-1 way" in out
         assert "real-time: no" in out  # iterative unit cannot hit 30 fps
+
+
+class TestServeCommand:
+    def test_unknown_backend_exits_2_before_bind(self, capsys, monkeypatch):
+        from repro.serve import SuperpixelServer
+
+        async def no_bind(self):
+            raise AssertionError("the server bound a port")
+
+        monkeypatch.setattr(SuperpixelServer, "start", no_bind)
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "bogus")
+        assert main(["serve", "--port", "0"]) == 2
+        assert "unknown kernel backend 'bogus'" in capsys.readouterr().err

@@ -190,6 +190,18 @@ class TestSupervisedResolve:
         with pytest.raises(ConfigurationError, match="unknown kernel"):
             supervised_resolve(None)
 
+    def test_env_var_is_read_on_every_resolve(self, monkeypatch):
+        """``None`` supervises what ``$REPRO_KERNEL_BACKEND`` names at the
+        call, not whatever the first call under ``None`` resolved."""
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "reference")
+        assert supervised_resolve(None).name == "reference"
+        if "native-mt" in available_backends():
+            monkeypatch.setenv("REPRO_KERNEL_BACKEND", "native-mt")
+            assert supervised_resolve(None).name == "native-mt"
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "bogus")
+        with pytest.raises(ConfigurationError, match="unknown kernel"):
+            supervised_resolve(None)
+
     def test_reference_failure_is_fatal(self):
         with pytest.raises(ConfigurationError, match="every kernel backend"):
             supervised_resolve(

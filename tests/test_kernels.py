@@ -248,7 +248,7 @@ class TestPpaIdentity:
         if ties:
             centers = tie_centers(centers, cands)
         pixels = PixelArrays(lab, tiles)
-        idx = ppa_subset(kind, H, W, n_subsets, seed)
+        idx = ppa_subset(kind, H, W, n_subsets, seed, tiles)
         assert_ppa_matches_reference(
             get_backend(backend).ppa_assign, pixels, idx, cands, centers,
             weight,
@@ -274,7 +274,7 @@ class TestPpaIdentity:
         if ties:
             centers = tie_centers(centers, cands)
         pixels = PixelArrays(lab, tiles, datapath=dp, codes=codes)
-        idx = ppa_subset(kind, H, W, n_subsets, seed)
+        idx = ppa_subset(kind, H, W, n_subsets, seed, tiles)
         assert_ppa_matches_reference(
             get_backend(backend).ppa_assign, pixels, idx, cands, centers,
             weight, compactness=10.0, grid_s=s,

@@ -96,6 +96,40 @@ def _at(nt):
     return ppa_assign
 
 
+#: Entries per range in the continuation layouts.
+_BLOCK = 12
+
+
+def _continuation_layout(case, width):
+    """The cluster each entry chooses, for a pass of ``width`` ranges of
+    ``_BLOCK`` entries. Cluster ``4 + t`` fills range ``t``; clusters 0
+    and 1 straddle ranges:
+
+    * ``every-range``: cluster 0 has entries inside every range;
+    * ``skips-a-range``: cluster 1's head is range 1 and it appears again
+      only in range 3 (the last range, below 4 ranges);
+    * ``range-without``: range 1 holds no straddling entry;
+    * ``last-entry``: a straddling entry ends every range.
+    """
+    blocks = [[4 + t] * _BLOCK for t in range(width)]
+    if case == "every-range":
+        for block in blocks:
+            block[2] = block[7] = 0
+    elif case == "skips-a-range":
+        blocks[1][:3] = [1, 1, 1]
+        later = min(3, width - 1)
+        if later > 1:
+            blocks[later][5] = 1
+    elif case == "range-without":
+        blocks[0][0] = 0
+        for block in blocks[2:]:
+            block[4] = 0
+    elif case == "last-entry":
+        for block in blocks:
+            block[-1] = 0
+    return np.concatenate(blocks)
+
+
 def _cpa_buffers(h, w):
     return (
         np.full((h, w), np.inf),
@@ -151,7 +185,7 @@ class TestPpaDifferential:
         if ties:
             centers = tie_centers(centers, cands)
         pixels = PixelArrays(lab, tiles)
-        idx = ppa_subset(kind, H, W, stride, seed)
+        idx = ppa_subset(kind, H, W, stride, seed, tiles)
         assert_ppa_matches_reference(
             _at(nt), pixels, idx, cands, centers, weight
         )
@@ -169,7 +203,7 @@ class TestPpaDifferential:
         if ties:
             centers = tie_centers(centers, cands)
         pixels = PixelArrays(lab, tiles, datapath=dp, codes=codes)
-        idx = ppa_subset(kind, H, W, 1 + seed % 3, seed)
+        idx = ppa_subset(kind, H, W, 1 + seed % 3, seed, tiles)
         assert_ppa_matches_reference(
             _at(nt), pixels, idx, cands, centers, weight,
             compactness=10.0, grid_s=s,
@@ -205,6 +239,40 @@ class TestPpaDifferential:
             )
 
 
+    @pytest.mark.parametrize("fixed", [False, True])
+    @pytest.mark.parametrize(
+        "case",
+        ["every-range", "skips-a-range", "range-without", "last-entry"],
+    )
+    def test_continuation_layouts(self, nt, case, fixed):
+        """The serial continuation folds exactly each range's straddling
+        entries, wherever they sit. Each entry's tile has nine equal
+        candidates, so the layout fixes which clusters straddle which
+        ranges. One thread has no continuation: that instance runs at
+        three."""
+        width = nt if nt > 1 else 3
+        layout = _continuation_layout(case, width)
+        k = 4 + width
+        lab, _, _, _, s, weight, dp, codes = _setup(width, 8, 10.0,
+                                                    fixed=fixed)
+        rng = np.random.default_rng(width)
+        centers = np.column_stack([
+            rng.uniform(0, 100, k), rng.uniform(-40, 40, (k, 2)),
+            rng.uniform(0, W, k), rng.uniform(0, H, k),
+        ])
+        tiles = np.zeros(H * W, dtype=np.int32)
+        tiles[: len(layout)] = layout
+        pixels = PixelArrays(lab, tiles.reshape(H, W), datapath=dp,
+                             codes=codes)
+        cands = np.repeat(np.arange(k, dtype=np.int32)[:, None], 9, axis=1)
+        kw = dict(compactness=10.0, grid_s=s) if fixed else {}
+        chosen, _, _ = assert_ppa_matches_reference(
+            _at(width), pixels, np.arange(len(layout)), cands, centers,
+            weight, **kw,
+        )
+        assert np.array_equal(chosen, layout)
+
+
 @pytest.mark.skipif(
     "native-mt" not in available_backends() or native.ppa_lanes() == 1,
     reason="the library already runs the scalar PPA loops on this CPU",
@@ -230,7 +298,7 @@ def test_scalar_ppa_build_matches_lanes(tmp_path, monkeypatch):
             )
             pixels = PixelArrays(lab, tiles, datapath=dp, codes=codes)
             kw = dict(compactness=10.0, grid_s=s) if fixed else {}
-            idx = ppa_subset(kind, H, W, 2, k)
+            idx = ppa_subset(kind, H, W, 2, k, tiles)
             prior = (np.arange(H * W) % len(centers)).astype(np.int32)
             for nt in (1, 2, 3):
                 outs = []

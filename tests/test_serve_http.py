@@ -18,7 +18,13 @@ import pytest
 from repro.core.engine import run_segmentation
 from repro.core.params import SlicParams
 from repro.data import SceneConfig, generate_scene
-from repro.serve import BackgroundServer, ServeConfig, ServeExecutor
+from repro.errors import ConfigurationError
+from repro.serve import (
+    BackgroundServer,
+    ServeConfig,
+    ServeExecutor,
+    SuperpixelServer,
+)
 from repro.serve.server import labels_digest
 
 PARAMS = SlicParams(n_superpixels=32)
@@ -259,6 +265,17 @@ class TestCircuitBreakerProbe:
             status, data, _ = request(bg.port, "POST", "/v1/segment", SYNTH)
             assert status == 200
             assert breaker.state == CircuitBreaker.CLOSED
+
+
+class TestConfiguration:
+    def test_unknown_backend_rejected_before_bind(self, monkeypatch):
+        """An unknown ``$REPRO_KERNEL_BACKEND`` fails construction, before
+        a port is bound, instead of answering every frame with a 500."""
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "bogus")
+        with pytest.raises(ConfigurationError, match="unknown kernel backend"):
+            SuperpixelServer(ServeConfig(params=PARAMS))
+        with pytest.raises(ConfigurationError, match="unknown kernel backend"):
+            BackgroundServer(ServeConfig(params=PARAMS))
 
 
 class TestDrain:
