@@ -40,7 +40,6 @@ PPA pass's AVX-512 lane bodies on this CPU, 1 for its scalar loops, and
 explained on another.
 """
 
-import contextlib
 import time
 
 import numpy as np
@@ -105,24 +104,23 @@ def test_kernel_backends(setup, emit, bench_scale):
     optimized = [b for b in backends if b != "reference"]
     cores = usable_cores()
 
-    # Pin the native-mt ambient thread count for the whole bench: up to
-    # 4 threads when the cores exist, 2 on smaller machines so the pool
-    # and stitch paths still execute (identity is checked regardless).
+    # Every timed call passes its thread count: up to 4 threads when the
+    # cores exist, 2 on smaller machines so the pool and stitch paths
+    # still execute (identity is checked regardless). The reference
+    # ignores it.
     mt_threads = min(cores, 4) if cores > 1 else 2
     lanes = None
     if "native-mt" in backends:
         from repro.kernels.native import ppa_lanes
-        from repro.kernels.native_mt import thread_context
 
         lanes = ppa_lanes()
-        pin = thread_context(mt_threads)
-    else:
-        pin = contextlib.nullcontext()
 
-    def cpa_run(backend):
+    def cpa_run(backend, n_threads=mt_threads):
         dist = np.full((H, W), np.inf)
         labels = np.full((H, W), -1, dtype=np.int32)
-        n = get_backend(backend).cpa_assign(lab, centers, weight, s, dist, labels)
+        n = get_backend(backend).cpa_assign(
+            lab, centers, weight, s, dist, labels, n_threads=n_threads
+        )
         return labels, dist, n
 
     def ppa_run(backend):
@@ -131,83 +129,77 @@ def test_kernel_backends(setup, emit, bench_scale):
         idx = np.arange(pixels.n_pixels)
         label_map = tiles.ravel().astype(np.int32)
         chosen, sums, counts = get_backend(backend).ppa_assign(
-            pixels, idx, cands, centers, weight, labels_out=label_map
+            pixels, idx, cands, centers, weight, labels_out=label_map,
+            n_threads=mt_threads,
         )
         return chosen, sums, counts, label_map
 
-    with pin:
-        # --- bit-identity across every available backend ---------------
-        ref_cpa = cpa_run("reference")
-        ref_ppa = ppa_run("reference")
-        # The connectivity pass runs on the PPA pass's label map, at
-        # SlicParams' default min_size_factor of 0.25.
-        conn_map = ref_ppa[0].reshape(H, W)
-        min_size = int(0.25 * s * s)
+    # --- bit-identity across every available backend -------------------
+    ref_cpa = cpa_run("reference")
+    ref_ppa = ppa_run("reference")
+    # The connectivity pass runs on the PPA pass's label map, at
+    # SlicParams' default min_size_factor of 0.25.
+    conn_map = ref_ppa[0].reshape(H, W)
+    min_size = int(0.25 * s * s)
 
-        def conn_run(backend):
-            return get_backend(backend).enforce_connectivity(
-                conn_map, min_size
-            )
-
-        ref_conn = conn_run("reference")
-        for b in optimized:
-            got_l, got_d, got_n = cpa_run(b)
-            assert np.array_equal(got_l, ref_cpa[0]), f"{b}: CPA labels differ"
-            assert np.array_equal(got_d, ref_cpa[1]), f"{b}: CPA dist differs"
-            assert got_n == ref_cpa[2], f"{b}: CPA touched count differs"
-            for field, got, want in zip(
-                ("labels", "sigma sums", "sigma counts", "label map"),
-                ppa_run(b),
-                ref_ppa,
-            ):
-                assert np.array_equal(got, want), f"{b}: PPA {field} differ"
-            assert np.array_equal(conn_run(b), ref_conn), (
-                f"{b}: connectivity output differs"
-            )
-
-        cpa_fns = {b: (lambda b=b: cpa_run(b)) for b in backends}
-        if "native-mt" in backends:
-            with thread_context(1):
-                got_l, got_d, got_n = cpa_run("native-mt")
-            assert np.array_equal(got_l, ref_cpa[0]) and np.array_equal(
-                got_d, ref_cpa[1]
-            ) and got_n == ref_cpa[2], "native-mt@1t: CPA differs"
-
-            def cpa_one_thread():
-                with thread_context(1):
-                    cpa_run("native-mt")
-
-            cpa_fns["native-mt@1t"] = cpa_one_thread
-
-        def whole_frame_color():
-            return xyz_to_lab(linear_rgb_to_xyz(_gamma_lut_u8()[image]))
-
-        color_fns = {
-            "whole_frame": whole_frame_color,
-            "band_1t": lambda: rgb_to_lab(image, n_threads=1),
-            "band_mt": lambda: rgb_to_lab(image, n_threads=mt_threads),
-        }
-        if "native-mt" in backends:
-            native_rgb = get_backend("native-mt").lab_from_rgb
-            color_fns["native_1t"] = lambda: native_rgb(image, n_threads=1)
-            color_fns["native_mt"] = lambda: native_rgb(
-                image, n_threads=mt_threads
-            )
-        want_lab = whole_frame_color().view(np.uint64)
-        for name, fn in color_fns.items():
-            assert np.array_equal(fn().view(np.uint64), want_lab), (
-                f"rgb_to_lab {name} differs from the whole-frame chain"
-            )
-
-        # --- timings ---------------------------------------------------
-        cpa_t = _interleaved_best(cpa_fns, repeats)
-        ppa_t = _interleaved_best(
-            {b: (lambda b=b: ppa_run(b)) for b in backends}, repeats
+    def conn_run(backend):
+        return get_backend(backend).enforce_connectivity(
+            conn_map, min_size, n_threads=mt_threads
         )
-        conn_t = _interleaved_best(
-            {b: (lambda b=b: conn_run(b)) for b in backends}, repeats
+
+    ref_conn = conn_run("reference")
+    for b in optimized:
+        got_l, got_d, got_n = cpa_run(b)
+        assert np.array_equal(got_l, ref_cpa[0]), f"{b}: CPA labels differ"
+        assert np.array_equal(got_d, ref_cpa[1]), f"{b}: CPA dist differs"
+        assert got_n == ref_cpa[2], f"{b}: CPA touched count differs"
+        for field, got, want in zip(
+            ("labels", "sigma sums", "sigma counts", "label map"),
+            ppa_run(b),
+            ref_ppa,
+        ):
+            assert np.array_equal(got, want), f"{b}: PPA {field} differ"
+        assert np.array_equal(conn_run(b), ref_conn), (
+            f"{b}: connectivity output differs"
         )
-        color_t = _interleaved_best(color_fns, repeats)
+
+    cpa_fns = {b: (lambda b=b: cpa_run(b)) for b in backends}
+    if "native-mt" in backends:
+        got_l, got_d, got_n = cpa_run("native-mt", n_threads=1)
+        assert np.array_equal(got_l, ref_cpa[0]) and np.array_equal(
+            got_d, ref_cpa[1]
+        ) and got_n == ref_cpa[2], "native-mt@1t: CPA differs"
+        cpa_fns["native-mt@1t"] = lambda: cpa_run("native-mt", n_threads=1)
+
+    def whole_frame_color():
+        return xyz_to_lab(linear_rgb_to_xyz(_gamma_lut_u8()[image]))
+
+    color_fns = {
+        "whole_frame": whole_frame_color,
+        "band_1t": lambda: rgb_to_lab(image, n_threads=1),
+        "band_mt": lambda: rgb_to_lab(image, n_threads=mt_threads),
+    }
+    if "native-mt" in backends:
+        native_rgb = get_backend("native-mt").lab_from_rgb
+        color_fns["native_1t"] = lambda: native_rgb(image, n_threads=1)
+        color_fns["native_mt"] = lambda: native_rgb(
+            image, n_threads=mt_threads
+        )
+    want_lab = whole_frame_color().view(np.uint64)
+    for name, fn in color_fns.items():
+        assert np.array_equal(fn().view(np.uint64), want_lab), (
+            f"rgb_to_lab {name} differs from the whole-frame chain"
+        )
+
+    # --- timings -------------------------------------------------------
+    cpa_t = _interleaved_best(cpa_fns, repeats)
+    ppa_t = _interleaved_best(
+        {b: (lambda b=b: ppa_run(b)) for b in backends}, repeats
+    )
+    conn_t = _interleaved_best(
+        {b: (lambda b=b: conn_run(b)) for b in backends}, repeats
+    )
+    color_t = _interleaved_best(color_fns, repeats)
 
     rows, records = [], []
     header = (

@@ -13,6 +13,12 @@ This module models the accelerator's Color Conversion Unit bit-by-bit:
 The output codes are what the Cluster Update Unit's distance calculators
 consume; :class:`LabEncoding` defines their meaning so quality metrics can
 decode them back to real Lab values.
+
+:func:`convert_codes_reference` is the spec, and
+:class:`HwColorConverter`'s methods run it. The engine's color phase
+calls the ``lab_from_codes`` entry of its kernel backend instead, which
+returns the codes and their decode from one traversal
+(:func:`lab_from_codes_reference` on ``reference``).
 """
 
 from __future__ import annotations
@@ -130,45 +136,27 @@ class HwColorConverter:
         self.matrix_raw = self._matrix_fmt.to_raw(folded)
 
     # ------------------------------------------------------------------
-    def convert_codes(self, rgb: np.ndarray, backend: str | None = None) -> np.ndarray:
+    def convert_codes(self, rgb: np.ndarray) -> np.ndarray:
         """uint8 RGB image -> integer Lab channel codes (H, W, 3), int64.
 
         Every step is integer arithmetic mirroring the fixed-point
-        datapath. ``backend`` selects the :mod:`repro.kernels`
-        implementation (``None``/"auto" picks the best available); all
-        backends are bit-identical to :func:`convert_codes_reference`.
-        The codes come from :meth:`convert_fused`, the one conversion
-        kernel.
+        datapath; runs :func:`convert_codes_reference`.
         """
-        return self.convert_fused(rgb, backend=backend)[1]
-
-    def convert_fused(
-        self, rgb: np.ndarray, backend: str | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """uint8 RGB image -> ``(lab, codes)`` in one backend traversal.
-
-        ``decode(codes)`` plus the codes themselves; native backends
-        produce both outputs in a single pass over the pixels. Every
-        backend is bit-identical to :func:`lab_from_codes_reference`.
-        """
-        from ..kernels import get_backend  # local import: kernels ↔ color
-
-        rgb = as_uint8_rgb(rgb)
-        return get_backend(backend).lab_from_codes(self, rgb)
+        return convert_codes_reference(self, rgb)
 
     def convert(self, rgb: np.ndarray) -> np.ndarray:
         """uint8 RGB image -> real Lab values *as the hardware sees them*.
 
-        Convenience wrapper: the decoded half of :meth:`convert_fused`.
-        The result differs from the float64 reference by the LUT and
-        quantization error — exactly the error the bit-width exploration of
-        Section 6.1 studies.
+        The decode of :meth:`convert_codes`. The result differs from the
+        float64 reference by the LUT and quantization error — exactly the
+        error the bit-width exploration of Section 6.1 studies.
         """
-        return self.convert_fused(rgb)[0]
+        return self.encoding.decode(self.convert_codes(rgb))
 
 
 def convert_codes_reference(converter: HwColorConverter, rgb: np.ndarray) -> np.ndarray:
-    """The scalar-semantics reference pipeline for :meth:`convert_codes`.
+    """The scalar-semantics reference pipeline behind
+    :meth:`HwColorConverter.convert_codes`.
 
     uint8 RGB image -> integer Lab channel codes (H, W, 3), int64. Every
     step is integer arithmetic on numpy int64 arrays; the ``native-mt``
@@ -206,13 +194,15 @@ def convert_codes_reference(converter: HwColorConverter, rgb: np.ndarray) -> np.
 
 
 def lab_from_codes_reference(
-    converter: HwColorConverter, rgb: np.ndarray
+    converter: HwColorConverter, rgb: np.ndarray, n_threads=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Canonical fused conversion: ``(decoded lab, codes)``.
 
     The reference simply composes :func:`convert_codes_reference` with
     :meth:`LabEncoding.decode`; optimized backends fuse the decode into
     the conversion traversal and must match both arrays bit for bit.
+    The spec runs serially; ``n_threads`` is accepted for the kernel
+    contract and ignored.
     """
     codes = convert_codes_reference(converter, rgb)
     return converter.encoding.decode(codes), codes

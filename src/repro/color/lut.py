@@ -19,6 +19,7 @@ Two structures implement that:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,28 +34,10 @@ __all__ = [
     "PiecewiseLinearLut",
     "build_cbrt_pwl",
     "DEFAULT_CBRT_BREAKPOINTS",
-    "CACHE_STATS",
-    "reset_lut_caches",
 ]
 
-#: Per-process LUT construction caches. Tables are pure functions of
-#: their fixed-point configuration, so every HwColorConverter with the
-#: same config shares one (read-only) table instead of re-fitting per
-#: frame. ``CACHE_STATS`` feeds the ``color.lut_cache_hits`` telemetry
-#: counter the engine emits.
-_GAMMA_CACHE: dict = {}
-_PWL_CACHE: dict = {}
-CACHE_STATS = {"hits": 0, "misses": 0}
 
-
-def reset_lut_caches() -> None:
-    """Drop memoized LUTs and zero the stats (test isolation hook)."""
-    _GAMMA_CACHE.clear()
-    _PWL_CACHE.clear()
-    CACHE_STATS["hits"] = 0
-    CACHE_STATS["misses"] = 0
-
-
+@functools.cache
 def build_gamma_lut(frac_bits: int = 12) -> np.ndarray:
     """Build the 256-entry inverse-gamma LUT (memoized per process).
 
@@ -66,17 +49,11 @@ def build_gamma_lut(frac_bits: int = 12) -> np.ndarray:
     """
     if not (1 <= frac_bits <= 30):
         raise ConfigurationError(f"gamma LUT frac_bits must be in [1,30], got {frac_bits}")
-    cached = _GAMMA_CACHE.get(frac_bits)
-    if cached is not None:
-        CACHE_STATS["hits"] += 1
-        return cached
-    CACHE_STATS["misses"] += 1
     codes = np.arange(256, dtype=np.float64) / 255.0
     linear = srgb_gamma_expand(codes)
     scale = float(1 << frac_bits)
     lut = np.rint(linear * scale).astype(np.int64)
     lut.flags.writeable = False  # shared across converters
-    _GAMMA_CACHE[frac_bits] = lut
     return lut
 
 
@@ -234,14 +211,16 @@ def build_cbrt_pwl(
         in_fmt = QFormat(16, 12, signed=False)
     if out_fmt is None:
         out_fmt = QFormat(16, 14, signed=False)
-    key = (in_fmt, out_fmt, tuple(float(b) for b in breakpoints))
-    cached = _PWL_CACHE.get(key)
-    if cached is not None:
-        CACHE_STATS["hits"] += 1
-        return cached
-    CACHE_STATS["misses"] += 1
+    return _fit_cbrt_pwl(in_fmt, out_fmt, tuple(float(b) for b in breakpoints))
+
+
+@functools.cache
+def _fit_cbrt_pwl(in_fmt, out_fmt, breakpoints) -> PiecewiseLinearLut:
+    """:func:`build_cbrt_pwl`'s memoized fit (``breakpoints`` a tuple of
+    floats, so equal configurations share one cache entry)."""
     pwl = PiecewiseLinearLut.fit(_f_scalar, breakpoints, in_fmt, out_fmt)
-    for arr in (pwl.slopes_raw, pwl.intercepts_raw, pwl.breaks_raw):
+    for arr in (
+        pwl.breakpoints, pwl.slopes_raw, pwl.intercepts_raw, pwl.breaks_raw
+    ):
         arr.flags.writeable = False  # shared across converters
-    _PWL_CACHE[key] = pwl
     return pwl

@@ -22,6 +22,7 @@ The forward chain is:
 
 from __future__ import annotations
 
+import functools
 import threading
 
 import numpy as np
@@ -155,23 +156,20 @@ def lab_to_xyz(lab: np.ndarray, white: np.ndarray = D65_WHITE) -> np.ndarray:
 #: memory between numpy passes.
 BAND_PIXELS = 32768
 
-_GAMMA_LUT_U8 = None
 
-
+@functools.cache
 def _gamma_lut_u8() -> np.ndarray:
     """256-entry table of ``srgb_gamma_expand(v / 255.0)`` for uint8 v.
 
     Gamma expansion is elementwise, so gathering from this table is
     bit-identical to ``srgb_gamma_expand(as_float_rgb(rgb))`` on uint8
     input — each entry is the literal float64 the full-image expression
-    would compute for that code value.
+    would compute for that code value. Built once per process and
+    read-only.
     """
-    global _GAMMA_LUT_U8
-    if _GAMMA_LUT_U8 is None:
-        _GAMMA_LUT_U8 = srgb_gamma_expand(
-            np.arange(256, dtype=np.float64) / 255.0
-        )
-    return _GAMMA_LUT_U8
+    lut = srgb_gamma_expand(np.arange(256, dtype=np.float64) / 255.0)
+    lut.flags.writeable = False
+    return lut
 
 
 def rgb_to_lab(rgb: np.ndarray, n_threads: int = 1) -> np.ndarray:

@@ -15,9 +15,9 @@ arithmetic — per-field sums plus a final division — is identical.
 ``sigma_accumulate`` kernel contract entry: one pass producing the
 partial sums/counts for a batch directly from the flat image arrays,
 with x/y derived from the flat pixel index — no (M, 5) values matrix.
-The ``native-mt`` backend's C loops must reproduce it bit for bit;
-:meth:`SigmaAccumulator.accumulate` dispatches through whichever backend
-the engine selected.
+The ``native-mt`` backend's C loops must reproduce it bit for bit.
+The engine calls the ``sigma_accumulate`` entry of its backend module
+and adds the partials to the registers with :meth:`SigmaAccumulator.fold`.
 """
 
 from __future__ import annotations
@@ -81,8 +81,12 @@ def sigma_accumulate_reference(
     codes_flat=None,
     encoding=None,
     idx=None,
+    n_threads=None,
 ):
     """Canonical one-pass sigma partial accumulation.
+
+    The spec runs serially; ``n_threads`` is accepted for the kernel
+    contract and ignored.
 
     Parameters
     ----------
@@ -98,8 +102,9 @@ def sigma_accumulate_reference(
     codes_flat / encoding:
         (N, 3) integer channel codes plus their
         :class:`~repro.color.hw_convert.LabEncoding` (fixed datapath);
-        color fields are the *decoded* code values, exactly like
-        ``PixelArrays.values5``.
+        color fields are the *decoded* code values
+        (``encoding.decode``), so center means stay in real Lab units
+        while reflecting the code quantization the hardware accumulates.
     idx:
         (M,) flat pixel indices selecting the batch, or ``None`` for
         "every row in order" (``idx[j] == j``).
@@ -178,38 +183,14 @@ class SigmaAccumulator:
                 labels, weights=values5[:, f], minlength=self.n_clusters
             )
 
-    def accumulate(
-        self,
-        kernels,
-        labels,
-        width,
-        idx=None,
-        lab_flat=None,
-        codes_flat=None,
-        encoding=None,
-    ) -> None:
-        """Accumulate a batch through a kernel backend's ``sigma_accumulate``.
-
-        The backend returns zero-based partials ``(sums, counts)`` which are
-        folded in by :meth:`fold` — bitwise-equal to :meth:`add` on the
-        equivalent (M, 5) values matrix, without ever materializing it.
-        """
-        self.fold(*kernels.sigma_accumulate(
-            labels,
-            self.n_clusters,
-            width,
-            lab_flat=lab_flat,
-            codes_flat=codes_flat,
-            encoding=encoding,
-            idx=idx,
-        ))
-
     def fold(self, sums: np.ndarray, counts: np.ndarray) -> None:
         """Add zero-based kernel partials into the registers with ``+=``.
 
         The partials come from ``sigma_accumulate`` or the fused
         ``ppa_assign`` pass, which returns the subset's partials with its
-        assignment.
+        assignment. Folding ``sigma_accumulate``'s partials is
+        bitwise-equal to :meth:`add` on the equivalent (M, 5) values
+        matrix, without ever materializing it.
         """
         self.sums += sums
         self.counts += counts

@@ -108,8 +108,9 @@ class PixelArrays:
     def sigma_source(self) -> dict:
         """The ``sigma_accumulate`` source arguments for this frame.
 
-        The fixed datapath accumulates decoded codes (``values5``
-        semantics); the float path accumulates the Lab rows directly.
+        The fixed datapath accumulates decoded codes (the codes plus
+        their encoding); the float path accumulates the Lab rows
+        directly.
         """
         if self.datapath is not None:
             return {
@@ -117,22 +118,6 @@ class PixelArrays:
                 "encoding": self.datapath.encoding,
             }
         return {"lab_flat": self.lab_flat}
-
-    def values5(self, idx: np.ndarray) -> np.ndarray:
-        """(M, 5) rows ``[L, a, b, x, y]`` for sigma accumulation.
-
-        In fixed mode the color fields are the *decoded* code values, so
-        center means stay in real Lab units while reflecting the code
-        quantization the hardware accumulates.
-        """
-        out = np.empty((len(idx), 5), dtype=np.float64)
-        if self.datapath is not None:
-            out[:, 0:3] = self.datapath.encoding.decode(self.codes_flat[idx])
-        else:
-            out[:, 0:3] = self.lab_flat[idx]
-        out[:, 3] = self.x_flat[idx]
-        out[:, 4] = self.y_flat[idx]
-        return out
 
 
 def check_ppa_args(pixels, subset_idx, candidates, centers, labels_out=None):
@@ -203,6 +188,7 @@ def ppa_assign_reference(
     compactness: float | None = None,
     grid_s: float | None = None,
     labels_out: np.ndarray | None = None,
+    n_threads=None,
 ):
     """Canonical form of the fused ``ppa_assign`` kernel contract entry.
 
@@ -210,7 +196,8 @@ def ppa_assign_reference(
     subset (:func:`assign_ppa`), write the chosen labels into
     ``labels_out`` (the frame's label map, when given), and accumulate the
     subset's sigma partials (:func:`sigma_accumulate_reference` over the
-    chosen labels, in subset order).
+    chosen labels, in subset order). The spec runs serially;
+    ``n_threads`` is accepted for the kernel contract and ignored.
 
     Returns ``(chosen, sums, counts)``: the (M,) int32 chosen clusters in
     subset order and the zero-based (K, 5) float64 / (K,) int64 partials
@@ -302,6 +289,7 @@ def assign_cpa(
     datapath: FixedDatapath = None,
     compactness: float | None = None,
     codes: np.ndarray | None = None,
+    n_threads=None,
 ) -> int:
     """CPA assignment: scan a 2S x 2S window per center, updating the
     running-minimum buffers in place.
@@ -318,6 +306,9 @@ def assign_cpa(
 
     Returns the number of distinct pixels scanned at least once (windows
     overlap, so this is less than the summed window areas).
+
+    This is the ``cpa_assign`` spec. It runs serially; ``n_threads`` is
+    accepted for the kernel contract and ignored.
     """
     h, w = lab.shape[:2]
     half = int(np.ceil(grid_s))

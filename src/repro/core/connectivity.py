@@ -208,14 +208,16 @@ def check_connectivity_args(labels: np.ndarray, min_size):
     return labels, min(min_size, labels.size + 1)
 
 
-def enforce_connectivity_reference(labels: np.ndarray, min_size):
+def enforce_connectivity_reference(labels: np.ndarray, min_size,
+                                   n_threads=None):
     """The connectivity pass on the scalar union-find and merge walk —
     the spec every backend's ``enforce_connectivity`` must match.
 
     :func:`connected_components_reference` labels the components in
     first-appearance order, the adjacency graph and the processing order
     are built once in numpy, and :func:`merge_small_reference` walks
-    them.
+    them. The spec runs serially; ``n_threads`` is accepted for the
+    kernel contract and ignored.
     """
     labels, min_size = check_connectivity_args(labels, min_size)
     if min_size <= 1:
@@ -268,20 +270,15 @@ def enforce_connectivity_reference(labels: np.ndarray, min_size):
     return comp_label[final_root][comps].astype(np.int32)
 
 
-def enforce_connectivity(
-    labels: np.ndarray,
-    min_size: int,
-    backend: str | None = None,
-) -> np.ndarray:
+def enforce_connectivity(labels: np.ndarray, min_size: int) -> np.ndarray:
     """Absorb connected fragments smaller than ``min_size`` pixels.
 
     See module docstring for the algorithm. The returned map reuses the
     superpixel labels of the absorbing components; a lone image smaller
     than ``min_size`` is returned unchanged (nothing to merge into).
-    ``backend`` selects the kernel backend by name (``None`` honours the
-    ``REPRO_KERNEL_BACKEND`` environment variable, then ``auto``); both
-    backends match the reference bit for bit, and both validate their
-    input with :func:`check_connectivity_args` first.
+    Runs on the kernel backend that ``REPRO_KERNEL_BACKEND`` names, else
+    ``auto``; both backends match the reference bit for bit, and both
+    validate their input with :func:`check_connectivity_args` first.
 
     No-op semantics, shared by every early return and the main path:
     when nothing merges, the output is exactly ``labels`` (as a fresh
@@ -292,4 +289,4 @@ def enforce_connectivity(
     """
     from ..kernels import get_backend  # lazy: kernels imports this module
 
-    return get_backend(backend).enforce_connectivity(labels, min_size)
+    return get_backend().enforce_connectivity(labels, min_size)

@@ -34,7 +34,6 @@ from ..obs.tracer import NULL_TRACER
 from ..types import as_uint8_rgb, check_index_range, validate_rgb_image
 from .accumulators import SigmaAccumulator, center_movement
 from .assignment import PixelArrays
-from .connectivity import enforce_connectivity
 from .distance import spatial_weight
 from .initialization import grid_geometry, initial_centers, perturb_centers
 from .neighbors import dynamic_candidate_map, ppa_geometry, tile_map
@@ -110,22 +109,15 @@ def run_segmentation(
     timer = PhaseTimer(tracer=tracer)
     kernel_name = resolve_name(params.kernel_backend)
     if kernel_name == "native-mt":
-        # Pin the ambient kernel thread count for the whole run: every
-        # name-string dispatch site (color conversion, connectivity)
-        # resolves through it, and it is context-local, so
-        # concurrent engines in one process keep their own settings.
+        # One thread count for the whole run, passed to every kernel call.
         from ..kernels.native import ppa_lanes
-        from ..kernels.native_mt import resolve_threads, thread_context
+        from ..kernels.native_mt import resolve_threads
 
         n_threads = resolve_threads(params.n_threads)
         lanes = ppa_lanes()
-        thread_ctx = thread_context(n_threads)
     else:
-        import contextlib
-
         n_threads = lanes = None
-        thread_ctx = contextlib.nullcontext()
-    with thread_ctx, tracer.span(
+    with tracer.span(
         "segmentation",
         architecture=params.architecture,
         n_superpixels=params.n_superpixels,
@@ -156,8 +148,8 @@ def _run_instrumented(
     """The engine body; always runs inside the root ``segmentation`` span.
 
     ``n_threads`` is the run's kernel thread count (1 unless the backend
-    is ``native-mt``); the float color conversion, ``lab_from_rgb``,
-    runs its row bands on that many threads.
+    is ``native-mt``). Every kernel call is an attribute of the backend
+    module and passes it.
     """
     kernels = get_backend(kernel_name)
 
@@ -168,16 +160,10 @@ def _run_instrumented(
     datapath = params.datapath
     with timer.phase("color_conversion"):
         if datapath is not None:
-            from ..color.lut import CACHE_STATS
-
-            hits_before = CACHE_STATS["hits"]
             converter = HwColorConverter(encoding=datapath.encoding)
-            lut_hits = CACHE_STATS["hits"] - hits_before
-            if lut_hits:
-                tracer.count("color.lut_cache_hits", lut_hits)
             # One traversal produces the codes and their float decode.
-            lab, codes = converter.convert_fused(
-                as_uint8_rgb(image), backend=kernel_name
+            lab, codes = kernels.lab_from_codes(
+                converter, as_uint8_rgb(image), n_threads=n_threads
             )
         else:
             codes = None
@@ -285,6 +271,7 @@ def _run_instrumented(
                                 compactness=params.compactness,
                                 grid_s=s,
                                 labels_out=labels_flat,
+                                n_threads=n_threads,
                             )
                             if mode == "accumulate":
                                 # Sigma registers persist across the sweep's
@@ -300,10 +287,11 @@ def _run_instrumented(
                         with timer.phase("center_update"):
                             if mode == "all_assigned":
                                 acc.reset()
-                                acc.accumulate(
-                                    kernels, labels_flat, w,
+                                acc.fold(*kernels.sigma_accumulate(
+                                    labels_flat, n_clusters, w,
                                     **pixels.sigma_source,
-                                )
+                                    n_threads=n_threads,
+                                ))
                             centers = acc.compute_centers(fallback=centers)
                     tracer.count("engine.pixels_assigned", len(idx))
                     if tracer is not NULL_TRACER:
@@ -339,15 +327,14 @@ def _run_instrumented(
                                 datapath=datapath,
                                 compactness=params.compactness,
                                 codes=codes,
+                                n_threads=n_threads,
                             )
                         with timer.phase("center_update"):
                             acc.reset()
-                            acc.accumulate(
-                                kernels,
-                                labels_buf.ravel(),
-                                w,
-                                lab_flat=lab_rows,
-                            )
+                            acc.fold(*kernels.sigma_accumulate(
+                                labels_buf.ravel(), n_clusters, w,
+                                lab_flat=lab_rows, n_threads=n_threads,
+                            ))
                             new_centers = acc.compute_centers(fallback=centers)
                             if n_subsets > 1:
                                 # Only the scanned subset's centers move this
@@ -392,8 +379,8 @@ def _run_instrumented(
     if params.enforce_connectivity:
         with timer.phase("connectivity"):
             min_size = max(1, int(params.min_size_factor * s * s))
-            labels = enforce_connectivity(
-                labels, min_size, backend=kernel_name
+            labels = kernels.enforce_connectivity(
+                labels, min_size, n_threads=n_threads
             )
 
     return SegmentationResult(

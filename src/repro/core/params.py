@@ -107,8 +107,9 @@ class SlicParams:
         (``reference`` ignores it); ``1`` runs the compiled kernels serially
         on the calling thread. ``None`` defers to
         ``REPRO_KERNEL_THREADS``, then the cores in the process's CPU
-        affinity mask. Results are bit-identical at any thread count,
-        so this only affects speed.
+        affinity mask. The engine resolves it once per run and passes
+        it to every kernel call as ``n_threads=``. Results are
+        bit-identical at any thread count, so this only affects speed.
     """
 
     n_superpixels: int = 100

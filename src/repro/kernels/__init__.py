@@ -21,6 +21,11 @@ Both backends return bit-identical labels; pick one with
 ``SlicParams(kernel_backend=...)``, the ``--kernel-backend`` CLI flag, or
 the ``REPRO_KERNEL_BACKEND`` environment variable. See ``docs/kernels.md``.
 
+Every entry takes ``n_threads``; the reference spec accepts it and runs
+serially. The engine resolves its backend module (:func:`get_backend`)
+and its thread count once per run, then calls each entry as an
+attribute of that module with ``n_threads=``.
+
 Backends are *supervised*: before a process trusts one it must pass a
 known-answer self-test, and a failing ``native-mt`` demotes to
 ``reference`` (see

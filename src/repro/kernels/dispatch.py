@@ -10,11 +10,11 @@ Two backends implement the same six-entry kernel contract
 * ``native-mt`` — compiled C hot loops at any thread count, available
   when a C compiler is; ``n_threads=1`` is the serial case.
 
-Selection order: an explicit name (``SlicParams.kernel_backend`` or a
-``backend=`` argument) wins; otherwise the ``REPRO_KERNEL_BACKEND``
-environment variable; otherwise ``auto``, which picks ``native-mt``
-when the C library compiles and ``reference`` when there is no
-compiler. Both backends produce bit-identical labels, so selection only
+Selection order: an explicit name (``SlicParams.kernel_backend`` or the
+name passed to :func:`get_backend`) wins; otherwise the
+``REPRO_KERNEL_BACKEND`` environment variable; otherwise ``auto``, which
+picks ``native-mt`` when the C library compiles and ``reference`` when
+there is no compiler. Both backends produce bit-identical labels, so selection only
 affects speed.
 """
 

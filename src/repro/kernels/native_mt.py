@@ -37,15 +37,13 @@ code-domain sigma accumulation (``sigma_accumulate`` with
 experiment reaches either: every one that uses the fixed datapath runs
 it through the fused PPA pass.
 
-Thread-count resolution, per call site, first match wins:
+Every entry takes ``n_threads``; :func:`resolve_threads` turns it into
+the call's width, first match wins:
 
-1. an explicit ``n_threads=`` keyword (direct callers),
-2. the ambient :func:`thread_context` (how ``SlicParams.n_threads``
-   reaches kernels dispatched by backend *name* deep in the engine —
-   a :class:`contextvars.ContextVar`, so concurrent engines in one
-   process each see their own setting),
-3. the ``REPRO_KERNEL_THREADS`` environment variable,
-4. :func:`repro.kernels.usable_cores` (the CPU affinity mask, so a
+1. the ``n_threads`` argument (the engine passes the run's count,
+   resolved once from ``SlicParams.n_threads``),
+2. the ``REPRO_KERNEL_THREADS`` environment variable,
+3. :func:`repro.kernels.usable_cores` (the CPU affinity mask, so a
    pinned process is not oversubscribed).
 
 The result is clamped to [1, MAX_THREADS]; the C pool degrades
@@ -54,8 +52,6 @@ gracefully if thread spawn fails (kernels see the width that exists).
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import ctypes
 import os
 
@@ -81,7 +77,6 @@ __all__ = [
     "is_available",
     "load",
     "resolve_threads",
-    "thread_context",
     "cpa_assign",
     "ppa_assign",
     "enforce_connectivity",
@@ -95,16 +90,9 @@ MAX_THREADS = 64
 
 ENV_THREADS = "REPRO_KERNEL_THREADS"
 
-#: Ambient per-context thread count (None = fall through to env/cores).
-_ambient: contextvars.ContextVar = contextvars.ContextVar(
-    "repro_kernel_threads", default=None
-)
-
 
 def resolve_threads(n_threads=None) -> int:
     """Resolve the effective thread count for one kernel call."""
-    if n_threads is None:
-        n_threads = _ambient.get()
     if n_threads is None:
         env = os.environ.get(ENV_THREADS)
         if env:
@@ -115,21 +103,6 @@ def resolve_threads(n_threads=None) -> int:
     if n_threads is None:
         n_threads = usable_cores()
     return max(1, min(int(n_threads), MAX_THREADS))
-
-
-@contextlib.contextmanager
-def thread_context(n_threads):
-    """Pin the ambient thread count for the calling context.
-
-    Context-local, not process-global: two engines running concurrently
-    in different threads (or asyncio tasks) each keep their own value.
-    ``None`` simply defers to the env/core-count fallbacks.
-    """
-    token = _ambient.set(None if n_threads is None else int(n_threads))
-    try:
-        yield
-    finally:
-        _ambient.reset(token)
 
 
 # ----------------------------------------------------------------------
@@ -368,9 +341,9 @@ def sigma_accumulate(
     """Cluster-ownership-partitioned sigma accumulation.
 
     Returns partial ``(sums, counts)`` accumulated from zero — the
-    caller (``SigmaAccumulator.accumulate``) folds them into its
-    registers. x/y come from the flat pixel index, so no (M, 5) values
-    matrix is ever materialized. Each thread owns a contiguous cluster
+    caller folds them into its registers with ``SigmaAccumulator.fold``.
+    x/y come from the flat pixel index, so no (M, 5) values matrix is
+    ever materialized. Each thread owns a contiguous cluster
     range and scans every entry, accumulating only the labels it owns —
     the full one-thread addition order per register, so sums are
     bit-identical at any thread count (see the sigma section in

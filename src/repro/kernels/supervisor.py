@@ -94,69 +94,31 @@ def self_test(name: str) -> None:
     the float and 8-bit datapaths, the fused connectivity pass) on tiny
     fixed inputs and compares against the reference loops, raising
     :class:`ConfigurationError` with the mismatch detail on any
-    difference. Cheap (a 6 x 9 image, extended by a 3-row strip that
-    fills the PPA pass's 8 lanes, and a handful of components) —
-    intended to run once per process. The ``native-mt`` vector runs the
-    whole battery pinned to 2 threads (so the pool and the stitch are
-    genuinely exercised), plus one-thread and odd 3-thread passes of the
-    CPA scan, the fused PPA pass and the connectivity pass that would
-    catch a broken inline path or remainder-band partition bugs. The
-    float color check's 4 x 5 images fit in one band of the row-band
-    walk, so its 2- and 3-thread passes start no helper thread; the band
-    split is covered by ``TestBandWalk`` in the tier-1 tests.
-    """
-    import contextlib
+    difference. ``reference`` returns at once: it is what the checks
+    compare against. Cheap (a 6 x 9 image, extended by a 3-row strip
+    that fills the PPA pass's 8 lanes, a handful of components, and a
+    two-band ramp for the float color walk) — intended to run once per
+    process.
 
+    Each check passes its thread widths as ``n_threads=``. The CPA scan,
+    the fused PPA pass and the connectivity pass run at 2, 1 and 3
+    threads: the pool and its stitch, the inline path, and an odd split
+    with remainder bands. The color conversions and the float sigma
+    accumulation run at 2 and 3, the code-domain sigma accumulation
+    (which runs the reference) at 2. The float color check's 2 x 16,385
+    ramp is two one-row bands of the row-band walk, so its 2- and
+    3-thread passes hand the second band to a helper thread.
+    """
+    from ..color.reference import BAND_PIXELS
     from . import reference
     from .dispatch import _module
 
     name = validate_name(name)
+    if name == "reference":
+        return
     backend = _module(name)
     lab, centers, weight, grid_s = _known_answer_inputs()
     h, w = lab.shape[:2]
-
-    def pinned():
-        if name == "native-mt":
-            from . import native_mt
-
-            return native_mt.thread_context(2)
-        return contextlib.nullcontext()
-
-    def run(mod, **kwargs):
-        dist = np.full((h, w), np.inf)
-        labels = np.full((h, w), -1, dtype=np.int32)
-        touched = mod.cpa_assign(
-            lab, centers, weight, grid_s, dist, labels, **kwargs
-        )
-        return touched, dist, labels
-
-    with pinned():
-        got_touched, got_dist, got_labels = run(backend)
-    want_touched, want_dist, want_labels = run(reference)
-    if name == "native-mt":
-        for nt in (1, 3):
-            touched, dist, labels = run(backend, n_threads=nt)
-            if not (
-                touched == want_touched
-                and np.array_equal(labels, want_labels)
-                and np.array_equal(dist, want_dist)
-            ):
-                raise ConfigurationError(
-                    "kernel backend 'native-mt' failed its known-answer "
-                    f"self-test at {nt} thread(s) (inline path or "
-                    "remainder-band partition bug?)"
-                )
-    if (
-        got_touched != want_touched
-        or not np.array_equal(got_labels, want_labels)
-        or not np.array_equal(got_dist, want_dist)
-    ):
-        raise ConfigurationError(
-            f"kernel backend {name!r} failed its known-answer self-test "
-            f"(labels match: {np.array_equal(got_labels, want_labels)}, "
-            f"distances match: {np.array_equal(got_dist, want_dist)}, "
-            f"touched: {got_touched} vs {want_touched})"
-        )
 
     def check(kernel, got, want):
         if not np.array_equal(got, want):
@@ -164,6 +126,20 @@ def self_test(name: str) -> None:
                 f"kernel backend {name!r} failed its known-answer "
                 f"self-test on {kernel!r} (output differs from reference)"
             )
+
+    def cpa_run(mod, **kwargs):
+        dist = np.full((h, w), np.inf)
+        labels = np.full((h, w), -1, dtype=np.int32)
+        touched = mod.cpa_assign(
+            lab, centers, weight, grid_s, dist, labels, **kwargs
+        )
+        return {"touched": touched, "labels": labels, "dist": dist}
+
+    want = cpa_run(reference)
+    for nt in (2, 1, 3):
+        got = cpa_run(backend, n_threads=nt)
+        for field, value in want.items():
+            check(f"cpa_assign.{field}@{nt}t", got[field], value)
 
     # Fixed-point Lab conversion, codes and their decode from one
     # traversal: a tiny RGB ramp covering all channels.
@@ -174,28 +150,28 @@ def self_test(name: str) -> None:
     ).reshape(4, 5, 3)
     conv = HwColorConverter()
     want_flab, want_fcodes = reference.lab_from_codes(conv, rgb)
-    with pinned():
-        got_flab, got_fcodes = backend.lab_from_codes(conv, rgb)
-    check("lab_from_codes.lab", got_flab, want_flab)
-    check("lab_from_codes.codes", got_fcodes, want_fcodes)
-    if name == "native-mt":
-        odd_flab, odd_fcodes = backend.lab_from_codes(conv, rgb, n_threads=3)
-        check("lab_from_codes.lab@3t", odd_flab, want_flab)
-        check("lab_from_codes.codes@3t", odd_fcodes, want_fcodes)
+    for nt in (2, 3):
+        got_flab, got_fcodes = backend.lab_from_codes(conv, rgb, n_threads=nt)
+        check(f"lab_from_codes.lab@{nt}t", got_flab, want_flab)
+        check(f"lab_from_codes.codes@{nt}t", got_fcodes, want_fcodes)
 
-    # Float Lab conversion of the same ramp and of a float image. Each
-    # holds values on the gamma curve's linear segment and dark pixels
-    # whose XYZ/white takes f's linear branch. Compared as bit
-    # patterns, so a -0.0 for 0.0 fails too.
+    # Float Lab conversion of the same ramp, of a float image and of a
+    # uint8 ramp two bands tall. The first two hold values on the gamma
+    # curve's linear segment and dark pixels whose XYZ/white takes f's
+    # linear branch. Compared as bit patterns, so a -0.0 for 0.0 fails
+    # too.
     rgb_float = ((np.arange(4 * 5 * 3) * 0.37 % 1.0) ** 3).reshape(4, 5, 3)
-    for kind, image in (("u8", rgb), ("float", rgb_float)):
+    seam_w = BAND_PIXELS // 2 + 1
+    rgb_seam = (np.arange(2 * seam_w * 3, dtype=np.int64) * 7 % 251).astype(
+        np.uint8
+    ).reshape(2, seam_w, 3)
+    for kind, image in (
+        ("u8", rgb), ("float", rgb_float), ("seam", rgb_seam)
+    ):
         want_lab = reference.lab_from_rgb(image).view(np.uint64)
-        with pinned():
-            got_lab = backend.lab_from_rgb(image)
-        check(f"lab_from_rgb.{kind}", got_lab.view(np.uint64), want_lab)
-        if name == "native-mt":
-            odd_lab = backend.lab_from_rgb(image, n_threads=3)
-            check(f"lab_from_rgb.{kind}@3t", odd_lab.view(np.uint64),
+        for nt in (2, 3):
+            got_lab = backend.lab_from_rgb(image, n_threads=nt)
+            check(f"lab_from_rgb.{kind}@{nt}t", got_lab.view(np.uint64),
                   want_lab)
 
     # Sigma accumulation: float rows over the full CPA image (with an
@@ -206,12 +182,12 @@ def self_test(name: str) -> None:
     want_sums, want_counts = reference.sigma_accumulate(
         sig_labels, 6, w, lab_flat=lab_rows
     )
-    with pinned():
+    for nt in (2, 3):
         got_sums, got_counts = backend.sigma_accumulate(
-            sig_labels, 6, w, lab_flat=lab_rows
+            sig_labels, 6, w, lab_flat=lab_rows, n_threads=nt
         )
-    check("sigma_accumulate.sums", got_sums, want_sums)
-    check("sigma_accumulate.counts", got_counts, want_counts)
+        check(f"sigma_accumulate.sums@{nt}t", got_sums, want_sums)
+        check(f"sigma_accumulate.counts@{nt}t", got_counts, want_counts)
     codes_rows = conv.encoding.encode(lab_rows)
     subset = np.arange(0, h * w, 2, dtype=np.int64)
     sub_labels = (subset % 4).astype(np.int32)
@@ -219,19 +195,12 @@ def self_test(name: str) -> None:
         sub_labels, 4, w, codes_flat=codes_rows, encoding=conv.encoding,
         idx=subset,
     )
-    with pinned():
-        got_csums, got_ccounts = backend.sigma_accumulate(
-            sub_labels, 4, w, codes_flat=codes_rows, encoding=conv.encoding,
-            idx=subset,
-        )
-    check("sigma_accumulate.codes.sums", got_csums, want_csums)
-    check("sigma_accumulate.codes.counts", got_ccounts, want_ccounts)
-    if name == "native-mt":
-        odd_sums, odd_counts = backend.sigma_accumulate(
-            sig_labels, 6, w, lab_flat=lab_rows, n_threads=3
-        )
-        check("sigma_accumulate.sums@3t", odd_sums, want_sums)
-        check("sigma_accumulate.counts@3t", odd_counts, want_counts)
+    got_csums, got_ccounts = backend.sigma_accumulate(
+        sub_labels, 4, w, codes_flat=codes_rows, encoding=conv.encoding,
+        idx=subset, n_threads=2,
+    )
+    check("sigma_accumulate.codes.sums@2t", got_csums, want_csums)
+    check("sigma_accumulate.codes.counts@2t", got_ccounts, want_ccounts)
 
     # Fused PPA pass, float and 8-bit datapaths: the chosen labels, the
     # sigma partials and the label map written in place. Rows 0-5: six
@@ -298,17 +267,10 @@ def self_test(name: str) -> None:
 
     for kernel, (pixels, kwargs) in ppa_cases.items():
         want = ppa_run(reference, pixels, **kwargs)
-        with pinned():
-            got = ppa_run(backend, pixels, **kwargs)
-        runs = [("", got)]
-        if name == "native-mt":
-            runs += [
-                (f"@{nt}t", ppa_run(backend, pixels, n_threads=nt, **kwargs))
-                for nt in (1, 3)
-            ]
-        for suffix, out in runs:
+        for nt in (2, 1, 3):
+            got = ppa_run(backend, pixels, n_threads=nt, **kwargs)
             for field, value in want.items():
-                check(f"{kernel}.{field}{suffix}", out[field], value)
+                check(f"{kernel}.{field}@{nt}t", got[field], value)
 
     # Connectivity: a nested ring with strays and a label that recurs
     # in disjoint pieces (rows 0-6), so run unions chain across many
@@ -328,14 +290,10 @@ def self_test(name: str) -> None:
     ring[7:9, 3:5] = 3
     for min_size in (5, 12):
         want = reference.enforce_connectivity(ring, min_size)
-        with pinned():
-            got = backend.enforce_connectivity(ring, min_size)
-        check(f"enforce_connectivity/{min_size}", got, want)
-        if name == "native-mt":
-            # One thread runs inline; three put band seams mid-ring.
-            for nt in (1, 3):
-                got = backend.enforce_connectivity(ring, min_size, n_threads=nt)
-                check(f"enforce_connectivity/{min_size}@{nt}t", got, want)
+        # One thread runs inline; three put band seams mid-ring.
+        for nt in (2, 1, 3):
+            got = backend.enforce_connectivity(ring, min_size, n_threads=nt)
+            check(f"enforce_connectivity/{min_size}@{nt}t", got, want)
 
 
 def supervised_resolve(

@@ -29,22 +29,19 @@ def pytest_addoption(parser):
 def pytest_configure(config):
     config.addinivalue_line(
         "markers",
-        "kernel_threads(n): pin the ambient native-mt kernel thread count "
-        "to n for the test (see tests/kernel_cases.py)",
+        "kernel_threads(n): set REPRO_KERNEL_THREADS to n for the test "
+        "(see tests/kernel_cases.py)",
     )
 
 
 @pytest.fixture(autouse=True)
-def _kernel_threads(request):
+def _kernel_threads(request, monkeypatch):
     """Apply the test's ``kernel_threads`` marker, if it has one."""
     marker = request.node.get_closest_marker("kernel_threads")
-    if marker is None:
-        yield
-        return
-    from repro.kernels.native_mt import thread_context
+    if marker is not None:
+        from repro.kernels.native_mt import ENV_THREADS
 
-    with thread_context(marker.args[0]):
-        yield
+        monkeypatch.setenv(ENV_THREADS, str(marker.args[0]))
 
 
 @pytest.fixture(scope="session")

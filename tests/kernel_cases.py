@@ -48,8 +48,9 @@ def kernel_cases(names=None):
     compiled ``native-mt`` backend run twice: inline at one thread (id
     ``native``, the serial case) and on an odd-width three-thread pool
     (id ``native-mt``). The thread count reaches the kernels through the
-    ``kernel_threads`` marker, which ``conftest.py`` pins as the ambient
-    ``thread_context`` for the test.
+    ``kernel_threads`` marker, which ``conftest.py`` turns into
+    ``REPRO_KERNEL_THREADS`` for the test, so a call that passes no
+    ``n_threads`` runs at that width.
     """
     usable = available_backends()
     cases = []

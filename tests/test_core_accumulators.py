@@ -105,8 +105,9 @@ class TestAccumulateDispatch:
         assert np.array_equal(counts, acc.counts)
 
     def test_accumulate_folds_bitwise_like_add(self):
-        """Repeated accumulate() across batches equals repeated add() —
-        including nonzero starting registers (the S-SLIC sweep carry)."""
+        """Folding sigma_accumulate partials across batches equals
+        repeated add() — including nonzero starting registers (the
+        S-SLIC sweep carry)."""
         from repro.kernels import get_backend
 
         lab_flat, labels, vals, w, k = self._inputs(seed=3)
@@ -116,10 +117,12 @@ class TestAccumulateDispatch:
         via_add.add(vals[idx], labels[: len(idx)])
         via_kernel = SigmaAccumulator(k)
         kernels = get_backend("reference")
-        via_kernel.accumulate(kernels, labels, w, lab_flat=lab_flat)
-        via_kernel.accumulate(
-            kernels, labels[: len(idx)], w, idx=idx, lab_flat=lab_flat
-        )
+        via_kernel.fold(*kernels.sigma_accumulate(
+            labels, k, w, lab_flat=lab_flat
+        ))
+        via_kernel.fold(*kernels.sigma_accumulate(
+            labels[: len(idx)], k, w, idx=idx, lab_flat=lab_flat
+        ))
         assert np.array_equal(via_kernel.sums, via_add.sums)
         assert np.array_equal(via_kernel.counts, via_add.counts)
 
@@ -141,10 +144,9 @@ class TestAccumulateDispatch:
         via_add = SigmaAccumulator(k)
         via_add.add(vals, labels)
         via_kernel = SigmaAccumulator(k)
-        via_kernel.accumulate(
-            get_backend("reference"), labels, w,
-            codes_flat=codes_flat, encoding=enc,
-        )
+        via_kernel.fold(*get_backend("reference").sigma_accumulate(
+            labels, k, w, codes_flat=codes_flat, encoding=enc,
+        ))
         assert np.array_equal(via_kernel.sums, via_add.sums)
         assert np.array_equal(via_kernel.counts, via_add.counts)
 

@@ -91,16 +91,6 @@ class TestAssignPpa:
         ref = assign_ppa(float_pixels, idx, cands, centers, weight)
         assert (chosen == ref).mean() > 0.9
 
-    def test_values5_decodes_codes(self, setup):
-        lab, centers, tiles, cands, s, weight = setup
-        dp = FixedDatapath(bits=8)
-        pixels = PixelArrays(lab, tiles, datapath=dp)
-        vals = pixels.values5(np.array([0, 10, 100]))
-        assert vals.shape == (3, 5)
-        # Color fields reflect the quantized (not raw float) Lab.
-        assert np.abs(vals[:, 0:3] - lab.reshape(-1, 3)[[0, 10, 100]]).max() <= 1.0
-
-
     def test_pixel_arrays_view_the_frame(self, setup):
         """Preparing a frame copies nothing: lab_flat views a
         C-contiguous float64 image, the int32 tile map is kept as given,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import connected_components, enforce_connectivity
+from repro.kernels import get_backend
 
 from .kernel_cases import kernel_cases
 
@@ -134,8 +135,8 @@ def _assert_matches_reference(labels, backend):
     merges where."""
     area = labels.size
     for min_size in (2, max(2, area // 4), area + 1):
-        want = enforce_connectivity(labels, min_size, backend="reference")
-        got = enforce_connectivity(labels, min_size, backend=backend)
+        want = get_backend("reference").enforce_connectivity(labels, min_size)
+        got = get_backend(backend).enforce_connectivity(labels, min_size)
         assert np.array_equal(got, want), min_size
 
 
@@ -152,7 +153,7 @@ class TestEdgeCases:
         assert labels[comps == comps[6, 6]].sum() == 0
         # Only a separate island (16 px) falls below 17 and joins the
         # ring; the outside 0 (80 px) stays.
-        out = enforce_connectivity(labels, 17, backend=backend)
+        out = get_backend(backend).enforce_connectivity(labels, 17)
         assert (out[4:-4, 4:-4] == 1).all() and (out[0] == 0).all()
         _assert_matches_reference(labels, backend)
 
@@ -163,14 +164,14 @@ class TestEdgeCases:
         labels = np.zeros((11, 11), dtype=np.int32)
         labels[2:9, 2:9] = 1
         labels[3:8, 3:8] = 0
-        out = enforce_connectivity(labels, 30, backend=backend)
+        out = get_backend(backend).enforce_connectivity(labels, 30)
         assert (out == 0).all()
 
     def test_enclosed_island_below_min_size(self, backend):
         # The island (16 px) is too small; its only neighbor is the ring,
         # so it must take the ring's label, not the outside's.
         labels = _ring()
-        out = enforce_connectivity(labels, 20, backend=backend)
+        out = get_backend(backend).enforce_connectivity(labels, 20)
         comps, n = connected_components(out)
         assert n == 2
         assert (out[4:-4, 4:-4] == 1).all()
@@ -181,14 +182,14 @@ class TestEdgeCases:
         # everything collapses into one surviving component.
         labels = np.zeros((6, 8), dtype=np.int32)
         labels[:, 4:] = 1
-        out = enforce_connectivity(labels, 48, backend=backend)
+        out = get_backend(backend).enforce_connectivity(labels, 48)
         assert len(np.unique(out)) == 1
 
     def test_min_size_beyond_image_area_constant_map(self, backend):
         # A single component can never be merged anywhere — it must
         # survive unchanged even when smaller than min_size.
         labels = np.full((5, 5), 7, dtype=np.int32)
-        out = enforce_connectivity(labels, 10_000, backend=backend)
+        out = get_backend(backend).enforce_connectivity(labels, 10_000)
         assert np.array_equal(out, labels)
 
     def test_single_row_and_column(self, backend):
@@ -196,11 +197,11 @@ class TestEdgeCases:
         # its only neighbour, the 1s, whether the map is a row or a
         # column.
         row = np.array([[0, 0, 1, 1, 0]], dtype=np.int32)
-        out = enforce_connectivity(row, 2, backend=backend)
+        out = get_backend(backend).enforce_connectivity(row, 2)
         assert np.array_equal(out, [[0, 0, 1, 1, 1]])
         col = row.T.copy()
         assert np.array_equal(
-            enforce_connectivity(col, 2, backend=backend), out.T
+            get_backend(backend).enforce_connectivity(col, 2), out.T
         )
         for labels in (row, col):
             _assert_matches_reference(labels, backend)
@@ -222,7 +223,7 @@ class TestNoOpSemantics:
         rng = np.random.default_rng(11)
         labels = rng.integers(0, 5, (9, 9)).astype(np.int32)
         for min_size in (0, 1):
-            out = enforce_connectivity(labels, min_size, backend=backend)
+            out = get_backend(backend).enforce_connectivity(labels, min_size)
             assert np.array_equal(out, labels)
             assert out is not labels
             out[0, 0] = 99  # caller owns the buffer
@@ -230,13 +231,13 @@ class TestNoOpSemantics:
 
     def test_uniform_map_identity(self, backend):
         labels = np.full((6, 7), 3, dtype=np.int32)
-        out = enforce_connectivity(labels, 4, backend=backend)
+        out = get_backend(backend).enforce_connectivity(labels, 4)
         assert np.array_equal(out, labels)
         assert out is not labels
 
     def test_single_pixel_image(self, backend):
         labels = np.array([[5]], dtype=np.int32)
-        out = enforce_connectivity(labels, 10, backend=backend)
+        out = get_backend(backend).enforce_connectivity(labels, 10)
         assert np.array_equal(out, labels)
         assert out is not labels
 
@@ -245,7 +246,7 @@ class TestNoOpSemantics:
         # the lone 1 borders components 0 and 2 equally — the tie must
         # go to the lowest component id (0), matching the reference walk.
         labels = np.array([[0, 0, 0, 1, 2, 2, 2, 2]], dtype=np.int32)
-        out = enforce_connectivity(labels, 3, backend=backend)
+        out = get_backend(backend).enforce_connectivity(labels, 3)
         assert np.array_equal(
             out, np.array([[0, 0, 0, 0, 2, 2, 2, 2]], dtype=np.int32)
         )
@@ -255,5 +256,5 @@ class TestNoOpSemantics:
         # identity relabel, indistinguishable from the shortcuts.
         labels = np.zeros((8, 8), dtype=np.int32)
         labels[:, 4:] = 1
-        out = enforce_connectivity(labels, 4, backend=backend)
+        out = get_backend(backend).enforce_connectivity(labels, 4)
         assert np.array_equal(out, labels)

@@ -37,7 +37,6 @@ from repro.core import (
     tile_map,
 )
 from repro.core.assignment import PixelArrays, assign_cpa, assign_ppa
-from repro.core.connectivity import enforce_connectivity
 from repro.core.subsampling import make_schedule
 from repro.data import SceneConfig, generate_scene
 from repro.errors import ConfigurationError, ImageError
@@ -170,11 +169,14 @@ class TestPpaVsNaive:
         idx = np.arange(pixels.n_pixels)
         first = ppa_fn(pixels, idx, cands, centers, weight)
         # one crude center update: mean of assigned pixels
+        rows = np.column_stack(
+            [pixels.lab_flat, pixels.x_flat, pixels.y_flat]
+        )
         moved = centers.copy()
         for c in range(len(centers)):
             mask = first == c
             if mask.any():
-                moved[c] = pixels.values5(idx[mask]).mean(axis=0)
+                moved[c] = rows[idx[mask]].mean(axis=0)
         got = ppa_fn(pixels, idx, cands, moved, weight)
         want = naive_ppa(lab, tiles, cands, moved, weight, idx)
         assert np.array_equal(got, want)
@@ -381,7 +383,7 @@ class TestMergeChainSemantics:
         labels[0:2, 10:12] = 1
         labels[0:4, 8:10] = 2
         labels[2:4, 10:12] = 2
-        out = enforce_connectivity(labels, 20, backend=backend)
+        out = get_backend(backend).enforce_connectivity(labels, 20)
         assert np.array_equal(out, np.zeros_like(labels))
 
     def test_equal_border_tie_takes_lowest_component_id(self, backend):
@@ -392,7 +394,7 @@ class TestMergeChainSemantics:
         labels = np.zeros((5, 10), dtype=np.int32)
         labels[:, 4:6] = 1
         labels[:, 6:] = 2
-        out = enforce_connectivity(labels, 12, backend=backend)
+        out = get_backend(backend).enforce_connectivity(labels, 12)
         want = labels.copy()
         want[:, 4:6] = 0
         assert np.array_equal(out, want)
@@ -401,7 +403,7 @@ class TestMergeChainSemantics:
         # A component with no neighbors (the whole image) can never be
         # merged, whatever min_size says.
         labels = np.full((4, 6), 9, dtype=np.int32)
-        out = enforce_connectivity(labels, 10_000, backend=backend)
+        out = get_backend(backend).enforce_connectivity(labels, 10_000)
         assert np.array_equal(out, labels)
 
     @settings(max_examples=15, deadline=None)
@@ -412,8 +414,8 @@ class TestMergeChainSemantics:
     )
     def test_enforce_matches_reference_backend(self, backend, seed, k, min_size):
         labels = _random_labels(seed, 18, 22, k)
-        got = enforce_connectivity(labels, min_size, backend=backend)
-        want = enforce_connectivity(labels, min_size, backend="reference")
+        got = get_backend(backend).enforce_connectivity(labels, min_size)
+        want = get_backend("reference").enforce_connectivity(labels, min_size)
         assert np.array_equal(got, want)
 
 

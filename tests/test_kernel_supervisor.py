@@ -1,5 +1,7 @@
 """Kernel backend supervision: self-test, demotion chain, forcing."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -69,17 +71,21 @@ class TestSelfTest:
         with pytest.raises(ConfigurationError):
             self_test("fpga")
 
-    def test_native_mt_vector_at_extreme_thread_counts(self):
-        """The native-mt known-answer vector must hold at both the
-        serial clamp and the MAX_THREADS pool width."""
+    def test_lost_helper_band_fails_self_test(self, monkeypatch):
+        """A float color walk whose helper threads write nothing flunks
+        the self-test: its two-band ramp hands a band to a helper."""
         _require("native-mt")
-        from repro.kernels.native_mt import MAX_THREADS, thread_context
+        from repro.kernels import native_mt
 
-        for nt in (1, MAX_THREADS):
-            with thread_context(nt):
-                self_test("native-mt")
-            reset_supervision()
+        real = native_mt._lab_band
 
+        def caller_only(band, out):
+            if threading.current_thread() is threading.main_thread():
+                real(band, out)
+
+        monkeypatch.setattr(native_mt, "_lab_band", caller_only)
+        with pytest.raises(ConfigurationError, match="lab_from_rgb.seam"):
+            self_test("native-mt")
 
     @pytest.mark.parametrize(
         "kernel",

@@ -545,7 +545,8 @@ class TestLabCodesIdentity:
         rgb = rng.integers(0, 256, size=(H, W, 3), dtype=np.uint8)
         conv = HwColorConverter(encoding=LabEncoding(bits, uniform=uniform))
         want = convert_codes_reference(conv, rgb)
-        assert np.array_equal(conv.convert_codes(rgb, backend=name), want)
+        _, codes = get_backend(name).lab_from_codes(conv, rgb)
+        assert np.array_equal(codes, want)
 
     @pytest.mark.parametrize("name", OPTIMIZED)
     def test_extreme_colors_match(self, name):
@@ -570,14 +571,17 @@ class TestLabCodesIdentity:
         assert np.array_equal(lab, conv.encoding.decode(want))
 
     def test_convert_codes_dispatches_per_backend(self):
+        """``HwColorConverter.convert_codes`` runs the spec, and every
+        backend's ``lab_from_codes`` returns the same codes."""
         from repro.color.hw_convert import HwColorConverter
 
         rng = np.random.default_rng(3)
         rgb = rng.integers(0, 256, size=(16, 16, 3), dtype=np.uint8)
         conv = HwColorConverter()
-        base = conv.convert_codes(rgb, backend="reference")
-        for name in OPTIMIZED_NAMES:
-            assert np.array_equal(conv.convert_codes(rgb, backend=name), base)
+        base = conv.convert_codes(rgb)
+        for name in available_backends():
+            _, codes = get_backend(name).lab_from_codes(conv, rgb)
+            assert np.array_equal(codes, base), name
 
 
 class TestLabFromCodesIdentity:
@@ -637,16 +641,18 @@ class TestLabFromCodesIdentity:
             assert np.array_equal(got_lab, want_lab), name
             assert np.array_equal(got_codes, want_codes), name
 
-    def test_convert_fused_dispatches_per_backend(self):
+    def test_convert_matches_every_backend(self):
+        """``HwColorConverter.convert`` (the spec's decode) equals the
+        Lab half of every backend's ``lab_from_codes``."""
         from repro.color.hw_convert import HwColorConverter
 
         rng = np.random.default_rng(19)
         rgb = rng.integers(0, 256, size=(16, 16, 3), dtype=np.uint8)
         conv = HwColorConverter()
-        base_lab, base_codes = conv.convert_fused(rgb, backend="reference")
-        assert np.array_equal(base_codes, conv.convert_codes(rgb))
-        for name in OPTIMIZED_NAMES:
-            lab, codes = conv.convert_fused(rgb, backend=name)
+        base_lab = conv.convert(rgb)
+        base_codes = conv.convert_codes(rgb)
+        for name in available_backends():
+            lab, codes = get_backend(name).lab_from_codes(conv, rgb)
             assert np.array_equal(lab, base_lab), name
             assert np.array_equal(codes, base_codes), name
 
@@ -853,36 +859,30 @@ class TestMergeSmallIdentity:
     @pytest.mark.parametrize("name", OPTIMIZED)
     @pytest.mark.parametrize("min_size", [2, 5, 25, 400])
     def test_enforce_connectivity_matches_reference(self, name, min_size):
-        from repro.core.connectivity import enforce_connectivity
-
         rng = np.random.default_rng(min_size)
         labels = rng.integers(0, 15, size=(H, W)).astype(np.int32)
-        want = enforce_connectivity(labels, min_size, backend="reference")
-        got = enforce_connectivity(labels, min_size, backend=name)
+        want = get_backend("reference").enforce_connectivity(labels, min_size)
+        got = get_backend(name).enforce_connectivity(labels, min_size)
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("name", OPTIMIZED)
     def test_tie_breaks_match_reference(self, name):
         """Equal border weights must resolve to the same neighbor."""
-        from repro.core.connectivity import enforce_connectivity
-
         # A one-pixel stray with symmetric borders to two regions.
         labels = np.zeros((9, 9), dtype=np.int32)
         labels[:, 5:] = 1
         labels[4, 4] = 2
-        want = enforce_connectivity(labels, 3, backend="reference")
-        got = enforce_connectivity(labels, 3, backend=name)
+        want = get_backend("reference").enforce_connectivity(labels, 3)
+        got = get_backend(name).enforce_connectivity(labels, 3)
         assert np.array_equal(got, want)
 
     @given(seed=st.integers(0, 200), min_size=st.integers(2, 60))
     @settings(max_examples=25, deadline=None)
     def test_property_random_maps(self, seed, min_size):
-        from repro.core.connectivity import enforce_connectivity
-
         rng = np.random.default_rng(seed)
         labels = rng.integers(0, 8, size=(24, 30)).astype(np.int32)
-        want = enforce_connectivity(labels, min_size, backend="reference")
+        want = get_backend("reference").enforce_connectivity(labels, min_size)
         for name in OPTIMIZED_NAMES:
-            got = enforce_connectivity(labels, min_size, backend=name)
+            got = get_backend(name).enforce_connectivity(labels, min_size)
             assert np.array_equal(got, want), name
 

@@ -5,9 +5,10 @@ must be **bit-identical** to the reference loops at *any* thread count.
 The differential harness here runs each kernel at 1, 2, 4 and 7 threads
 (1 is the serial case, run inline; odd counts catch remainder-tile bugs
 in the ownership partition), including degenerate shapes where the
-frame is thinner or smaller than one tile. The concurrency half asserts
-that two engines segmenting at the same time in one process — each with
-its own ambient thread count — cannot corrupt each other, that
+frame is thinner or smaller than one tile, and every entry once at the
+pool's cap of 64 threads, in a child process. The concurrency half
+asserts that two engines segmenting at the same time in one process —
+each with its own thread count — cannot corrupt each other, that
 one-thread calls from concurrent callers overlap, and that the
 supervisor's first-dispatch memo is race-free.
 """
@@ -30,7 +31,6 @@ from repro.color.hw_convert import (
     LabEncoding,
     convert_codes_reference,
 )
-from repro.color.lut import reset_lut_caches
 from repro.core import (
     FixedDatapath,
     candidate_map,
@@ -48,7 +48,7 @@ from repro.kernels import (
     usable_cores,
 )
 from repro.kernels import native, native_mt
-from repro.kernels.native_mt import resolve_threads, thread_context
+from repro.kernels.native_mt import resolve_threads
 
 from .kernel_cases import (
     PPA_SUBSET_KINDS,
@@ -318,7 +318,7 @@ def test_scalar_ppa_build_matches_lanes(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("nt", THREADS)
 class TestLabCodesDifferential:
-    """``HwColorConverter.convert_codes`` on ``native-mt`` against the
+    """The codes of ``native-mt``'s ``lab_from_codes`` against the
     ``convert_codes_reference`` spec."""
 
     @settings(max_examples=5, deadline=None)
@@ -329,8 +329,7 @@ class TestLabCodesDifferential:
         rgb = rng.integers(0, 256, size=(H, W, 3), dtype=np.uint8)
         conv = HwColorConverter(encoding=LabEncoding(bits, uniform=uniform))
         want = convert_codes_reference(conv, rgb)
-        with thread_context(nt):
-            got = conv.convert_codes(rgb, backend="native-mt")
+        got = native_mt.lab_from_codes(conv, rgb, n_threads=nt)[1]
         assert np.array_equal(got, want)
 
 
@@ -427,8 +426,7 @@ class TestDegenerateShapes:
         rgb = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
         conv = HwColorConverter()
         want = convert_codes_reference(conv, rgb)
-        with thread_context(7):
-            got = conv.convert_codes(rgb, backend="native-mt")
+        got = native_mt.lab_from_codes(conv, rgb, n_threads=7)[1]
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("h,w", SHAPES)
@@ -464,28 +462,105 @@ class TestDegenerateShapes:
             )
             assert np.array_equal(got, want), min_size
 
-    def test_serial_delegates_unaffected_by_ambient_threads(self):
-        """A pinned ambient thread count must not change the output of
-        the fused connectivity pass (row-banded CCL and relabel)."""
-        rng = np.random.default_rng(4)
-        labels = rng.integers(0, 6, size=(20, 24)).astype(np.int32)
-        want_ec = reference.enforce_connectivity(labels, 5)
-        with thread_context(7):
-            got_ec = native_mt.enforce_connectivity(labels, 5)
-        assert np.array_equal(want_ec, got_ec)
+
+def _every_entry_at(nt):
+    """Check every ``native_mt`` entry at ``nt`` threads against
+    ``reference``, on inputs that give each of up to 64 participants
+    work: 72 rows for the CPA scan and the connectivity pass, 96
+    clusters for the sigma accumulation, 2,880 entries for both PPA
+    passes and ``lab_from_codes``. Returns the widths that
+    ``resolve_threads`` gave the calls."""
+    seen = set()
+    resolve = native_mt.resolve_threads
+
+    def spy(n_threads=None):
+        width = resolve(n_threads)
+        seen.add(width)
+        return width
+
+    native_mt.resolve_threads = spy
+    try:
+        h, w, k = 72, 40, 96
+        lab, centers, tiles, cands, s, weight, dp, codes = _setup(
+            64, k, 10.0, fixed=True, h=h, w=w
+        )
+        d_r, l_r = _cpa_buffers(h, w)
+        d_m, l_m = _cpa_buffers(h, w)
+        n_r = reference.cpa_assign(lab, centers, weight, s, d_r, l_r)
+        n_m = native_mt.cpa_assign(
+            lab, centers, weight, s, d_m, l_m, n_threads=nt
+        )
+        assert n_r == n_m
+        assert np.array_equal(l_r, l_m) and np.array_equal(d_r, d_m)
+        idx = np.arange(h * w)
+        assert_ppa_matches_reference(
+            _at(nt), PixelArrays(lab, tiles), idx, cands, centers, weight
+        )
+        assert_ppa_matches_reference(
+            _at(nt), PixelArrays(lab, tiles, datapath=dp, codes=codes), idx,
+            cands, centers, weight, compactness=10.0, grid_s=s,
+        )
+        rng = np.random.default_rng(nt)
+        rows = rng.standard_normal((h * w, 3)) * 40.0
+        labels = rng.integers(0, k, size=h * w).astype(np.int32)
+        rgb = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
+        conv = HwColorConverter()
+        regions = rng.integers(0, 4, size=(h, w)).astype(np.int32)
+        for got, want in (
+            (native_mt.sigma_accumulate(labels, k, w, lab_flat=rows,
+                                        n_threads=nt),
+             reference.sigma_accumulate(labels, k, w, lab_flat=rows)),
+            (native_mt.lab_from_codes(conv, rgb, n_threads=nt),
+             reference.lab_from_codes(conv, rgb)),
+            ([native_mt.lab_from_rgb(rgb, n_threads=nt).view(np.uint64)],
+             [rgb_to_lab(rgb).view(np.uint64)]),
+            ([native_mt.enforce_connectivity(regions, 6, n_threads=nt)],
+             [reference.enforce_connectivity(regions, 6)]),
+        ):
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+    finally:
+        native_mt.resolve_threads = resolve
+    return seen
+
+
+def test_every_entry_at_max_threads():
+    """Every entry matches the reference at the C pool's cap, 64 threads.
+
+    Runs in a child process: the pool keeps the workers it spawned, and
+    every later pool call in the process wakes all of them (on a 2-vCPU
+    Xeon, a two-thread ``sigma_accumulate`` call on 2,000 entries took
+    392 µs instead of 64 µs after one 64-thread call), which would slow
+    the rest of the suite.
+    """
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(repro.__file__).resolve().parents[1]), str(root)]
+    ))
+    script = (
+        "from tests.test_kernels_mt import _every_entry_at, native_mt\n"
+        "print(sorted(_every_entry_at(native_mt.MAX_THREADS)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=root, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == f"[{native_mt.MAX_THREADS}]"
 
 
 class TestThreadResolution:
-    def test_explicit_kwarg_wins(self):
-        with thread_context(5):
-            assert resolve_threads(2) == 2
-
-    def test_ambient_beats_env(self, monkeypatch):
+    def test_explicit_kwarg_wins(self, monkeypatch):
+        """The ``n_threads`` argument beats ``REPRO_KERNEL_THREADS``,
+        which beats the core count."""
         monkeypatch.setenv(native_mt.ENV_THREADS, "3")
         assert resolve_threads() == 3
-        with thread_context(5):
-            assert resolve_threads() == 5
-        assert resolve_threads() == 3
+        assert resolve_threads(2) == 2
 
     def test_env_garbage_falls_through(self, monkeypatch):
         monkeypatch.setenv(native_mt.ENV_THREADS, "not-a-number")
@@ -506,27 +581,16 @@ class TestThreadResolution:
         assert resolve_threads(-4) == 1
         assert resolve_threads(10_000) == native_mt.MAX_THREADS
 
-    def test_context_is_thread_local(self):
-        """Two threads pin different ambient counts without interfering."""
-        seen = {}
-        barrier_a, barrier_b = [], []
 
-        def pin(name, n, other):
-            with thread_context(n):
-                other.append(1)  # signal: my context is active
-                deadline = time.monotonic() + 5.0
-                while not barrier_a or not barrier_b:
-                    if time.monotonic() > deadline:  # pragma: no cover
-                        break
-                    time.sleep(0.001)
-                seen[name] = resolve_threads()
+def _clear_lut_caches():
+    """Empty the per-process color LUT memos."""
+    from repro.color import lut
+    from repro.color import reference as color_reference
 
-        with ThreadPoolExecutor(2) as ex:
-            fa = ex.submit(pin, "a", 2, barrier_a)
-            fb = ex.submit(pin, "b", 7, barrier_b)
-            fa.result()
-            fb.result()
-        assert seen == {"a": 2, "b": 7}
+    for cached in (
+        lut.build_gamma_lut, lut._fit_cbrt_pwl, color_reference._gamma_lut_u8
+    ):
+        cached.cache_clear()
 
 
 class TestConcurrentEngines:
@@ -536,9 +600,9 @@ class TestConcurrentEngines:
 
     @pytest.fixture(autouse=True)
     def _fresh_luts(self):
-        reset_lut_caches()
+        _clear_lut_caches()
         yield
-        reset_lut_caches()
+        _clear_lut_caches()
 
     def _image(self, seed, h=40, w=56):
         rng = np.random.default_rng(seed)
@@ -582,23 +646,12 @@ class TestConcurrentEngines:
 
         base_a = run(img_a, 20, 2)
         base_b = run(img_b, 12, 7)
-        reset_lut_caches()  # concurrent runs rebuild the caches racing
+        _clear_lut_caches()  # concurrent runs rebuild the caches racing
         with ThreadPoolExecutor(2) as ex:
             fa = ex.submit(run, img_a, 20, 2)
             fb = ex.submit(run, img_b, 12, 7)
             assert np.array_equal(fa.result(), base_a)
             assert np.array_equal(fb.result(), base_b)
-
-    def test_ambient_context_matches_explicit_param(self):
-        img = self._image(41)
-        explicit = slic(
-            img, n_superpixels=20, kernel_backend="native-mt", n_threads=3
-        ).labels
-        with thread_context(3):
-            ambient = slic(
-                img, n_superpixels=20, kernel_backend="native-mt"
-            ).labels
-        assert np.array_equal(explicit, ambient)
 
 
 @pytest.mark.skipif(usable_cores() < 2, reason="needs two usable cores")
