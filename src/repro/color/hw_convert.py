@@ -31,7 +31,7 @@ from ..errors import ConfigurationError, ImageError
 from ..fixedpoint import QFormat
 from ..types import as_uint8_rgb
 from .constants import D65_WHITE, SRGB_TO_XYZ
-from .lut import PiecewiseLinearLut, build_cbrt_pwl, build_gamma_lut
+from .lut import build_cbrt_pwl, build_gamma_lut
 
 __all__ = [
     "LabEncoding",
@@ -107,28 +107,24 @@ class LabEncoding:
 class HwColorConverter:
     """The LUT-based integer color conversion pipeline.
 
+    The 256-entry gamma LUT holds the linear-light values with
+    ``gamma_frac_bits`` = 12 fraction bits, and ``pwl`` is the 8-segment
+    Equation 4 piecewise-linear LUT of
+    :func:`~repro.color.lut.build_cbrt_pwl`. Both are fixed parts of the
+    pipeline; with them, both of its rounding shifts are positive for
+    every :class:`LabEncoding`, which the compiled pixel loop assumes.
+
     Parameters
     ----------
     encoding:
         Output :class:`LabEncoding` (defaults to the paper's 8-bit codes).
-    gamma_frac_bits:
-        Fraction bits of the 256-entry gamma LUT entries (internal
-        precision of the linear-light values). 12 by default.
-    pwl:
-        The Equation 4 piecewise-linear LUT; defaults to the 8-segment
-        :func:`~repro.color.lut.build_cbrt_pwl`.
     """
 
-    def __init__(
-        self,
-        encoding: LabEncoding = None,
-        gamma_frac_bits: int = 12,
-        pwl: PiecewiseLinearLut = None,
-    ):
+    def __init__(self, encoding: LabEncoding = None):
         self.encoding = encoding if encoding is not None else LabEncoding(8)
-        self.gamma_frac_bits = gamma_frac_bits
-        self.gamma_lut = build_gamma_lut(gamma_frac_bits)
-        self.pwl = pwl if pwl is not None else build_cbrt_pwl()
+        self.gamma_frac_bits = 12
+        self.gamma_lut = build_gamma_lut(self.gamma_frac_bits)
+        self.pwl = build_cbrt_pwl()
         # Fold the white-point normalization into the matrix: rows of M
         # divided by [Xr, Yr, Zr] give W/Wr directly from linear RGB.
         folded = SRGB_TO_XYZ / D65_WHITE[:, None]

@@ -213,10 +213,11 @@ def band_walk(rgb: np.ndarray, body, n_threads: int = 1) -> np.ndarray:
     cache-resident. The bands are split into ``min(n_threads, n_bands)``
     contiguous slabs; the caller walks the first and a helper thread
     started for this call walks each other one. The numpy steps (and
-    ctypes calls) release the GIL, so the slabs run in parallel. A
-    helper that cannot start leaves its slab to the caller, so the walk
-    runs at the width available, like the C pool. An exception in a
-    helper is re-raised here after every started thread has finished.
+    ctypes calls) release the GIL, so the slabs run in parallel. The
+    request fixes the split, as in the C pool: a helper that cannot
+    start leaves its slab to the caller, which walks it after its own.
+    An exception in a helper is re-raised here after every started
+    thread has finished.
     """
     rgb_arr = validate_rgb_image(rgb)
     h, w = rgb_arr.shape[:2]

@@ -73,19 +73,21 @@
 #endif
 
 /* ------------------------------------------------------------------ */
-/* A tiny persistent pthread pool. mt_run(fn, ctx, n) runs              */
-/* fn(ctx, tid, width) on `width` participants: the calling thread is   */
-/* tid 0, parked workers are tids 1..width-1. A width of 1 runs inline  */
-/* and never touches the pool, so one-thread calls from concurrent      */
-/* callers overlap. Wider jobs take a dispatch mutex that serializes    */
-/* concurrent callers (two engines in one process simply take turns),   */
-/* workers park on a condvar keyed by a job sequence                    */
-/* number, and pthread_atfork handlers keep fork()d children (the       */
-/* multiprocessing pool) consistent: the child reinitializes the        */
-/* primitives and respawns lazily. If pthread_create fails the job      */
-/* degrades gracefully — fn sees the width that actually exists, and    */
-/* mt_run returns that width so callers whose combine step depends on   */
-/* the partitioning (the CCL seams) can use the real value.             */
+/* A tiny persistent pthread pool. mt_run(fn, ctx, width) runs           */
+/* fn(ctx, tid, width) once for every tid in [0, width): the request    */
+/* fixes the split, and only which thread runs a slice can change. The  */
+/* calling thread runs tid 0, parked workers run tids 1..live-1 (the    */
+/* ones that exist), and the caller then runs every slice whose worker  */
+/* could not be spawned. So a failed pthread_create never changes a     */
+/* partition or a combine step. A width of 1 runs inline and never      */
+/* touches the pool, so one-thread calls from concurrent callers        */
+/* overlap. Wider jobs take a dispatch mutex that serializes concurrent */
+/* callers (two engines in one process simply take turns). Each worker  */
+/* parks on its own condvar and is signalled only by the jobs that use  */
+/* it, so a narrow call never wakes the idle workers a wide one left.   */
+/* pthread_atfork handlers keep fork()d children (the multiprocessing   */
+/* pool) consistent: the child reinitializes the primitives and         */
+/* respawns lazily.                                                     */
 /* ------------------------------------------------------------------ */
 
 #define MT_MAX_THREADS 64
@@ -94,7 +96,7 @@ typedef void (*mt_fn)(void *ctx, int64_t tid, int64_t width);
 
 static pthread_mutex_t mt_dispatch = PTHREAD_MUTEX_INITIALIZER;
 static pthread_mutex_t mt_lock = PTHREAD_MUTEX_INITIALIZER;
-static pthread_cond_t mt_go = PTHREAD_COND_INITIALIZER;
+static pthread_cond_t mt_go[MT_MAX_THREADS];  /* one per worker tid    */
 static pthread_cond_t mt_done = PTHREAD_COND_INITIALIZER;
 static int64_t mt_spawned = 0;   /* live workers (excluding the caller) */
 static int64_t mt_ready = 0;     /* workers parked and seq-synchronized */
@@ -102,6 +104,7 @@ static uint64_t mt_job_seq = 0;
 static mt_fn mt_job_fn = 0;
 static void *mt_job_ctx = 0;
 static int64_t mt_job_width = 0;
+static int64_t mt_job_live = 0;  /* tids below this run on a worker    */
 static int64_t mt_remaining = 0;
 
 static void *mt_worker(void *arg)
@@ -112,21 +115,27 @@ static void *mt_worker(void *arg)
     mt_ready++;
     pthread_cond_broadcast(&mt_done);
     for (;;) {
-        while (mt_job_seq == seen)
-            pthread_cond_wait(&mt_go, &mt_lock);
+        /* A job that skipped this worker leaves `seen` behind, so the
+         * next job that includes it still runs.                        */
+        while (mt_job_seq == seen || tid >= mt_job_live)
+            pthread_cond_wait(&mt_go[tid], &mt_lock);
         seen = mt_job_seq;
-        if (tid < mt_job_width) {
-            mt_fn fn = mt_job_fn;
-            void *ctx = mt_job_ctx;
-            int64_t width = mt_job_width;
-            pthread_mutex_unlock(&mt_lock);
-            fn(ctx, tid, width);
-            pthread_mutex_lock(&mt_lock);
-            if (--mt_remaining == 0)
-                pthread_cond_broadcast(&mt_done);
-        }
+        mt_fn fn = mt_job_fn;
+        void *ctx = mt_job_ctx;
+        int64_t width = mt_job_width;
+        pthread_mutex_unlock(&mt_lock);
+        fn(ctx, tid, width);
+        pthread_mutex_lock(&mt_lock);
+        if (--mt_remaining == 0)
+            pthread_cond_broadcast(&mt_done);
     }
     return 0;
+}
+
+static void mt_init_go(void)
+{
+    for (int t = 0; t < MT_MAX_THREADS; t++)
+        pthread_cond_init(&mt_go[t], 0);
 }
 
 static void mt_atfork_prepare(void)
@@ -147,28 +156,30 @@ static void mt_atfork_child(void)
     /* Worker threads do not survive fork(); start from a clean pool. */
     pthread_mutex_init(&mt_dispatch, 0);
     pthread_mutex_init(&mt_lock, 0);
-    pthread_cond_init(&mt_go, 0);
+    mt_init_go();
     pthread_cond_init(&mt_done, 0);
     mt_spawned = 0;
     mt_ready = 0;
     mt_job_seq = 0;
+    mt_job_live = 0;
     mt_remaining = 0;
 }
 
 __attribute__((constructor)) static void mt_init(void)
 {
+    mt_init_go();
     pthread_atfork(mt_atfork_prepare, mt_atfork_parent, mt_atfork_child);
 }
 
-static int64_t mt_run(mt_fn fn, void *ctx, int64_t n_threads)
+static void mt_run(mt_fn fn, void *ctx, int64_t width)
 {
-    if (n_threads > MT_MAX_THREADS) n_threads = MT_MAX_THREADS;
-    if (n_threads <= 1) {
+    if (width > MT_MAX_THREADS) width = MT_MAX_THREADS;
+    if (width <= 1) {
         fn(ctx, 0, 1);
-        return 1;
+        return;
     }
     pthread_mutex_lock(&mt_dispatch);
-    while (mt_spawned + 1 < n_threads) {
+    while (mt_spawned + 1 < width) {
         pthread_t th;
         pthread_attr_t attr;
         pthread_attr_init(&attr);
@@ -176,34 +187,30 @@ static int64_t mt_run(mt_fn fn, void *ctx, int64_t n_threads)
         int rc = pthread_create(
             &th, &attr, mt_worker, (void *)(intptr_t)(mt_spawned + 1));
         pthread_attr_destroy(&attr);
-        if (rc != 0) break;  /* degrade: run with the workers we have */
+        if (rc != 0) break;  /* the caller runs the missing slices */
         mt_spawned++;
     }
+    int64_t live = mt_spawned + 1 < width ? mt_spawned + 1 : width;
     pthread_mutex_lock(&mt_lock);
     while (mt_ready < mt_spawned)  /* new workers must capture job_seq */
         pthread_cond_wait(&mt_done, &mt_lock);
-    int64_t width =
-        mt_spawned + 1 < n_threads ? mt_spawned + 1 : n_threads;
-    if (width <= 1) {
-        pthread_mutex_unlock(&mt_lock);
-        fn(ctx, 0, 1);
-        pthread_mutex_unlock(&mt_dispatch);
-        return 1;
-    }
     mt_job_fn = fn;
     mt_job_ctx = ctx;
     mt_job_width = width;
-    mt_remaining = width - 1;
+    mt_job_live = live;
+    mt_remaining = live - 1;
     mt_job_seq++;
-    pthread_cond_broadcast(&mt_go);
+    for (int64_t t = 1; t < live; t++)
+        pthread_cond_signal(&mt_go[t]);
     pthread_mutex_unlock(&mt_lock);
     fn(ctx, 0, width);
+    for (int64_t t = live; t < width; t++)
+        fn(ctx, t, width);
     pthread_mutex_lock(&mt_lock);
     while (mt_remaining > 0)
         pthread_cond_wait(&mt_done, &mt_lock);
     pthread_mutex_unlock(&mt_lock);
     pthread_mutex_unlock(&mt_dispatch);
-    return width;
 }
 
 /* Contiguous [lo, hi) share for participant `tid` of `width`. */
@@ -660,9 +667,9 @@ static int64_t ccl_i32_mt(
     const int32_t *labels, int64_t h, int64_t w,
     int32_t *comps, int64_t *parent, int64_t n_threads)
 {
-    if (n_threads > h) n_threads = h;
-    if (n_threads > MT_MAX_THREADS) n_threads = MT_MAX_THREADS;
-    if (n_threads < 2)
+    int64_t width = n_threads < h ? n_threads : h;
+    if (width > MT_MAX_THREADS) width = MT_MAX_THREADS;
+    if (width < 2)
         return ccl_i32(labels, h, w, comps, parent);
     ccl_ctx ctx;
     ctx.labels = labels;
@@ -671,28 +678,14 @@ static int64_t ccl_i32_mt(
     ctx.comps = comps;
     ctx.parent = parent;
     ctx.done = 0;
-    for (int64_t t = 0; t < MT_MAX_THREADS; t++)
-        ctx.counts[t] = ctx.offsets[t] = 0;
-    /* The pool may degrade to fewer participants than requested (a
-     * failed pthread_create). The band partition, the prefix sum, and
-     * the seam loop must all use the width that actually ran, and both
-     * passes must run at the *same* width — otherwise seams land on the
-     * wrong rows and components silently split. mt_spawned never
-     * shrinks in a process, so re-requesting `width` is guaranteed to
-     * run at exactly `width`; the serial fallbacks cover width 1 and
-     * the cannot-happen mismatch (a full recompute, so comps/parent
-     * being partially written is harmless).                             */
-    int64_t width = mt_run(ccl_band, &ctx, n_threads); /* count runs    */
-    if (width < 2)
-        return ccl_i32(labels, h, w, comps, parent);
+    mt_run(ccl_band, &ctx, width);                /* count runs         */
     int64_t n_runs = 0;
     for (int64_t t = 0; t < width; t++) {
         ctx.offsets[t] = n_runs;
         n_runs += ctx.counts[t];
     }
     ctx.done = 1;
-    if (mt_run(ccl_band, &ctx, width) != width)   /* fill + band unions */
-        return ccl_i32(labels, h, w, comps, parent);
+    mt_run(ccl_band, &ctx, width);                /* fill + band unions */
     for (int64_t t = 1; t < width; t++) {         /* serial seams       */
         int64_t y = mt_slice_lo(h, t, width);
         if (y == 0 || y >= h) continue;
@@ -1590,27 +1583,27 @@ static void ppa_run(ppa_ctx *c, double *sums, int64_t *counts,
     c->psums = (double *)block;
     c->pcounts = (int64_t *)(block + 40 * width * k);
     int64_t *head = c->pcounts + width * k;
-    int64_t ran = mt_run(ppa_chunk, c, width);
+    mt_run(ppa_chunk, c, width);
     /* straddle[t]: how many of range t's entries chose a cluster headed
      * by an earlier range — the entries the continuation folds there.  */
     int64_t straddle[MT_MAX_THREADS] = {0};
     for (int64_t q = 0; q < k; q++) {
         int64_t t = 0;
-        while (t < ran && c->pcounts[t * k + q] == 0) t++;
+        while (t < width && c->pcounts[t * k + q] == 0) t++;
         head[q] = t;
-        if (t == ran) continue;
+        if (t == width) continue;
         for (int f = 0; f < 5; f++)
             sums[5 * q + f] = c->psums[5 * (t * k + q) + f];
         counts[q] = c->pcounts[t * k + q];
-        for (int64_t u = t + 1; u < ran; u++)
+        for (int64_t u = t + 1; u < width; u++)
             straddle[u] += c->pcounts[u * k + q];
     }
     /* Each range's scan stops at its last straddling entry. The range
      * end bounds it too, so counts that disagree with chosen (a defect
      * in a body) cannot send it past the range.                        */
-    for (int64_t t = 1; t < ran; t++) {
-        int64_t left = straddle[t], hi = mt_slice_hi(c->m, t, ran);
-        for (int64_t j = mt_slice_lo(c->m, t, ran); left > 0 && j < hi;
+    for (int64_t t = 1; t < width; t++) {
+        int64_t left = straddle[t], hi = mt_slice_hi(c->m, t, width);
+        for (int64_t j = mt_slice_lo(c->m, t, width); left > 0 && j < hi;
              j++) {
             int64_t q = c->chosen[j];
             if (head[q] >= t) continue;

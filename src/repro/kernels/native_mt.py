@@ -46,8 +46,9 @@ the call's width, first match wins:
 3. :func:`repro.kernels.usable_cores` (the CPU affinity mask, so a
    pinned process is not oversubscribed).
 
-The result is clamped to [1, MAX_THREADS]; the C pool degrades
-gracefully if thread spawn fails (kernels see the width that exists).
+The result is clamped to [1, MAX_THREADS]. The width fixes how a call
+splits its work, whatever threads exist: a slice whose pool worker (or
+``band_walk`` helper) cannot be started runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -247,10 +248,7 @@ def lab_from_codes(converter, rgb, n_threads=None):
     Produces both the channel codes and the decoded float64 Lab plane in
     one frame traversal — bit-identical to ``convert_codes_reference``
     followed by ``LabEncoding.decode``. Ships the converter's LUTs and
-    formats into the C pixel loop; falls back to the reference for
-    exotic PWL configurations whose rounding shifts are not strictly
-    positive (the C loop assumes the default Q-format layout, where both
-    are).
+    formats into the C pixel loop.
     """
     rgb = np.ascontiguousarray(rgb, dtype=np.uint8)
     pwl = converter.pwl
@@ -260,8 +258,6 @@ def lab_from_codes(converter, rgb, n_threads=None):
     out_shift = (
         pwl.coeff_fmt.frac_bits + pwl.in_fmt.frac_bits
     ) - pwl.out_fmt.frac_bits
-    if mat_shift <= 0 or out_shift <= 0:
-        return reference.lab_from_codes(converter, rgb)
     lib = load()
     nt = resolve_threads(n_threads)
     h, w = rgb.shape[:2]

@@ -205,7 +205,7 @@ class TestBandWalk:
         self, monkeypatch
     ):
         """When a helper thread cannot start, the caller walks its slab:
-        the walk runs at the width it gets, like the C pool, and every
+        the split stays the requested one, as in the C pool, and every
         helper that did start is joined."""
         img = np.random.default_rng(4).integers(
             0, 256, (200, 1000, 3), dtype=np.uint8

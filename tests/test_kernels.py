@@ -595,6 +595,18 @@ class TestLabFromCodesIdentity:
         rng = np.random.default_rng(bits * 11 + uniform)
         rgb = rng.integers(0, 256, size=(H, W, 3), dtype=np.uint8)
         conv = HwColorConverter(encoding=LabEncoding(bits, uniform=uniform))
+        # The C pixel loop rounds with 1 << (shift - 1), so both of the
+        # pipeline's rounding shifts must be positive.
+        pwl = conv.pwl
+        mat_shift = (
+            conv.gamma_frac_bits + conv._matrix_fmt.frac_bits
+            - pwl.in_fmt.frac_bits
+        )
+        out_shift = (
+            pwl.coeff_fmt.frac_bits + pwl.in_fmt.frac_bits
+            - pwl.out_fmt.frac_bits
+        )
+        assert mat_shift > 0 and out_shift > 0
         want_lab, want_codes = get_backend("reference").lab_from_codes(
             conv, rgb
         )

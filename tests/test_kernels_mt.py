@@ -5,8 +5,9 @@ must be **bit-identical** to the reference loops at *any* thread count.
 The differential harness here runs each kernel at 1, 2, 4 and 7 threads
 (1 is the serial case, run inline; odd counts catch remainder-tile bugs
 in the ownership partition), including degenerate shapes where the
-frame is thinner or smaller than one tile, and every entry once at the
-pool's cap of 64 threads, in a child process. The concurrency half
+frame is thinner or smaller than one tile, every entry once at the
+pool's cap of 64 threads, and every entry at 4 threads in a child
+process that cannot start a thread. The concurrency half
 asserts that two engines segmenting at the same time in one process —
 each with its own thread count — cannot corrupt each other, that
 one-thread calls from concurrent callers overlap, and that the
@@ -14,8 +15,10 @@ supervisor's first-dispatch memo is race-free.
 """
 
 import ctypes
+import functools
 import os
 import subprocess
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -31,6 +34,7 @@ from repro.color.hw_convert import (
     LabEncoding,
     convert_codes_reference,
 )
+from repro.color.reference import BAND_PIXELS
 from repro.core import (
     FixedDatapath,
     candidate_map,
@@ -463,13 +467,89 @@ class TestDegenerateShapes:
             assert np.array_equal(got, want), min_size
 
 
-def _every_entry_at(nt):
-    """Check every ``native_mt`` entry at ``nt`` threads against
-    ``reference``, on inputs that give each of up to 64 participants
-    work: 72 rows for the CPA scan and the connectivity pass, 96
-    clusters for the sigma accumulation, 2,880 entries for both PPA
-    passes and ``lab_from_codes``. Returns the widths that
-    ``resolve_threads`` gave the calls."""
+def _entry_cases(nt):
+    """Every ``native_mt`` entry at ``nt`` threads, as ``(name, run,
+    want)``: ``run()`` calls the entry and returns its outputs, and
+    ``want`` holds ``reference``'s, computed here. The inputs give each
+    of up to 64 participants work: 72 rows for the CPA scan and the
+    connectivity pass, 96 clusters for the sigma accumulation, 2,880
+    entries for both PPA passes (each run once writing a label map and
+    once without one) and ``lab_from_codes``. The float color image is
+    two bands of the row-band walk, so a second slab exists."""
+    h, w, k = 72, 40, 96
+    lab, centers, tiles, cands, s, weight, dp, codes = _setup(
+        64, k, 10.0, fixed=True, h=h, w=w
+    )
+    rng = np.random.default_rng(nt)
+    rows = rng.standard_normal((h * w, 3)) * 40.0
+    labels = rng.integers(0, k, size=h * w).astype(np.int32)
+    rgb = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
+    two_bands = rng.integers(
+        0, 256, size=(2, BAND_PIXELS // 2 + 1, 3), dtype=np.uint8
+    )
+    conv = HwColorConverter()
+    regions = rng.integers(0, 4, size=(h, w)).astype(np.int32)
+    idx = np.arange(h * w)
+    prior = (idx % k).astype(np.int32)
+
+    def cpa(mod, n):
+        dist, out = _cpa_buffers(h, w)
+        touched = mod.cpa_assign(
+            lab, centers, weight, s, dist, out, n_threads=n
+        )
+        return np.int64(touched), out, dist
+
+    def ppa(mod, n, pixels, **kw):
+        label_map = prior.copy()
+        mapped = mod.ppa_assign(
+            pixels, idx, cands, centers, weight, labels_out=label_map,
+            n_threads=n, **kw,
+        )
+        unmapped = mod.ppa_assign(
+            pixels, idx, cands, centers, weight, n_threads=n, **kw
+        )
+        return (*mapped, label_map, *unmapped)
+
+    cases = {
+        "cpa_assign": cpa,
+        "ppa_assign": lambda mod, n: ppa(mod, n, PixelArrays(lab, tiles)),
+        "ppa_assign.fixed": lambda mod, n: ppa(
+            mod, n, PixelArrays(lab, tiles, datapath=dp, codes=codes),
+            compactness=10.0, grid_s=s,
+        ),
+        "lab_from_codes": lambda mod, n: mod.lab_from_codes(
+            conv, rgb, n_threads=n
+        ),
+        "lab_from_rgb": lambda mod, n: (
+            mod.lab_from_rgb(two_bands, n_threads=n),
+        ),
+        "sigma_accumulate": lambda mod, n: mod.sigma_accumulate(
+            labels, k, w, lab_flat=rows, n_threads=n
+        ),
+        "enforce_connectivity": lambda mod, n: (
+            mod.enforce_connectivity(regions, 6, n_threads=n),
+        ),
+    }
+    return [
+        (name, functools.partial(case, native_mt, nt), case(reference, 1))
+        for name, case in cases.items()
+    ]
+
+
+def _assert_same_bits(name, got, want):
+    assert len(got) == len(want), name
+    for i, (a, b) in enumerate(zip(got, want)):
+        a, b = np.asarray(a), np.asarray(b)
+        assert a.dtype == b.dtype and a.shape == b.shape, (name, i)
+        assert a.tobytes() == b.tobytes(), (name, i)
+
+
+def test_every_entry_at_max_threads(monkeypatch):
+    """Every entry matches the reference at the C pool's cap, 64 threads.
+
+    Runs in the test process: the 63 workers it leaves parked do not
+    slow later calls, which wake only the workers they use."""
+    nt = native_mt.MAX_THREADS
     seen = set()
     resolve = native_mt.resolve_threads
 
@@ -478,62 +558,53 @@ def _every_entry_at(nt):
         seen.add(width)
         return width
 
-    native_mt.resolve_threads = spy
+    monkeypatch.setattr(native_mt, "resolve_threads", spy)
+    for name, run, want in _entry_cases(nt):
+        _assert_same_bits(name, run(), want)
+    assert seen == {nt}
+
+
+def _every_entry_without_threads(nt=4):
+    """Run every entry at ``nt`` threads in this process after capping its
+    address space a few MB above what it maps, so no thread stack fits.
+
+    Call only in a child process: the cap holds for the rest of the
+    process. The inputs, the ``reference`` results and the library are
+    ready before the cap. Returns ``"skip"`` if a thread still starts,
+    else ``"ok"``; a mismatch raises ``AssertionError``."""
+    import resource
+
+    cases = _entry_cases(nt)
+    native.load()
+    with open("/proc/self/status") as status:
+        vm_kb = next(
+            int(line.split()[1]) for line in status
+            if line.startswith("VmSize:")
+        )
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    resource.setrlimit(resource.RLIMIT_AS, ((vm_kb + 7 * 1024) * 1024, hard))
+    probe = threading.Thread(target=lambda: None)
     try:
-        h, w, k = 72, 40, 96
-        lab, centers, tiles, cands, s, weight, dp, codes = _setup(
-            64, k, 10.0, fixed=True, h=h, w=w
-        )
-        d_r, l_r = _cpa_buffers(h, w)
-        d_m, l_m = _cpa_buffers(h, w)
-        n_r = reference.cpa_assign(lab, centers, weight, s, d_r, l_r)
-        n_m = native_mt.cpa_assign(
-            lab, centers, weight, s, d_m, l_m, n_threads=nt
-        )
-        assert n_r == n_m
-        assert np.array_equal(l_r, l_m) and np.array_equal(d_r, d_m)
-        idx = np.arange(h * w)
-        assert_ppa_matches_reference(
-            _at(nt), PixelArrays(lab, tiles), idx, cands, centers, weight
-        )
-        assert_ppa_matches_reference(
-            _at(nt), PixelArrays(lab, tiles, datapath=dp, codes=codes), idx,
-            cands, centers, weight, compactness=10.0, grid_s=s,
-        )
-        rng = np.random.default_rng(nt)
-        rows = rng.standard_normal((h * w, 3)) * 40.0
-        labels = rng.integers(0, k, size=h * w).astype(np.int32)
-        rgb = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
-        conv = HwColorConverter()
-        regions = rng.integers(0, 4, size=(h, w)).astype(np.int32)
-        for got, want in (
-            (native_mt.sigma_accumulate(labels, k, w, lab_flat=rows,
-                                        n_threads=nt),
-             reference.sigma_accumulate(labels, k, w, lab_flat=rows)),
-            (native_mt.lab_from_codes(conv, rgb, n_threads=nt),
-             reference.lab_from_codes(conv, rgb)),
-            ([native_mt.lab_from_rgb(rgb, n_threads=nt).view(np.uint64)],
-             [rgb_to_lab(rgb).view(np.uint64)]),
-            ([native_mt.enforce_connectivity(regions, 6, n_threads=nt)],
-             [reference.enforce_connectivity(regions, 6)]),
-        ):
-            for a, b in zip(got, want):
-                assert np.array_equal(a, b)
-    finally:
-        native_mt.resolve_threads = resolve
-    return seen
+        probe.start()
+    except RuntimeError:
+        pass
+    else:
+        probe.join()
+        return "skip"
+    for name, run, want in cases:
+        _assert_same_bits(name, run(), want)
+    return "ok"
 
 
-def test_every_entry_at_max_threads():
-    """Every entry matches the reference at the C pool's cap, 64 threads.
-
-    Runs in a child process: the pool keeps the workers it spawned, and
-    every later pool call in the process wakes all of them (on a 2-vCPU
-    Xeon, a two-thread ``sigma_accumulate`` call on 2,000 entries took
-    392 µs instead of 64 µs after one 64-thread call), which would slow
-    the rest of the suite.
-    """
-    import sys
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/status"),
+    reason="reads the process's mapped size from /proc",
+)
+def test_every_entry_when_no_thread_starts():
+    """With no thread to spare, every entry still runs each of its ``nt``
+    slices, the missing workers' and helpers' on the caller, and matches
+    the reference bit for bit. The split never depends on how many
+    threads started, so no entry re-partitions or falls back."""
     from pathlib import Path
 
     import repro
@@ -543,15 +614,17 @@ def test_every_entry_at_max_threads():
         [str(Path(repro.__file__).resolve().parents[1]), str(root)]
     ))
     script = (
-        "from tests.test_kernels_mt import _every_entry_at, native_mt\n"
-        "print(sorted(_every_entry_at(native_mt.MAX_THREADS)))"
+        "from tests.test_kernels_mt import _every_entry_without_threads\n"
+        "print(_every_entry_without_threads())"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script], cwd=root, env=env,
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == f"[{native_mt.MAX_THREADS}]"
+    if proc.stdout.strip() == "skip":
+        pytest.skip("a thread still starts under the address-space cap")
+    assert proc.stdout.strip() == "ok"
 
 
 class TestThreadResolution:

@@ -347,8 +347,12 @@ class TestDrain:
         assert bg.drain() is True
 
 
+@pytest.mark.parametrize("mode", ["thread", "process"])
 class TestExecutorDeadline:
-    def test_thread_mode_overrun_becomes_frame_timeout(self):
+    def test_overrun_becomes_frame_timeout(self, mode):
+        """An overrun answers as a ``FrameTimeout`` and counts one
+        watchdog teardown, and the executor runs the next frame (in
+        process mode, on a fresh pool)."""
         from repro.parallel.records import FrameTask
 
         image = generate_scene(
@@ -358,16 +362,25 @@ class TestExecutorDeadline:
             stream_id="t", frame_index=0, image=image,
             params=SlicParams(n_superpixels=200, max_iterations=10),
         )
-        executor = ServeExecutor(mode="thread", n_workers=1)
+        executor = ServeExecutor(mode=mode, n_workers=1)
         try:
             record = asyncio.run(executor.run(task, deadline_s=0.001))
             assert not record.ok
             assert record.error_type == "FrameTimeout"
             assert "deadline" in record.error
+            assert executor.watchdog_teardowns == 1
+            small = generate_scene(
+                SceneConfig(height=48, width=64), seed=0
+            ).image
+            after = asyncio.run(executor.run(FrameTask(
+                stream_id="t", frame_index=1, image=small, params=PARAMS,
+            )))
+            assert after.ok
+            assert after.result.labels.shape == (48, 64)
         finally:
             executor.close()
 
-    def test_no_deadline_runs_to_completion(self):
+    def test_no_deadline_runs_to_completion(self, mode):
         from repro.parallel.records import FrameTask
 
         image = generate_scene(
@@ -376,7 +389,7 @@ class TestExecutorDeadline:
         task = FrameTask(
             stream_id="t", frame_index=0, image=image, params=PARAMS,
         )
-        executor = ServeExecutor(mode="thread", n_workers=1)
+        executor = ServeExecutor(mode=mode, n_workers=1)
         try:
             record = asyncio.run(executor.run(task))
             assert record.ok
