@@ -17,9 +17,8 @@ Subpackages
 ``repro.core``
     SLIC / S-SLIC algorithms (the paper's contribution).
 ``repro.color``
-    Reference CIELAB conversion and the LUT hardware pipeline.
-``repro.fixedpoint``
-    Q-format saturating arithmetic for the quantized datapath.
+    Reference CIELAB conversion and the LUT hardware pipeline, with the
+    Q-format fixed-point model its tables use.
 ``repro.metrics``
     Undersegmentation error, boundary recall, ASA, compactness, ...
 ``repro.data``

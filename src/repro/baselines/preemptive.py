@@ -18,6 +18,10 @@ combination (the library's extension experiment):
   active neighbor's scan).
 * :func:`preemptive_sslic` — the same preemption test applied per full
   sweep on top of S-SLIC's pixel subsampling.
+
+Both run the CPA window scan, sigma accumulation and connectivity on
+the kernel backend ``params.kernel_backend`` names, at
+``params.n_threads``, as the S-SLIC engine does.
 """
 
 from __future__ import annotations
@@ -26,14 +30,13 @@ import numpy as np
 
 from ..color import rgb_to_lab
 from ..core import SegmentationResult, SlicParams, sslic
-from ..core.accumulators import SigmaAccumulator, center_movement
-from ..core.assignment import assign_cpa
-from ..core.connectivity import enforce_connectivity
+from ..core.accumulators import SigmaAccumulator
 from ..core.distance import spatial_weight
 from ..core.initialization import grid_geometry, initial_centers, perturb_centers
 from ..core.neighbors import tile_map
 from ..core.profiles import PhaseTimer
 from ..errors import ConfigurationError
+from ..kernels import get_backend
 from ..types import validate_rgb_image
 
 __all__ = ["preemptive_slic", "preemptive_sslic"]
@@ -60,11 +63,14 @@ def preemptive_slic(
     if preemption_threshold < 0:
         raise ConfigurationError("preemption_threshold must be >= 0")
     validate_rgb_image(image)
+    kernels = get_backend(params.kernel_backend)
+    n_threads = params.n_threads
     timer = PhaseTimer()
 
     with timer.phase("color_conversion"):
         lab = rgb_to_lab(image)
     h, w = lab.shape[:2]
+    lab_flat = lab.reshape(-1, 3)
 
     with timer.phase("initialization"):
         centers = initial_centers(lab, params.n_superpixels)
@@ -76,15 +82,6 @@ def preemptive_slic(
         weight = spatial_weight(params.compactness, s)
         labels_buf = tile_map((h, w), grid_h, grid_w).astype(np.int32)
         dist_buf = np.full((h, w), np.inf, dtype=np.float64)
-        yy, xx = np.mgrid[0:h, 0:w]
-        lab5 = np.concatenate(
-            [
-                lab.reshape(-1, 3),
-                xx.reshape(-1, 1).astype(np.float64),
-                yy.reshape(-1, 1).astype(np.float64),
-            ],
-            axis=1,
-        )
 
     acc = SigmaAccumulator(n_clusters)
     active = np.ones(n_clusters, dtype=bool)
@@ -108,7 +105,7 @@ def preemptive_slic(
             # pixel by beating its stored (valid) distance.
             owned_by_active = active[labels_buf]
             dist_buf[owned_by_active] = np.inf
-            assign_cpa(
+            kernels.cpa_assign(
                 lab,
                 centers,
                 weight,
@@ -116,10 +113,14 @@ def preemptive_slic(
                 dist_buf,
                 labels_buf,
                 cluster_indices=active_idx,
+                n_threads=n_threads,
             )
         with timer.phase("center_update"):
             acc.reset()
-            acc.add(lab5, labels_buf.ravel())
+            acc.fold(*kernels.sigma_accumulate(
+                labels_buf.ravel(), n_clusters, w, lab_flat=lab_flat,
+                n_threads=n_threads,
+            ))
             new_centers = acc.compute_centers(fallback=centers)
         per_cluster_move = np.sqrt(
             ((new_centers[:, 3:5] - centers[:, 3:5]) ** 2).sum(axis=1)
@@ -145,7 +146,9 @@ def preemptive_slic(
     if params.enforce_connectivity:
         with timer.phase("connectivity"):
             min_size = max(1, int(params.min_size_factor * s * s))
-            labels = enforce_connectivity(labels, min_size)
+            labels = kernels.enforce_connectivity(
+                labels, min_size, n_threads=n_threads
+            )
 
     result = SegmentationResult(
         labels=labels.astype(np.int32),
@@ -225,7 +228,9 @@ def preemptive_sslic(
         h, w = final_labels.shape
         s = float(np.sqrt(h * w / result.n_superpixels))
         min_size = max(1, int(params.min_size_factor * s * s))
-        final_labels = enforce_connectivity(final_labels, min_size)
+        final_labels = get_backend(params.kernel_backend).enforce_connectivity(
+            final_labels, min_size, n_threads=params.n_threads
+        )
     out = SegmentationResult(
         labels=final_labels.astype(np.int32),
         centers=centers,

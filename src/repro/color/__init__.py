@@ -8,6 +8,9 @@ Two conversion paths are provided:
 * :class:`HwColorConverter` — the integer, LUT-based pipeline of the
   accelerator's Color Conversion Unit (256-entry gamma LUT + 8-segment
   piecewise-linear cube root), producing ``bits``-wide Lab channel codes.
+
+:class:`QFormat` names the unit's fixed-point formats: the cube-root
+PWL's input, output and coefficients, and the folded 3x3 matrix.
 """
 
 from .constants import D65_WHITE, SRGB_TO_XYZ, XYZ_TO_SRGB
@@ -28,6 +31,7 @@ from .lut import (
     build_gamma_lut,
 )
 from .hw_convert import HwColorConverter, LabEncoding
+from .qformat import QFormat
 
 __all__ = [
     "D65_WHITE",
@@ -47,4 +51,5 @@ __all__ = [
     "DEFAULT_CBRT_BREAKPOINTS",
     "HwColorConverter",
     "LabEncoding",
+    "QFormat",
 ]

@@ -28,10 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigurationError, ImageError
-from ..fixedpoint import QFormat
 from ..types import as_uint8_rgb
 from .constants import D65_WHITE, SRGB_TO_XYZ
 from .lut import build_cbrt_pwl, build_gamma_lut
+from .qformat import QFormat
 
 __all__ = [
     "LabEncoding",

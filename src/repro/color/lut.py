@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..fixedpoint import QFormat
 from .constants import LAB_EPSILON, LAB_KAPPA
+from .qformat import QFormat
 from .reference import srgb_gamma_expand
 
 __all__ = [

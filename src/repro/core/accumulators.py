@@ -195,15 +195,6 @@ class SigmaAccumulator:
         self.sums += sums
         self.counts += counts
 
-    def merge(self, other: "SigmaAccumulator") -> None:
-        """Fold another accumulator in (tile-parallel cores merging)."""
-        if other.n_clusters != self.n_clusters:
-            raise ConfigurationError(
-                f"cluster count mismatch: {self.n_clusters} vs {other.n_clusters}"
-            )
-        self.sums += other.sums
-        self.counts += other.counts
-
     def compute_centers(self, fallback: np.ndarray) -> np.ndarray:
         """The Center Update Unit's division pass.
 

@@ -30,6 +30,7 @@ __all__ = [
     "PixelArrays",
     "assign_ppa",
     "assign_cpa",
+    "check_cpa_args",
     "check_ppa_args",
     "ppa_assign_reference",
 ]
@@ -120,6 +121,60 @@ class PixelArrays:
         return {"lab_flat": self.lab_flat}
 
 
+def _check_centers(centers) -> np.ndarray:
+    """Centers must be a finite (K, 5) array; returns it as an array."""
+    centers = np.asarray(centers)
+    if centers.ndim != 2 or centers.shape[1] != 5:
+        raise ConfigurationError(
+            f"centers must be (K, 5), got shape {centers.shape}"
+        )
+    if not np.isfinite(centers).all():
+        raise ConfigurationError("centers must be finite (NaN or inf found)")
+    return centers
+
+
+def check_cpa_args(lab, centers, dist_buf, labels_buf, cluster_indices=None):
+    """Validate one ``cpa_assign`` call before any backend scans with it.
+
+    Every backend runs this first, so all of them reject the same bad
+    input with :class:`ConfigurationError`, and the compiled scan never
+    reads a center it was not given or writes outside the frame: ``lab``
+    must be an (H, W, 3) image, centers a finite (K, 5) array (a NaN
+    position has no window), cluster indices a 1-D vector in ``[0, K)``,
+    and ``dist_buf`` and ``labels_buf`` writable (H, W) arrays, the
+    labels integer-typed.
+
+    Returns the cluster indices to scan: all K in order when
+    ``cluster_indices`` is ``None``.
+    """
+    if lab.ndim != 3 or lab.shape[2] != 3:
+        raise ConfigurationError(f"lab must be (H, W, 3), got shape {lab.shape}")
+    h, w = lab.shape[:2]
+    centers = _check_centers(centers)
+    for what, buf in (("dist_buf", dist_buf), ("labels_buf", labels_buf)):
+        if not (
+            isinstance(buf, np.ndarray)
+            and buf.shape == (h, w)
+            and buf.flags.writeable
+        ):
+            raise ConfigurationError(
+                f"{what} must be a writable ({h}, {w}) array, got shape "
+                f"{np.shape(buf)}"
+            )
+    if not np.issubdtype(labels_buf.dtype, np.integer):
+        raise ConfigurationError(
+            f"labels_buf must be integer-typed, got dtype {labels_buf.dtype}"
+        )
+    if cluster_indices is None:
+        return np.arange(len(centers))
+    ks = check_index_range(cluster_indices, len(centers), "cluster indices")
+    if ks.ndim != 1:
+        raise ConfigurationError(
+            f"cluster indices must be 1-D, got shape {ks.shape}"
+        )
+    return ks
+
+
 def check_ppa_args(pixels, subset_idx, candidates, centers, labels_out=None):
     """Validate one ``ppa_assign`` call before any backend indexes with it.
 
@@ -138,13 +193,7 @@ def check_ppa_args(pixels, subset_idx, candidates, centers, labels_out=None):
     and a flat view of ``labels_out`` (or ``None``).
     """
     n_pixels = pixels.n_pixels
-    centers = np.asarray(centers)
-    if centers.ndim != 2 or centers.shape[1] != 5:
-        raise ConfigurationError(
-            f"centers must be (K, 5), got shape {centers.shape}"
-        )
-    if not np.isfinite(centers).all():
-        raise ConfigurationError("centers must be finite (NaN or inf found)")
+    centers = _check_centers(centers)
     subset = check_index_range(subset_idx, n_pixels, "subset indices")
     if subset.ndim != 1:
         raise ConfigurationError(
@@ -308,12 +357,14 @@ def assign_cpa(
     overlap, so this is less than the summed window areas).
 
     This is the ``cpa_assign`` spec. It runs serially; ``n_threads`` is
-    accepted for the kernel contract and ignored.
+    accepted for the kernel contract and ignored. Bad arguments raise
+    :class:`ConfigurationError` (:func:`check_cpa_args`).
     """
+    cluster_indices = check_cpa_args(
+        lab, centers, dist_buf, labels_buf, cluster_indices
+    )
     h, w = lab.shape[:2]
     half = int(np.ceil(grid_s))
-    if cluster_indices is None:
-        cluster_indices = np.arange(len(centers))
     if datapath is not None:
         c_all = datapath.encode_centers(centers)
         weight_raw = datapath.weight_raw(compactness, grid_s)

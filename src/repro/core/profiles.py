@@ -80,10 +80,6 @@ class PhaseTimer:
             self.totals[name] = self.totals.get(name, 0.0) + elapsed
             tracer.end_span(span)
 
-    def add(self, name: str, seconds: float) -> None:
-        """Add seconds to a bucket directly (for externally-timed work)."""
-        self.totals[name] = self.totals.get(name, 0.0) + seconds
-
     @property
     def total(self) -> float:
         return float(sum(self.totals.values()))
@@ -95,13 +91,6 @@ class PhaseTimer:
             for k, v in self.totals.items()
             if k.endswith(ABORTED_SUFFIX)
         }
-
-    def fractions(self) -> dict:
-        """Phase -> fraction of total, the Table 1 presentation."""
-        total = self.total
-        if total <= 0:
-            return {k: 0.0 for k in self.totals}
-        return {k: v / total for k, v in self.totals.items()}
 
     def as_dict(self) -> dict:
         """Copy of the raw seconds per phase."""

@@ -57,13 +57,6 @@ class SegmentationResult:
         """Total wall-clock seconds across all recorded phases."""
         return float(sum(self.timings.values()))
 
-    def timing_fractions(self) -> dict:
-        """Per-phase fraction of total time (Table 1's breakdown)."""
-        total = self.total_time
-        if total <= 0:
-            return {k: 0.0 for k in self.timings}
-        return {k: v / total for k, v in self.timings.items()}
-
     def __repr__(self) -> str:
         return (
             f"SegmentationResult(n_superpixels={self.n_superpixels}, "

@@ -66,7 +66,7 @@ from ..color.reference import (
     srgb_gamma_expand,
 )
 from ..core.accumulators import check_sigma_args
-from ..core.assignment import assign_cpa, check_ppa_args
+from ..core.assignment import assign_cpa, check_cpa_args, check_ppa_args
 from ..core.connectivity import check_connectivity_args
 from ..core.distance import WEIGHT_FRAC_BITS
 from ..types import as_float_rgb
@@ -110,27 +110,6 @@ def resolve_threads(n_threads=None) -> int:
 # Kernel entry points (KernelBackend interface)
 # ----------------------------------------------------------------------
 
-#: Per-process reusable ``touched`` masks for the CPA kernels, keyed by
-#: pixel count. Buffers are popped while in use and stored back only
-#: after a clean call, so concurrent engines race harmlessly to fresh
-#: allocations and an exception never leaves a dirty buffer behind.
-_TOUCHED_POOL: dict = {}
-
-
-def _touched_checkout(n: int):
-    buf = _TOUCHED_POOL.pop(n, None)
-    if buf is None:
-        return np.zeros(n, dtype=np.uint8)
-    buf.fill(0)
-    return buf
-
-
-def _touched_checkin(n: int, buf) -> None:
-    if len(_TOUCHED_POOL) >= 4:  # bound growth across geometries
-        _TOUCHED_POOL.clear()
-    _TOUCHED_POOL[n] = buf
-
-
 def cpa_assign(
     lab,
     centers,
@@ -147,38 +126,38 @@ def cpa_assign(
     """Row-banded CPA window scan; see ``assign_cpa`` for semantics.
 
     Returns the number of distinct pixels scanned. Runs the reference
-    loop for the fixed datapath and for non-float64 or non-contiguous
-    buffers (the engine always passes contiguous float64; only direct
-    callers pass others).
+    loop for the fixed datapath and for buffers other than contiguous
+    float64 distances and int32 labels (the engine always passes those;
+    only direct callers pass others).
     """
-    if datapath is not None or dist_buf.dtype != np.float64 or not (
-        dist_buf.flags.c_contiguous and labels_buf.flags.c_contiguous
+    ks = check_cpa_args(lab, centers, dist_buf, labels_buf, cluster_indices)
+    if (
+        datapath is not None
+        or dist_buf.dtype != np.float64
+        or labels_buf.dtype != np.int32
+        or not (dist_buf.flags.c_contiguous and labels_buf.flags.c_contiguous)
     ):
         return assign_cpa(
             lab, centers, weight, grid_s, dist_buf, labels_buf,
-            cluster_indices=cluster_indices, datapath=datapath,
+            cluster_indices=ks, datapath=datapath,
             compactness=compactness, codes=codes,
         )
     lib = load()
     nt = resolve_threads(n_threads)
     h, w = lab.shape[:2]
     half = int(np.ceil(grid_s))
-    if cluster_indices is None:
-        cluster_indices = np.arange(len(centers))
-    ks = np.ascontiguousarray(cluster_indices, dtype=np.int64)
+    ks = np.ascontiguousarray(ks, dtype=np.int64)
     if len(ks) == 0:
         return 0
     centers_c = np.ascontiguousarray(centers, dtype=np.float64)
     lab_c = np.ascontiguousarray(lab, dtype=np.float64)
-    touched = _touched_checkout(h * w)
+    touched = np.zeros(h * w, dtype=np.uint8)
     lib.cpa_assign_f64_mt(
         lab_c.reshape(-1), centers_c.reshape(-1), ks, len(ks),
         float(weight), half, h, w, dist_buf.reshape(-1),
         labels_buf.reshape(-1), touched, nt,
     )
-    n_touched = int(np.count_nonzero(touched))
-    _touched_checkin(h * w, touched)
-    return n_touched
+    return int(np.count_nonzero(touched))
 
 
 def ppa_assign(

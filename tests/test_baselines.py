@@ -15,6 +15,7 @@ from repro.baselines import (
 )
 from repro.errors import ConfigurationError
 from repro.hw import AcceleratorModel, process_normalization_factor, table4_configs
+from repro.kernels import available_backends
 from repro.metrics import undersegmentation_error
 
 N_1080P = 1920 * 1080
@@ -140,3 +141,25 @@ class TestPreemptive:
         r = preemptive_sslic(small_scene.image, n_superpixels=24,
                              max_iterations=10, preemption_threshold=0.5)
         assert r.active_history[-1] < r.n_superpixels
+
+    @pytest.mark.parametrize("run", [preemptive_slic, preemptive_sslic])
+    def test_runs_on_the_named_backend(self, small_scene, monkeypatch, run):
+        """``kernel_backend="reference"`` calls no compiled kernel, and
+        gives the labels ``native-mt`` gives."""
+        if "native-mt" not in available_backends():
+            pytest.skip("native-mt backend unavailable")
+        from repro.kernels import native_mt
+
+        kw = dict(n_superpixels=24, max_iterations=6)
+        want = run(small_scene.image, kernel_backend="native-mt", **kw)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a native-mt kernel ran")
+
+        for kernel in ("cpa_assign", "ppa_assign", "enforce_connectivity",
+                       "lab_from_codes", "lab_from_rgb", "sigma_accumulate"):
+            monkeypatch.setattr(native_mt, kernel, unreachable)
+        got = run(small_scene.image, kernel_backend="reference", **kw)
+        assert np.array_equal(got.labels, want.labels)
+        assert np.array_equal(got.centers, want.centers)
+        assert got.active_history == want.active_history

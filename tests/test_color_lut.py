@@ -6,9 +6,9 @@ import pytest
 from repro.color import build_cbrt_pwl, build_gamma_lut
 from repro.color.constants import LAB_EPSILON, LAB_KAPPA
 from repro.color.lut import DEFAULT_CBRT_BREAKPOINTS, PiecewiseLinearLut
+from repro.color.qformat import QFormat
 from repro.color.reference import srgb_gamma_expand
 from repro.errors import ConfigurationError
-from repro.fixedpoint import QFormat
 
 
 def _f_ref(t):

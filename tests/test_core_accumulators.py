@@ -37,19 +37,6 @@ class TestSigmaAccumulator:
         fb = np.zeros((4, 5))
         assert np.allclose(batch.compute_centers(fb), incremental.compute_centers(fb))
 
-    def test_merge_equals_combined(self, rng):
-        vals = rng.normal(size=(30, 5))
-        labels = rng.integers(0, 3, 30)
-        a = SigmaAccumulator(3)
-        b = SigmaAccumulator(3)
-        a.add(vals[:10], labels[:10])
-        b.add(vals[10:], labels[10:])
-        a.merge(b)
-        combined = SigmaAccumulator(3)
-        combined.add(vals, labels)
-        fb = np.zeros((3, 5))
-        assert np.allclose(a.compute_centers(fb), combined.compute_centers(fb))
-
     def test_reset(self):
         acc = SigmaAccumulator(2)
         acc.add(np.ones((3, 5)), np.array([0, 1, 1]))
@@ -61,10 +48,6 @@ class TestSigmaAccumulator:
         acc = SigmaAccumulator(2)
         acc.add(np.zeros((0, 5)), np.zeros(0, dtype=int))
         assert acc.counts.sum() == 0
-
-    def test_merge_size_mismatch_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SigmaAccumulator(2).merge(SigmaAccumulator(3))
 
     def test_bad_values_shape_rejected(self):
         with pytest.raises(ConfigurationError):

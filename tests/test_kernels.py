@@ -770,9 +770,10 @@ class TestSigmaAccumulateIdentity:
 class TestIndexValidation:
     """Out-of-range indices fail with ConfigurationError on every backend,
     before any kernel reads or writes with them (the compiled kernels
-    would otherwise drop a label >= K or read past ``centers``). The
-    connectivity pass rejects what its int32 map cannot hold the same
-    way."""
+    would otherwise drop a label >= K or read past ``centers``). The CPA
+    scan rejects non-finite centers and buffers that do not match the
+    frame the same way, and the connectivity pass what its int32 map
+    cannot hold."""
 
     SHAPE = (6, 8)
 
@@ -841,6 +842,54 @@ class TestIndexValidation:
             )
         assert np.array_equal(labels, tiles.ravel())  # nothing written
 
+
+    @pytest.mark.parametrize("backend", kernel_cases())
+    @pytest.mark.parametrize(
+        "case", ["cluster-equals-k", "negative-cluster", "nan-center",
+                 "short-buffer", "float-labels", "one-channel-lab"],
+    )
+    def test_cpa_assign(self, backend, case):
+        lab, centers, _, _ = self._frame()
+        h, w = self.SHAPE
+        clusters = np.arange(len(centers))
+        labels = np.full((h, w), -1, dtype=np.int32)
+        if case == "cluster-equals-k":  # the scan would read past centers
+            clusters[-1] = len(centers)
+        elif case == "negative-cluster":  # ... or before them
+            clusters[0] = -1
+        elif case == "nan-center":  # C's cast of NaN to an integer is UB
+            centers = centers.copy()
+            centers[2, 3] = np.nan
+        elif case == "short-buffer":
+            labels = np.full((h - 1, w), -1, dtype=np.int32)
+        elif case == "float-labels":
+            labels = np.full((h, w), -1.0)
+        else:  # C reads three channels per pixel
+            lab = np.ascontiguousarray(lab[:, :, 0])
+        dist = np.full((h, w), np.inf)
+        with pytest.raises(ConfigurationError):
+            get_backend(backend).cpa_assign(
+                lab, centers, 0.5, 3.0, dist, labels,
+                cluster_indices=clusters,
+            )
+        assert (labels == -1).all() and np.isinf(dist).all()  # nothing written
+
+    @pytest.mark.parametrize("backend", OPTIMIZED)
+    def test_cpa_assign_int64_labels(self, backend):
+        """A label buffer the compiled scan cannot take runs the spec."""
+        lab, centers, _, _ = self._frame()
+        runs = []
+        for name in ("reference", backend):
+            dist = np.full(self.SHAPE, np.inf)
+            labels = np.full(self.SHAPE, -1, dtype=np.int64)
+            n = get_backend(name).cpa_assign(
+                lab, centers, 0.5, 3.0, dist, labels
+            )
+            runs.append((n, labels, dist))
+        (n_r, l_r, d_r), (n_o, l_o, d_o) = runs
+        assert n_o == n_r and l_o.dtype == np.int64
+        assert np.array_equal(l_o, l_r)
+        assert d_o.tobytes() == d_r.tobytes()
 
     @pytest.mark.parametrize("backend", kernel_cases())
     @pytest.mark.parametrize(

@@ -88,14 +88,6 @@ class TestPhaseTimer:
         assert timer.totals["a"] >= 0.004
         assert timer.total >= timer.totals["a"]
 
-    def test_fractions_sum_to_one(self):
-        timer = PhaseTimer()
-        timer.add("x", 3.0)
-        timer.add("y", 1.0)
-        fr = timer.fractions()
-        assert fr["x"] == pytest.approx(0.75)
-        assert sum(fr.values()) == pytest.approx(1.0)
-
     def test_exception_still_recorded(self):
         # A phase aborted by an exception records its partial time in a
         # distinct "<name>!aborted" bucket, keeping the clean bucket pure.
@@ -128,14 +120,6 @@ class TestSegmentationResult:
     def test_total_time(self):
         r = self._mk({"a": 1.0, "b": 2.0})
         assert r.total_time == 3.0
-
-    def test_timing_fractions(self):
-        r = self._mk({"a": 1.0, "b": 3.0})
-        assert r.timing_fractions()["b"] == pytest.approx(0.75)
-
-    def test_zero_time_fractions(self):
-        r = self._mk({"a": 0.0})
-        assert r.timing_fractions()["a"] == 0.0
 
     def test_repr(self):
         assert "n_superpixels=2" in repr(self._mk({}))
